@@ -1,7 +1,7 @@
 #include "core/backtester.hpp"
 
 #include "marketdata/bars.hpp"
-#include "stats/windows.hpp"
+#include "stats/corr_engine.hpp"
 
 namespace mm::core {
 
@@ -84,47 +84,28 @@ MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double
     returns[i] = md::log_returns(bam[i]);
   }
 
-  stats::ReturnWindows windows(n, static_cast<std::size_t>(corr_window),
-                               /*track_cross_sums=*/true);
+  // One calculator serves both measures: Combined carries the incremental
+  // Pearson sums and the robust path's unwrap arena (and, warm, its
+  // per-pair fixed-point seeds and per-step MAD flags).
+  stats::CorrEngineConfig engine;
+  engine.type = need_maronna ? stats::Ctype::combined : stats::Ctype::pearson;
+  engine.window = static_cast<std::size_t>(corr_window);
+  engine.maronna = maronna_config;
+  engine.warm_start = warm_maronna;
+  stats::CorrelationCalculator calc(engine, n);
   std::vector<double> step_returns(n);
-  // Shared unwrap arena: each symbol's ring buffer is unwrapped once per
-  // step (O(n·M)) and every pair reads contiguous views, instead of paying
-  // a per-pair window copy (O(pairs·M)).
-  const auto m = static_cast<std::size_t>(corr_window);
-  std::vector<double> arena(need_maronna ? n * m : 0);
-  stats::WarmMaronna warm(need_maronna && warm_maronna ? pairs.size() : 0,
-                          maronna_config);
-  // Per-symbol MAD-degeneracy flags, refreshed once per step (the warm
-  // estimator trusts them instead of rescanning windows per pair).
-  std::vector<unsigned char> mad_zero(warm_maronna ? n : 0, 0);
 
   for (std::int64_t s = 1; s < smax; ++s) {
     for (std::size_t i = 0; i < n; ++i)
       step_returns[i] = returns[i][static_cast<std::size_t>(s - 1)];
-    windows.push(step_returns);
-    warm.advance();
-    if (!windows.ready() || s < corr_window) continue;
+    calc.push(step_returns);
+    if (!calc.ready()) continue;
 
-    if (need_maronna) {
-      windows.unwrap_all(arena.data());
-      if (warm_maronna)
-        for (std::size_t i = 0; i < n; ++i)
-          mad_zero[i] = stats::mad_is_zero(arena.data() + i * m, m) ? 1 : 0;
-    }
     const auto si = static_cast<std::size_t>(s);
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       const auto [i, j] = pairs[k];
-      out.pearson[k][si] = windows.pearson(i, j);
-      if (need_maronna) {
-        const double* x = arena.data() + i * m;
-        const double* y = arena.data() + j * m;
-        if (warm_maronna) {
-          const bool degenerate = mad_zero[i] != 0 || mad_zero[j] != 0;
-          out.maronna[k][si] = warm.estimate(k, x, y, m, degenerate);
-        } else {
-          out.maronna[k][si] = stats::maronna(x, y, m, maronna_config);
-        }
-      }
+      out.pearson[k][si] = calc.pearson(i, j);
+      if (need_maronna) out.maronna[k][si] = calc.robust(i, j);
     }
   }
   return out;

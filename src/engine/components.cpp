@@ -13,9 +13,8 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "marketdata/bars.hpp"
-#include "marketdata/tickdb.hpp"
 #include "stats/cluster.hpp"
-#include "stats/windows.hpp"
+#include "stats/corr_engine.hpp"
 
 namespace mm::engine {
 namespace {
@@ -85,34 +84,11 @@ obs::Histogram* step_histogram(dag::Context& ctx, const char* name) {
 
 }  // namespace
 
-dag::NodeFn make_file_collector(std::vector<md::Quote> quotes, std::size_t batch_size,
-                                StageStats* stats, double replay_speedup) {
+dag::NodeFn make_collector(std::shared_ptr<const std::vector<md::Quote>> day,
+                           std::size_t batch_size, StageStats* stats,
+                           double replay_speedup) {
   MM_ASSERT(batch_size > 0);
-  return [quotes = std::move(quotes), batch_size, stats,
-          replay_speedup](dag::Context& ctx) {
-    emit_quotes(ctx, quotes, batch_size, stats, replay_speedup);
-  };
-}
-
-dag::NodeFn make_db_collector(std::string tickdb_root, md::Date date,
-                              std::size_t batch_size, StageStats* stats,
-                              double replay_speedup) {
-  MM_ASSERT(batch_size > 0);
-  return [root = std::move(tickdb_root), date, batch_size, stats,
-          replay_speedup](dag::Context& ctx) {
-    auto db = md::TickDb::open(root);
-    MM_ASSERT_MSG(db.has_value(), "db collector: cannot open tickdb");
-    auto quotes = db->read_day(date);
-    MM_ASSERT_MSG(quotes.has_value(), "db collector: cannot read day");
-    emit_quotes(ctx, *quotes, batch_size, stats, replay_speedup);
-  };
-}
-
-dag::NodeFn make_shared_collector(std::shared_ptr<const std::vector<md::Quote>> day,
-                                  std::size_t batch_size, StageStats* stats,
-                                  double replay_speedup) {
-  MM_ASSERT(batch_size > 0);
-  MM_ASSERT_MSG(day != nullptr, "shared collector needs a day");
+  MM_ASSERT_MSG(day != nullptr, "collector needs a day");
   return [day = std::move(day), batch_size, stats,
           replay_speedup](dag::Context& ctx) {
     emit_quotes(ctx, *day, batch_size, stats, replay_speedup);
@@ -192,92 +168,6 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
   };
 }
 
-dag::NodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
-                                   bool need_maronna,
-                                   stats::MaronnaConfig maronna_config, int fan_out,
-                                   StageStats* stats, stats::CorrStore* store,
-                                   stats::CorrKey store_key,
-                                   std::int64_t expected_frames) {
-  MM_ASSERT(fan_out >= 1);
-  return [symbols, corr_window, need_maronna, maronna_config, fan_out, stats,
-          store, store_key = std::move(store_key),
-          expected_frames](dag::Context& ctx) {
-    // The lease is taken when the NODE runs (not at wiring time): concurrent
-    // pipelines over the same key serialize here — one computes, the rest
-    // block until the day is published, then replay.
-    std::optional<stats::CorrStore::Lease> lease;
-    if (store != nullptr) lease.emplace(store->acquire(store_key));
-
-    if (lease && lease->hit()) {
-      // Memoized day: replay the stored packed frames one-for-one against
-      // the incoming snapshots. The bytes are exactly what a cold run would
-      // emit, so every consumer downstream is bit-identical.
-      const auto day = lease->data();  // keep alive across eviction
-      std::size_t next = 0;
-      while (auto msg = ctx.recv()) {
-        MM_ASSERT(peek_type(msg->bytes) == RecordType::snapshot);
-        bump(stats, 1, 0, 1, 0);
-        MM_ASSERT_MSG(next < day->frames.size(),
-                      "memoized day shorter than the snapshot stream");
-        const auto& packed = day->frames[next++];
-        for (int port = 0; port < fan_out; ++port) ctx.emit(port, packed);
-        bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
-      }
-      return;
-    }
-
-    const auto pairs = stats::all_pairs(symbols);
-    obs::Histogram* step_ns = step_histogram(ctx, "engine.correlation.step_ns");
-    stats::ReturnWindows windows(symbols, static_cast<std::size_t>(corr_window),
-                                 /*track_cross_sums=*/true);
-    std::vector<double> wx(static_cast<std::size_t>(corr_window));
-    std::vector<double> wy(static_cast<std::size_t>(corr_window));
-    stats::CorrDay recorded;
-    if (lease && expected_frames > 0)
-      recorded.frames.reserve(static_cast<std::size_t>(expected_frames));
-
-    while (auto msg = ctx.recv()) {
-      mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) == RecordType::snapshot);
-      auto snap = Snapshot::unpack(u);
-      bump(stats, 1, 0, 1, 0);
-
-      obs::ObsSpan step(ctx.ring(), "corr-step", step_ns);
-      if (!snap.returns.empty()) windows.push(snap.returns);
-
-      CorrFrame frame;
-      frame.interval = snap.interval;
-      frame.prices = std::move(snap.prices);
-      frame.valid = windows.ready() && snap.interval >= corr_window;
-      if (frame.valid) {
-        frame.pearson.resize(pairs.size());
-        if (need_maronna) frame.maronna.resize(pairs.size());
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          frame.pearson[k] = windows.pearson(pairs[k].i, pairs[k].j);
-          if (need_maronna) {
-            windows.copy_window(pairs[k].i, wx.data());
-            windows.copy_window(pairs[k].j, wy.data());
-            frame.maronna[k] =
-                stats::maronna(wx.data(), wy.data(), wx.size(), maronna_config);
-          }
-        }
-      }
-      step.close();
-      const auto packed = frame.pack();
-      for (int port = 0; port < fan_out; ++port) ctx.emit(port, packed);
-      if (lease) recorded.frames.push_back(packed);
-      bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
-    }
-
-    // Publish only a complete day: a run cut short by a fault upstream
-    // produced fewer frames, and the lease destructor abandons it (handing
-    // ownership to any blocked waiter).
-    if (lease && expected_frames > 0 &&
-        recorded.frames.size() == static_cast<std::size_t>(expected_frames))
-      lease->publish(std::move(recorded));
-  };
-}
-
 dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
                                std::int64_t cadence, StageStats* stats) {
   MM_ASSERT(cadence >= 1);
@@ -308,31 +198,29 @@ dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
   };
 }
 
-dag::GroupNodeFn make_parallel_correlation_stage(std::size_t symbols,
-                                                 std::int64_t corr_window,
-                                                 bool need_maronna,
-                                                 stats::MaronnaConfig maronna_config,
-                                                 int fan_out, StageStats* stats,
-                                                 std::chrono::milliseconds replica_deadline) {
+dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
+                                        bool need_maronna,
+                                        stats::MaronnaConfig maronna_config,
+                                        int fan_out, StageStats* stats,
+                                        std::chrono::milliseconds replica_deadline,
+                                        stats::CorrStore* store, stats::CorrKey store_key,
+                                        std::int64_t expected_frames) {
   MM_ASSERT(fan_out >= 1);
-  return [symbols, corr_window, need_maronna, maronna_config, fan_out, stats,
-          replica_deadline](dag::Context* ctx, mpi::Comm& group) {
+  stats::CorrEngineConfig engine;
+  engine.type = need_maronna ? stats::Ctype::combined : stats::Ctype::pearson;
+  engine.window = static_cast<std::size_t>(corr_window);
+  engine.maronna = maronna_config;
+  return [symbols, corr_window, need_maronna, engine, fan_out, stats, replica_deadline,
+          store, store_key = std::move(store_key),
+          expected_frames](dag::Context* ctx, mpi::Comm& group) {
     const auto all = stats::all_pairs(symbols);
     const bool bounded = replica_deadline.count() > 0;
-
-    stats::ReturnWindows windows(symbols, static_cast<std::size_t>(corr_window),
-                                 /*track_cross_sums=*/true);
-    std::vector<double> wx(static_cast<std::size_t>(corr_window));
-    std::vector<double> wy(static_cast<std::size_t>(corr_window));
-
-    const auto estimate = [&](const stats::PairIndex& p, mpi::Packer& out) {
-      out.put<double>(windows.pearson(p.i, p.j));
-      if (need_maronna) {
-        windows.copy_window(p.i, wx.data());
-        windows.copy_window(p.j, wy.data());
-        out.put<double>(
-            stats::maronna(wx.data(), wy.data(), wx.size(), maronna_config));
-      }
+    // Every member mirrors the sliding windows in its own calculator, so a
+    // pair's estimate is the same bits whichever member computes it.
+    stats::CorrelationCalculator calc(engine, symbols);
+    const auto advance = [&](std::int64_t interval, const std::vector<double>& returns) {
+      if (!returns.empty()) calc.push(returns);
+      return calc.ready() && interval >= corr_window;
     };
 
     // Group protocol, one round per snapshot. The leader sends each live
@@ -368,25 +256,65 @@ dag::GroupNodeFn make_parallel_correlation_stage(std::size_t symbols,
         const auto alive = u.get_vector<std::int32_t>();
         const auto interval = u.get<std::int64_t>();
         const auto returns = u.get_vector<double>();
-        if (!returns.empty()) windows.push(returns);
-        const bool valid = windows.ready() && interval >= corr_window;
+        const bool valid = advance(interval, returns);
 
         mpi::Packer shard;
         shard.put<std::uint64_t>(round_no);
         if (valid) {
-          for (std::size_t k = 0; k < all.size(); ++k)
-            if (alive[k % alive.size()] == group.rank()) estimate(all[k], shard);
+          const auto first = static_cast<std::size_t>(
+              std::find(alive.begin(), alive.end(), group.rank()) - alive.begin());
+          for (std::size_t k = first; k < all.size(); k += alive.size()) {
+            shard.put<double>(calc.pearson(all[k].i, all[k].j));
+            if (need_maronna) shard.put<double>(calc.robust(all[k].i, all[k].j));
+          }
         }
         group.send(0, tag_shard, shard.take());
+      }
+    }
+
+    // Leader.
+    std::vector<std::int32_t> alive;
+    for (int r = 0; r < group.size(); ++r) alive.push_back(r);
+    std::uint64_t round_no = 0;
+    const auto release_replicas = [&] {
+      if (alive.size() == 1) return;
+      mpi::Packer done;
+      done.put<std::uint8_t>(round_done);
+      done.put<std::uint64_t>(round_no);
+      const auto done_bytes = done.take();
+      for (const auto m : alive)
+        if (m != 0) group.send(m, tag_round, done_bytes);
+    };
+
+    // The lease is taken when the NODE runs (not at wiring time): concurrent
+    // pipelines over the same key serialize here — one computes, the rest
+    // block until the day is published, then replay.
+    std::optional<stats::CorrStore::Lease> lease;
+    if (store != nullptr) lease.emplace(store->acquire(store_key));
+
+    if (lease && lease->hit()) {
+      // Memoized day: replay the stored packed frames one-for-one against
+      // the incoming snapshots. The bytes are exactly what a cold run would
+      // emit, so every consumer downstream is bit-identical.
+      release_replicas();
+      const auto day = lease->data();  // keep alive across eviction
+      std::size_t next = 0;
+      while (auto msg = ctx->recv()) {
+        MM_ASSERT(peek_type(msg->bytes) == RecordType::snapshot);
+        bump(stats, 1, 0, 1, 0);
+        MM_ASSERT_MSG(next < day->frames.size(),
+                      "memoized day shorter than the snapshot stream");
+        const auto& packed = day->frames[next++];
+        for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
+        bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
       }
       return;
     }
 
-    // Leader.
     obs::Histogram* step_ns = step_histogram(*ctx, "engine.correlation.step_ns");
-    std::vector<std::int32_t> alive;
-    for (int r = 0; r < group.size(); ++r) alive.push_back(r);
-    std::uint64_t round_no = 0;
+    stats::CorrDay recorded;
+    if (lease && expected_frames > 0)
+      recorded.frames.reserve(static_cast<std::size_t>(expected_frames));
 
     while (auto msg = ctx->recv()) {
       mpi::Unpacker u(msg->bytes);
@@ -394,30 +322,30 @@ dag::GroupNodeFn make_parallel_correlation_stage(std::size_t symbols,
                 RecordType::snapshot);
       auto snap = Snapshot::unpack(u);
       bump(stats, 1, 0, 1, 0);
-      obs::ObsSpan step(ctx->ring(), "corr-round", step_ns);
+      obs::ObsSpan step(ctx->ring(), "corr-step", step_ns);
 
       // The assignment every party uses this round (alive may shrink below).
       const std::vector<std::int32_t> round_alive = alive;
-
-      mpi::Packer round;
-      round.put<std::uint8_t>(round_step);
-      round.put<std::uint64_t>(round_no);
-      round.put_vector(round_alive);
-      round.put<std::int64_t>(snap.interval);
-      round.put_vector(snap.returns);
-      const auto round_bytes = round.take();
-      for (const auto m : round_alive)
-        if (m != 0) group.send(m, tag_round, round_bytes);
-
-      if (!snap.returns.empty()) windows.push(snap.returns);
-      const bool valid = windows.ready() && snap.interval >= corr_window;
+      if (round_alive.size() > 1) {
+        mpi::Packer round;
+        round.put<std::uint8_t>(round_step);
+        round.put<std::uint64_t>(round_no);
+        round.put_vector(round_alive);
+        round.put<std::int64_t>(snap.interval);
+        round.put_vector(snap.returns);
+        const auto round_bytes = round.take();
+        for (const auto m : round_alive)
+          if (m != 0) group.send(m, tag_round, round_bytes);
+      }
+      const bool valid = advance(snap.interval, snap.returns);
 
       // Bounded gather: a replica that misses the deadline is resharded away
       // for good (a missed round also desyncs its window mirror, so it must
       // never contribute again) and its pairs are recomputed locally below.
-      std::vector<std::vector<std::uint8_t>> shard_of(
+      std::vector<std::optional<mpi::Unpacker>> shard_of(
           static_cast<std::size_t>(group.size()));
-      std::vector<bool> have(static_cast<std::size_t>(group.size()), false);
+      std::vector<std::vector<std::uint8_t>> shard_bytes(
+          static_cast<std::size_t>(group.size()));
       for (const auto m : round_alive) {
         if (m == 0) continue;
         const auto deadline = std::chrono::steady_clock::now() + replica_deadline;
@@ -439,8 +367,10 @@ dag::GroupNodeFn make_parallel_correlation_stage(std::size_t symbols,
           }
           mpi::Unpacker su(bytes);
           if (su.get<std::uint64_t>() != round_no) continue;  // stale duplicate
-          shard_of[static_cast<std::size_t>(m)] = std::move(bytes);
-          have[static_cast<std::size_t>(m)] = true;
+          auto& kept = shard_bytes[static_cast<std::size_t>(m)];
+          kept = std::move(bytes);
+          shard_of[static_cast<std::size_t>(m)].emplace(kept);
+          shard_of[static_cast<std::size_t>(m)]->get<std::uint64_t>();
           break;
         }
       }
@@ -455,45 +385,34 @@ dag::GroupNodeFn make_parallel_correlation_stage(std::size_t symbols,
       if (valid) {
         frame.pearson.resize(all.size());
         if (need_maronna) frame.maronna.resize(all.size());
-        std::vector<std::optional<mpi::Unpacker>> unpackers(
-            static_cast<std::size_t>(group.size()));
-        for (const auto m : round_alive) {
-          if (m == 0 || !have[static_cast<std::size_t>(m)]) continue;
-          unpackers[static_cast<std::size_t>(m)].emplace(
-              shard_of[static_cast<std::size_t>(m)]);
-          unpackers[static_cast<std::size_t>(m)]->get<std::uint64_t>();
-        }
         for (std::size_t k = 0; k < all.size(); ++k) {
           const auto owner = round_alive[k % round_alive.size()];
-          if (owner != 0 && have[static_cast<std::size_t>(owner)]) {
-            auto& up = *unpackers[static_cast<std::size_t>(owner)];
-            frame.pearson[k] = up.get<double>();
-            if (need_maronna) frame.maronna[k] = up.get<double>();
+          auto& shard = shard_of[static_cast<std::size_t>(owner)];
+          if (shard) {
+            frame.pearson[k] = shard->get<double>();
+            if (need_maronna) frame.maronna[k] = shard->get<double>();
           } else {
-            frame.pearson[k] = windows.pearson(all[k].i, all[k].j);
-            if (need_maronna) {
-              windows.copy_window(all[k].i, wx.data());
-              windows.copy_window(all[k].j, wy.data());
-              frame.maronna[k] =
-                  stats::maronna(wx.data(), wy.data(), wx.size(), maronna_config);
-            }
+            frame.pearson[k] = calc.pearson(all[k].i, all[k].j);
+            if (need_maronna) frame.maronna[k] = calc.robust(all[k].i, all[k].j);
           }
         }
       }
       step.close();
       const auto packed = frame.pack();
       for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
+      if (lease) recorded.frames.push_back(packed);
       bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
       ++round_no;
     }
 
-    // End of stream: release the surviving replicas.
-    mpi::Packer done;
-    done.put<std::uint8_t>(round_done);
-    done.put<std::uint64_t>(round_no);
-    const auto done_bytes = done.take();
-    for (const auto m : alive)
-      if (m != 0) group.send(m, tag_round, done_bytes);
+    // End of stream: release the surviving replicas, then publish only a
+    // complete day — a run cut short by a fault upstream produced fewer
+    // frames, and the lease destructor abandons it (handing ownership to any
+    // blocked waiter).
+    release_replicas();
+    if (lease && expected_frames > 0 &&
+        recorded.frames.size() == static_cast<std::size_t>(expected_frames))
+      lease->publish(std::move(recorded));
   };
 }
 
@@ -507,10 +426,6 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
     std::vector<core::PairStrategy> machines;
     machines.reserve(pairs.size());
     for (std::size_t k = 0; k < pairs.size(); ++k) machines.emplace_back(params, smax);
-
-    // Map each of my pairs to its index in the canonical all-pairs order the
-    // CorrFrame vectors use.
-    std::vector<std::size_t> frame_index(pairs.size());
 
     const auto emit_order = [&](std::int64_t s, const stats::PairIndex& pr, double di,
                                 double dj, double pi, double pj, bool entry) {
@@ -528,7 +443,7 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       bump(stats, 0, 1, 0, 1);
     };
 
-    bool indexed = false;
+    std::vector<std::size_t> frame_index;  // built on the first frame
     std::vector<double> held_i(pairs.size(), 0.0), held_j(pairs.size(), 0.0);
     std::vector<double> last_pi(pairs.size(), 0.0), last_pj(pairs.size(), 0.0);
     std::int64_t last_interval = -1;
@@ -541,17 +456,14 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       bump(stats, 1, 0, 1, 0);
       last_interval = frame.interval;
 
-      if (!indexed) {
+      if (frame_index.size() != pairs.size()) {
+        // Each of my pairs' slot in the canonical all-pairs order the
+        // CorrFrame vectors use.
         const std::size_t n = frame.prices.size();
-        const auto canonical = stats::all_pairs(n);
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          std::size_t found = canonical.size();
-          for (std::size_t c = 0; c < canonical.size(); ++c)
-            if (canonical[c].i == pairs[k].i && canonical[c].j == pairs[k].j) found = c;
-          MM_ASSERT_MSG(found < canonical.size(), "pair not in universe");
-          frame_index[k] = found;
+        for (const auto& pr : pairs) {
+          MM_ASSERT_MSG(pr.i < pr.j && pr.j < n, "pair not in universe");
+          frame_index.push_back(stats::pair_slot(n, pr.i, pr.j));
         }
-        indexed = true;
       }
 
       obs::ObsSpan step(ctx.ring(), "strategy-step", step_ns);

@@ -3,15 +3,17 @@
 // Each factory returns a NodeFn that runs on its own rank. The wiring (who
 // feeds whom) lives in pipeline.hpp; this header is the component library:
 //
-//   collectors  — File Collector (in-memory day or TAQ CSV), DB Collector
-//                 (tickdb), each emitting QuoteBatch records;
+//   collector   — streams one day of quotes as QuoteBatch records (the
+//                 pipeline resolves the day from memory, a shared DayCache
+//                 entry or a tickdb before wiring);
 //   cleaner     — structural checks + the TCP-like band filter;
 //   snapshot    — OHLC-bar / technical-analysis stage: turns the quote stream
 //                 into one end-of-interval Snapshot (BAM prices + log
 //                 returns) per ∆s;
-//   correlation — the (single-rank) correlation engine: incremental Pearson
-//                 plus optional per-pair Maronna over the sliding M-window,
-//                 fanned out to every strategy node;
+//   correlation — the correlation engine as a group node of one or more
+//                 ranks: every pair estimated by stats::CorrelationCalculator
+//                 (incremental Pearson plus optional cold Maronna over the
+//                 sliding M-window), fanned out to every strategy node;
 //   strategy    — one parameter set across a set of pairs, emitting Order
 //                 records and an end-of-day StrategySummary;
 //   master      — order aggregation (netting into baskets), risk accounting,
@@ -110,26 +112,20 @@ struct MasterReport {
   std::vector<StrategySummary> strategy_summaries;
 };
 
-// --- collectors ---------------------------------------------------------
+// --- collector ---------------------------------------------------------
+// Streams a day owned elsewhere (an in-memory day, the service's DayCache,
+// or a tickdb day read by the caller) without copying it per run — N
+// concurrent backtests of one day share one quote vector.
+//
 // replay_speedup > 0 paces emission by quote timestamps: the day is replayed
 // at `replay_speedup` x real time (e.g. 600 compresses 10 market minutes into
 // one wall second), so the pipeline runs long enough to be watched live on
 // /metrics. Pacing sleeps are chunked to the heartbeat interval with a beat
 // between chunks — a pacing collector is idle-but-alive, never suspect.
 // 0 (the default) emits as fast as downstream credits allow.
-dag::NodeFn make_file_collector(std::vector<md::Quote> quotes, std::size_t batch_size,
-                                StageStats* stats = nullptr,
-                                double replay_speedup = 0.0);
-dag::NodeFn make_db_collector(std::string tickdb_root, md::Date date,
-                              std::size_t batch_size, StageStats* stats = nullptr,
-                              double replay_speedup = 0.0);
-// Shared-day variant: streams a day owned elsewhere (the service's DayCache)
-// without copying it per run — N concurrent backtests of one day share one
-// quote vector.
-dag::NodeFn make_shared_collector(std::shared_ptr<const std::vector<md::Quote>> day,
-                                  std::size_t batch_size,
-                                  StageStats* stats = nullptr,
-                                  double replay_speedup = 0.0);
+dag::NodeFn make_collector(std::shared_ptr<const std::vector<md::Quote>> day,
+                           std::size_t batch_size, StageStats* stats = nullptr,
+                           double replay_speedup = 0.0);
 
 // --- cleaning ------------------------------------------------------------
 dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config,
@@ -143,27 +139,14 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
                                 StageStats* stats = nullptr);
 
 // --- correlation engine ----------------------------------------------------
-// Emits one CorrFrame per Snapshot on every output port [0, fan_out).
-//
-// With a CorrStore attached the stage memoizes whole days of packed frames
-// under `store_key`: a hit replays the stored buffers verbatim (bit-identical
-// output, no estimation work); a miss computes normally while recording, and
-// publishes only a COMPLETE day (`expected_frames` received) so a
-// fault-aborted run never poisons the cache. The store path requires the
-// single-rank stage (correlation_replicas == 1).
-dag::NodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
-                                   bool need_maronna,
-                                   stats::MaronnaConfig maronna_config, int fan_out,
-                                   StageStats* stats = nullptr,
-                                   stats::CorrStore* store = nullptr,
-                                   stats::CorrKey store_key = {},
-                                   std::int64_t expected_frames = 0);
-
-// Multi-rank variant: Fig. 1's "Parallel Correlation Engine" as a dagflow
-// group node. The leader receives snapshots and sends the return vector to
-// every live replica; every member mirrors the sliding windows and estimates
-// its shard of the n(n-1)/2 pairs; shards come back to the leader, which
-// emits frames identical to the single-rank stage.
+// Fig. 1's "Parallel Correlation Engine" as a dagflow group node of any
+// size (one rank included). Emits one CorrFrame per Snapshot on every
+// output port [0, fan_out). Every member owns a stats::CorrelationCalculator
+// (Combined when `need_maronna`, else Pearson; cold Maronna) mirroring the
+// sliding windows. The leader receives snapshots and sends the return vector
+// to every live replica; each member estimates its shard of the n(n-1)/2
+// pairs; shards come back to the leader, which assembles the canonical
+// frame. A one-rank group touches no group transport at all.
 //
 // With replica_deadline > 0 the gather is bounded: a replica that misses the
 // deadline is removed from the shard rotation (pairs reshard onto the
@@ -171,10 +154,20 @@ dag::NodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window
 // recomputed by the leader, which mirrors every window — so the emitted
 // frames stay bit-identical to the healthy run. Each resharding event bumps
 // StageStats::faults. With replica_deadline == 0 every wait blocks forever.
-dag::GroupNodeFn make_parallel_correlation_stage(
+//
+// With a CorrStore attached the leader memoizes whole days of packed frames
+// under `store_key`: a hit releases the replicas and replays the stored
+// buffers verbatim (bit-identical output, no estimation work); a miss
+// computes normally while recording, and publishes only a COMPLETE day
+// (`expected_frames` received) so a fault-aborted run never poisons the
+// cache. Frames are bit-identical at every replica count, so a day computed
+// by one group size replays correctly under any other.
+dag::GroupNodeFn make_correlation_stage(
     std::size_t symbols, std::int64_t corr_window, bool need_maronna,
     stats::MaronnaConfig maronna_config, int fan_out, StageStats* stats = nullptr,
-    std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0});
+    std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0},
+    stats::CorrStore* store = nullptr, stats::CorrKey store_key = {},
+    std::int64_t expected_frames = 0);
 
 // --- clustering --------------------------------------------------------------
 // The [12] companion workload: consume CorrFrames and, every

@@ -6,6 +6,7 @@
 #include "dagflow/context.hpp"
 #include "dagflow/graph.hpp"
 #include "marketdata/generator.hpp"
+#include "marketdata/tickdb.hpp"
 
 namespace mm::engine {
 
@@ -26,10 +27,19 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   for (const auto& s : config.strategies)
     if (s.ctype != stats::Ctype::pearson) need_maronna = true;
 
-  const auto quotes_in = static_cast<std::uint64_t>(
-      config.day != nullptr ? config.day->size() : quotes.size());
-  MM_ASSERT_MSG(config.corr_store == nullptr || config.correlation_replicas == 1,
-                "correlation memoization requires the single-rank stage");
+  // The day the collector streams: the caller's shared day, else a tickdb
+  // day, else the quotes argument.
+  std::shared_ptr<const std::vector<md::Quote>> day = config.day;
+  if (day == nullptr && !config.tickdb_root.empty()) {
+    auto db = md::TickDb::open(config.tickdb_root);
+    MM_ASSERT_MSG(db.has_value(), "db collector: cannot open tickdb");
+    auto read = db->read_day(config.date);
+    MM_ASSERT_MSG(read.has_value(), "db collector: cannot read day");
+    day = std::make_shared<const std::vector<md::Quote>>(std::move(*read));
+  } else if (day == nullptr) {
+    day = std::make_shared<const std::vector<md::Quote>>(std::move(quotes));
+  }
+  const auto quotes_in = static_cast<std::uint64_t>(day->size());
   const int k = static_cast<int>(config.strategies.size());
   const bool clustering = config.cluster_every > 0;
   // Correlation fan-out: one port per strategy, plus the clustering branch.
@@ -43,39 +53,21 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   MasterReport master;
 
   dag::Graph graph;
-  int node = 0;
-  const int collector =
-      config.day != nullptr
-          ? graph.add_node("collector",
-                           make_shared_collector(config.day, config.batch_size,
-                                                 stats[0].get(),
-                                                 config.replay_speedup))
-      : config.tickdb_root.empty()
-          ? graph.add_node("collector",
-                           make_file_collector(std::move(quotes), config.batch_size,
-                                               stats[0].get(), config.replay_speedup))
-          : graph.add_node("collector",
-                           make_db_collector(config.tickdb_root, config.date,
-                                             config.batch_size, stats[0].get(),
-                                             config.replay_speedup));
+  const int collector = graph.add_node(
+      "collector", make_collector(std::move(day), config.batch_size, stats[0].get(),
+                                  config.replay_speedup));
   const int cleaner = graph.add_node(
       "cleaner", make_cleaner(config.symbols, config.cleaner, stats[1].get()));
   const int snapshot = graph.add_node(
       "snapshot", make_snapshot_stage(config.symbols, session, base.delta_s,
                                       universe.base_price, stats[2].get()));
-  const int corr =
-      config.correlation_replicas > 1
-          ? graph.add_group_node(
-                "correlation",
-                make_parallel_correlation_stage(
-                    config.symbols, base.corr_window, need_maronna, config.maronna,
-                    corr_fan_out, stats[3].get(), config.replica_deadline),
-                config.correlation_replicas)
-          : graph.add_node(
-                "correlation",
-                make_correlation_stage(config.symbols, base.corr_window, need_maronna,
-                                       config.maronna, corr_fan_out, stats[3].get(),
-                                       config.corr_store, config.corr_key, smax));
+  const int corr = graph.add_group_node(
+      "correlation",
+      make_correlation_stage(config.symbols, base.corr_window, need_maronna,
+                             config.maronna, corr_fan_out, stats[3].get(),
+                             config.replica_deadline, config.corr_store,
+                             config.corr_key, smax),
+      config.correlation_replicas);
 
   // Optional clustering branch: corr port k -> cluster stage -> snapshot sink.
   std::vector<ClusterSnapshot> cluster_log;
@@ -103,7 +95,6 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   }
   const int master_node = graph.add_node(
       "master", make_master(&master, config.risk, stats[n_stages - 1].get()));
-  (void)node;
 
   graph.connect(collector, 0, cleaner, 0, config.channel_capacity);
   graph.connect(cleaner, 0, snapshot, 0, config.channel_capacity);

@@ -37,7 +37,7 @@ struct PipelineConfig {
   std::size_t batch_size = 256;
   int channel_capacity = 64;
   RiskConfig risk{};
-  // Ranks backing the correlation engine (>1 uses the parallel group stage).
+  // Ranks in the correlation engine's group node (1 = the leader alone).
   int correlation_replicas = 1;
   // >0 adds the clustering branch ([12]): a snapshot of the market's
   // co-movement groups every `cluster_every` intervals.
@@ -55,8 +55,9 @@ struct PipelineConfig {
   // When set, the correlation stage memoizes whole days of packed CorrFrames
   // in `corr_store` under `corr_key`: the first run over a key computes and
   // publishes, every later run replays bit-identical frames without
-  // re-estimating. Requires correlation_replicas == 1. The caller owns the
-  // key's correctness — it must uniquely identify (data, ∆s, M, estimator).
+  // re-estimating, at any correlation_replicas (frames are bit-identical
+  // across replica counts). The caller owns the key's correctness — it must
+  // uniquely identify (data, ∆s, M, estimator).
   stats::CorrStore* corr_store = nullptr;
   stats::CorrKey corr_key{};
 
@@ -69,7 +70,7 @@ struct PipelineConfig {
   // single-stage failure.
   std::chrono::milliseconds stage_deadline{0};
   // Deadline for one correlation replica's shard; a replica that misses it
-  // is resharded onto the survivors (see make_parallel_correlation_stage).
+  // is resharded onto the survivors (see make_correlation_stage).
   std::chrono::milliseconds replica_deadline{0};
 
   // --- telemetry -----------------------------------------------------------

@@ -60,25 +60,31 @@ void CorrelationCalculator::ensure_unwrapped() const {
 }
 
 double CorrelationCalculator::pair(std::size_t i, std::size_t j) const {
-  MM_ASSERT_MSG(ready(), "correlation requested before window is full");
-  if (config_.type == Ctype::pearson) return windows_.pearson(i, j);
+  switch (config_.type) {
+    case Ctype::pearson:
+      return pearson(i, j);
+    case Ctype::maronna:
+      return robust(i, j);
+    case Ctype::combined:
+      return combine(pearson(i, j), robust(i, j));
+  }
+  MM_ASSERT_MSG(false, "unreachable Ctype");
+  return 0.0;
+}
 
+double CorrelationCalculator::robust(std::size_t i, std::size_t j) const {
+  MM_ASSERT_MSG(ready(), "correlation requested before window is full");
+  MM_ASSERT_MSG(config_.type != Ctype::pearson,
+                "robust() needs a Maronna or Combined calculator");
   ensure_unwrapped();
   const double* x = window_view(i);
   const double* y = window_view(j);
   const std::size_t m = windows_.window();
-
-  double robust;
   if (config_.warm_start) {
     const bool degenerate = mad_zero_[i] != 0 || mad_zero_[j] != 0;
-    robust = warm_.estimate(pair_slot(symbols(), i, j), x, y, m, degenerate);
-  } else {
-    robust = maronna_estimate(x, y, m, config_.maronna, maronna_scratch_)
-                 .correlation;
+    return warm_.estimate(pair_slot(symbols(), i, j), x, y, m, degenerate);
   }
-
-  if (config_.type == Ctype::maronna) return robust;
-  return combine(windows_.pearson(i, j), robust);
+  return maronna_estimate(x, y, m, config_.maronna, maronna_scratch_).correlation;
 }
 
 void CorrelationCalculator::matrix_into(SymMatrix& out) const {

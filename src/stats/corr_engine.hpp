@@ -54,8 +54,17 @@ class CorrelationCalculator {
   std::size_t symbols() const { return windows_.symbols(); }
   const CorrEngineConfig& config() const { return config_; }
 
-  // Correlation of one pair at the current step (requires ready()).
+  // Correlation of one pair at the current step (requires ready()): the
+  // configured measure, composed from the two accessors below.
   double pair(std::size_t i, std::size_t j) const;
+
+  // The two measures separately (both require ready()). pearson() is the
+  // incremental estimate (Pearson and Combined calculators); robust() is
+  // Maronna over the unwrapped windows, cold or warm-started per the
+  // config (Maronna and Combined calculators). Every per-pair estimate in
+  // the pipeline and the Approach-3 series goes through these.
+  double pearson(std::size_t i, std::size_t j) const { return windows_.pearson(i, j); }
+  double robust(std::size_t i, std::size_t j) const;
 
   // Full matrix at the current step, unit diagonal. matrix_into reuses the
   // caller's storage (resizing only when the symbol count changed), so a

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <type_traits>
 
 #include "dagflow/context.hpp"
 #include "engine/components.hpp"
@@ -23,16 +25,23 @@ md::Quote quote_at(md::TimeMs ts, md::SymbolId sym, double mid) {
   return q;
 }
 
-// Runs `node` with a source that emits `input` payloads and returns every
-// payload the node emits on its port 0.
-std::vector<std::vector<std::uint8_t>> drive(dag::NodeFn node,
-                                             std::vector<std::vector<std::uint8_t>> input) {
+// Runs `node` (a plain node, or a group node of `replicas` ranks) with a
+// source that emits `input` payloads and returns every payload the node
+// emits on its port 0.
+template <typename Fn>
+std::vector<std::vector<std::uint8_t>> drive(Fn node,
+                                             std::vector<std::vector<std::uint8_t>> input,
+                                             int replicas = 1) {
   std::vector<std::vector<std::uint8_t>> captured;
   dag::Graph g;
   const int src = g.add_node("src", [&](dag::Context& ctx) {
     for (auto& payload : input) ctx.emit(0, std::move(payload));
   });
-  const int uut = g.add_node("uut", std::move(node));
+  int uut;
+  if constexpr (std::is_same_v<Fn, dag::GroupNodeFn>)
+    uut = g.add_group_node("uut", std::move(node), replicas);
+  else
+    uut = g.add_node("uut", std::move(node));
   const int sink = g.add_node("sink", [&](dag::Context& ctx) {
     while (auto msg = ctx.recv()) captured.push_back(std::move(msg->bytes));
   });
@@ -50,7 +59,9 @@ TEST(FileCollector, BatchesAndFlushesRemainder) {
 
   std::vector<std::vector<std::uint8_t>> captured;
   dag::Graph g;
-  const int src = g.add_node("collector", make_file_collector(quotes, 4));
+  const int src = g.add_node(
+      "collector",
+      make_collector(std::make_shared<const std::vector<md::Quote>>(quotes), 4));
   const int sink = g.add_node("sink", [&](dag::Context& ctx) {
     while (auto msg = ctx.recv()) captured.push_back(std::move(msg->bytes));
   });
@@ -121,7 +132,8 @@ TEST(CorrelationStage, FramesInvalidUntilWindowFills) {
   }
 
   const auto captured = drive(
-      make_correlation_stage(2, /*corr_window=*/10, true, {}, /*fan_out=*/1), input);
+      make_correlation_stage(2, /*corr_window=*/10, true, {}, /*fan_out=*/1), input,
+      /*replicas=*/1);
   ASSERT_EQ(captured.size(), 30u);
   for (std::size_t s = 0; s < 30; ++s) {
     mpi::Unpacker u(captured[s]);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -205,6 +206,53 @@ TEST(UnwrapAll, MatchesCopyWindowForEverySymbol) {
         ASSERT_DOUBLE_EQ(arena[i * window + t], reference[t]);
     }
   }
+}
+
+TEST(CorrelationCalculator, SplitAccessorsMatchBatchKernelsBitForBit) {
+  // The cold calculator is the pipeline's and the Approach-3 series' only
+  // per-pair estimator, so its accessors must be exactly the batch kernels'
+  // arithmetic: robust() == stats::maronna over two copy_window buffers,
+  // pearson() == ReturnWindows::pearson, and a Combined pair() ==
+  // combine(pearson, robust) — bit for bit, through the outlier bursts and
+  // the constant-window stretch.
+  constexpr std::size_t symbols = 5;
+  constexpr std::size_t window = 40;
+  const auto stream = golden_stream(symbols, 400, 31);
+
+  CorrEngineConfig cfg;
+  cfg.type = Ctype::combined;
+  cfg.window = window;
+  CorrelationCalculator calc(cfg, symbols);
+  ReturnWindows mirror(symbols, window, /*track_cross_sums=*/true);
+  std::vector<double> wx(window), wy(window);
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+
+  std::size_t compared = 0, constant_steps = 0;
+  for (const auto& r : stream) {
+    calc.push(r);
+    mirror.push(r);
+    if (!calc.ready()) continue;
+    if (mirror.constant_window(1)) ++constant_steps;
+    for (std::size_t i = 0; i < symbols; ++i) {
+      for (std::size_t j = i + 1; j < symbols; ++j) {
+        mirror.copy_window(i, wx.data());
+        mirror.copy_window(j, wy.data());
+        const double robust = maronna(wx.data(), wy.data(), window, cfg.maronna);
+        const double pearson = mirror.pearson(i, j);
+        ASSERT_TRUE(same_bits(calc.robust(i, j), robust))
+            << "pair " << i << "," << j << " step " << compared;
+        ASSERT_TRUE(same_bits(calc.pearson(i, j), pearson))
+            << "pair " << i << "," << j << " step " << compared;
+        ASSERT_TRUE(same_bits(calc.pair(i, j), combine(pearson, robust)))
+            << "pair " << i << "," << j << " step " << compared;
+      }
+    }
+    ++compared;
+  }
+  EXPECT_EQ(compared, stream.size() - window + 1);
+  EXPECT_GT(constant_steps, 0u);  // the stream really drives a window constant
 }
 
 TEST(MarketCorrSeries, WarmMatchesColdWithinTolerance) {

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/pipeline.hpp"
@@ -292,6 +293,33 @@ TEST(CorrStorePipeline, MemoizedReplayIsBitIdenticalToColdRun) {
   EXPECT_EQ(store.stats().computes, 1u);
   EXPECT_EQ(store.stats().hits, 1u);
   expect_identical_reports(reference.master, second.master);
+}
+
+TEST(CorrStorePipeline, ReplayIsBitIdenticalAcrossReplicaCounts) {
+  // Frames are bit-identical at every correlation group size, so a day
+  // memoized by one group size replays under any other.
+  const auto scenario = make_scenario(6, 4);
+  auto cfg = pipeline_config(6);
+  cfg.strategies.front().ctype = stats::Ctype::combined;
+  const auto reference = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  ASSERT_GT(reference.master.trades, 0u);
+
+  cfg.corr_key = key_of("synthetic/6/4", 20080303);
+  cfg.corr_key.estimator = "pearson+maronna";
+  for (const auto& [compute_replicas, replay_replicas] :
+       {std::pair{3, 1}, std::pair{1, 3}}) {
+    CorrStore store;
+    cfg.corr_store = &store;
+    cfg.correlation_replicas = compute_replicas;
+    const auto computed = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+    cfg.correlation_replicas = replay_replicas;
+    const auto replayed = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+
+    EXPECT_EQ(store.stats().computes, 1u);
+    EXPECT_EQ(store.stats().hits, 1u);
+    expect_identical_reports(reference.master, computed.master);
+    expect_identical_reports(reference.master, replayed.master);
+  }
 }
 
 TEST(CorrStorePipeline, ConcurrentPipelinesShareOneCompute) {

@@ -161,12 +161,12 @@ TEST(Pipeline, DbCollectorPathEquivalent) {
 }
 
 class PipelineCorrReplicas : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Replicas, PipelineCorrReplicas, ::testing::Values(2, 3, 5));
+INSTANTIATE_TEST_SUITE_P(Replicas, PipelineCorrReplicas, ::testing::Values(1, 2, 3, 5));
 
 TEST_P(PipelineCorrReplicas, ParallelCorrelationStageMatchesSerial) {
   // The Fig. 1 "Parallel Correlation Engine" as a rank group must be
-  // indistinguishable (bit-identical trades and P&L) from the single-rank
-  // stage.
+  // indistinguishable (bit-identical per-strategy trades and P&L) from the
+  // single-rank group.
   auto scenario = make_scenario(6, 6);
   PipelineConfig cfg;
   cfg.symbols = 6;
@@ -179,7 +179,15 @@ TEST_P(PipelineCorrReplicas, ParallelCorrelationStageMatchesSerial) {
 
   EXPECT_EQ(parallel.master.trades, serial.master.trades);
   EXPECT_EQ(parallel.master.orders, serial.master.orders);
-  EXPECT_NEAR(parallel.master.total_pnl, serial.master.total_pnl, 1e-9);
+  const auto& got = parallel.master.strategy_summaries;
+  const auto& want = serial.master.strategy_summaries;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w].strategy_id, want[w].strategy_id);
+    EXPECT_EQ(got[w].trades, want[w].trades) << "strategy " << w;
+    EXPECT_EQ(got[w].total_pnl, want[w].total_pnl) << "strategy " << w;
+    EXPECT_EQ(got[w].trade_returns, want[w].trade_returns) << "strategy " << w;
+  }
 }
 
 TEST(Pipeline, NettingAccountingConsistent) {
