@@ -222,13 +222,28 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       if (!returns.empty()) calc.push(returns);
       return calc.ready() && interval >= corr_window;
     };
+    // Block b of a round with `members` members: a contiguous, balanced
+    // slice of the canonical pair order.
+    const auto block_size = [&](std::size_t members, std::size_t b) {
+      return stats::block_begin(all.size(), members, b + 1) -
+             stats::block_begin(all.size(), members, b);
+    };
+    // Maronna over block b, written to out[0, block_size(members, b)).
+    const auto robust_block = [&](std::size_t members, std::size_t b, double* out) {
+      const std::size_t begin = stats::block_begin(all.size(), members, b);
+      const std::size_t end = stats::block_begin(all.size(), members, b + 1);
+      for (std::size_t k = begin; k < end; ++k)
+        out[k - begin] = calc.robust(all[k].i, all[k].j);
+    };
 
     // Group protocol, one round per snapshot. The leader sends each live
-    // replica {round_step, round_no, alive, interval, returns}; replicas
-    // answer {round_no, shard doubles}. Pair k is owned by
-    // alive[k % alive.size()] — the rotation reshards automatically when a
-    // replica drops out. round_no makes duplicated frames (fault injection)
-    // detectable on both sides. round_done terminates a replica.
+    // replica {round_step, round_no, alive, interval, returns}; the member
+    // at position b of `alive` owns Maronna block b, so the pairs reshard
+    // over the survivors whenever a replica drops out. Replicas answer
+    // {round_no, block Maronna values}; Pearson is O(1) per pair, so the
+    // leader fills it for every pair itself. round_no makes duplicated
+    // frames (fault injection) detectable on both sides. round_done
+    // terminates a replica.
     constexpr int tag_round = 1;
     constexpr int tag_shard = 2;
     constexpr std::uint8_t round_step = 1;
@@ -236,7 +251,12 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
 
     if (group.rank() != 0) {
       // Replica: serve rounds until the leader says done or goes silent past
-      // the deadline (leader dead, or this replica resharded away).
+      // the deadline (leader dead, or this replica resharded away). The
+      // decode and shard buffers persist across rounds.
+      std::vector<std::int32_t> alive;
+      std::vector<double> returns;
+      std::vector<double> block;
+      mpi::Packer shard;
       std::uint64_t next_round = 0;
       while (true) {
         std::vector<std::uint8_t> bytes;
@@ -253,22 +273,21 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
         if (kind == round_done) return;
         if (round_no < next_round) continue;  // duplicated round frame
         next_round = round_no + 1;
-        const auto alive = u.get_vector<std::int32_t>();
+        u.get_vector_into(alive);
         const auto interval = u.get<std::int64_t>();
-        const auto returns = u.get_vector<double>();
+        u.get_vector_into(returns);
         const bool valid = advance(interval, returns);
-
-        mpi::Packer shard;
-        shard.put<std::uint64_t>(round_no);
-        if (valid) {
-          const auto first = static_cast<std::size_t>(
+        {
+          obs::ObsSpan span(obs::current_trace_ring(), "corr-block");
+          const auto b = static_cast<std::size_t>(
               std::find(alive.begin(), alive.end(), group.rank()) - alive.begin());
-          for (std::size_t k = first; k < all.size(); k += alive.size()) {
-            shard.put<double>(calc.pearson(all[k].i, all[k].j));
-            if (need_maronna) shard.put<double>(calc.robust(all[k].i, all[k].j));
-          }
+          block.resize(valid && need_maronna ? block_size(alive.size(), b) : 0);
+          if (!block.empty()) robust_block(alive.size(), b, block.data());
         }
-        group.send(0, tag_shard, shard.take());
+        shard.clear();
+        shard.put<std::uint64_t>(round_no);
+        shard.put_vector(block);
+        group.send(0, tag_shard, shard.bytes());
       }
     }
 
@@ -281,9 +300,8 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       mpi::Packer done;
       done.put<std::uint8_t>(round_done);
       done.put<std::uint64_t>(round_no);
-      const auto done_bytes = done.take();
       for (const auto m : alive)
-        if (m != 0) group.send(m, tag_round, done_bytes);
+        if (m != 0) group.send(m, tag_round, done.bytes());
     };
 
     // The lease is taken when the NODE runs (not at wiring time): concurrent
@@ -316,6 +334,12 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
     if (lease && expected_frames > 0)
       recorded.frames.reserve(static_cast<std::size_t>(expected_frames));
 
+    // Step buffers that live for the whole node.
+    std::vector<std::int32_t> round_alive;  // this round's members
+    mpi::Packer round;
+    std::vector<double> shard;  // one replica's decoded block
+    CorrFrame frame;
+
     while (auto msg = ctx->recv()) {
       mpi::Unpacker u(msg->bytes);
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
@@ -325,30 +349,48 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       obs::ObsSpan step(ctx->ring(), "corr-step", step_ns);
 
       // The assignment every party uses this round (alive may shrink below).
-      const std::vector<std::int32_t> round_alive = alive;
-      if (round_alive.size() > 1) {
-        mpi::Packer round;
+      round_alive = alive;
+      const std::size_t members = round_alive.size();
+      if (members > 1) {
+        round.clear();
         round.put<std::uint8_t>(round_step);
         round.put<std::uint64_t>(round_no);
         round.put_vector(round_alive);
         round.put<std::int64_t>(snap.interval);
         round.put_vector(snap.returns);
-        const auto round_bytes = round.take();
         for (const auto m : round_alive)
-          if (m != 0) group.send(m, tag_round, round_bytes);
+          if (m != 0) group.send(m, tag_round, round.bytes());
       }
       const bool valid = advance(snap.interval, snap.returns);
 
+      frame.interval = snap.interval;
+      frame.prices = std::move(snap.prices);
+      frame.valid = valid;
+      frame.pearson.clear();
+      frame.maronna.clear();
+      // The leader's own share runs while the replicas compute theirs:
+      // Pearson for every pair, then Maronna block 0.
+      {
+        obs::ObsSpan span(ctx->ring(), "corr-block");
+        if (valid) {
+          frame.pearson.resize(all.size());
+          for (std::size_t k = 0; k < all.size(); ++k)
+            frame.pearson[k] = calc.pearson(all[k].i, all[k].j);
+          if (need_maronna) {
+            frame.maronna.resize(all.size());
+            robust_block(members, 0, frame.maronna.data());
+          }
+        }
+      }
+
       // Bounded gather: a replica that misses the deadline is resharded away
       // for good (a missed round also desyncs its window mirror, so it must
-      // never contribute again) and its pairs are recomputed locally below.
-      std::vector<std::optional<mpi::Unpacker>> shard_of(
-          static_cast<std::size_t>(group.size()));
-      std::vector<std::vector<std::uint8_t>> shard_bytes(
-          static_cast<std::size_t>(group.size()));
-      for (const auto m : round_alive) {
-        if (m == 0) continue;
+      // never contribute again) and the leader computes its block instead —
+      // it mirrors every window, so the frame matches the healthy run.
+      for (std::size_t b = 1; b < members; ++b) {
+        const auto m = round_alive[b];
         const auto deadline = std::chrono::steady_clock::now() + replica_deadline;
+        bool received = false;
         while (true) {
           std::vector<std::uint8_t> bytes;
           if (bounded) {
@@ -367,34 +409,17 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
           }
           mpi::Unpacker su(bytes);
           if (su.get<std::uint64_t>() != round_no) continue;  // stale duplicate
-          auto& kept = shard_bytes[static_cast<std::size_t>(m)];
-          kept = std::move(bytes);
-          shard_of[static_cast<std::size_t>(m)].emplace(kept);
-          shard_of[static_cast<std::size_t>(m)]->get<std::uint64_t>();
+          su.get_vector_into(shard);
+          received = true;
           break;
         }
-      }
-
-      // Assemble the canonical-order frame: the leader computes its own
-      // shard and stands in for any replica that missed the deadline; it
-      // mirrors every window, so the frame matches the healthy run exactly.
-      CorrFrame frame;
-      frame.interval = snap.interval;
-      frame.prices = std::move(snap.prices);
-      frame.valid = valid;
-      if (valid) {
-        frame.pearson.resize(all.size());
-        if (need_maronna) frame.maronna.resize(all.size());
-        for (std::size_t k = 0; k < all.size(); ++k) {
-          const auto owner = round_alive[k % round_alive.size()];
-          auto& shard = shard_of[static_cast<std::size_t>(owner)];
-          if (shard) {
-            frame.pearson[k] = shard->get<double>();
-            if (need_maronna) frame.maronna[k] = shard->get<double>();
-          } else {
-            frame.pearson[k] = calc.pearson(all[k].i, all[k].j);
-            if (need_maronna) frame.maronna[k] = calc.robust(all[k].i, all[k].j);
-          }
+        if (!valid || !need_maronna) continue;
+        double* out = frame.maronna.data() + stats::block_begin(all.size(), members, b);
+        if (received) {
+          MM_ASSERT_MSG(shard.size() == block_size(members, b), "shard size mismatch");
+          std::copy(shard.begin(), shard.end(), out);
+        } else {
+          robust_block(members, b, out);
         }
       }
       step.close();

@@ -143,17 +143,21 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
 // size (one rank included). Emits one CorrFrame per Snapshot on every
 // output port [0, fan_out). Every member owns a stats::CorrelationCalculator
 // (Combined when `need_maronna`, else Pearson; cold Maronna) mirroring the
-// sliding windows. The leader receives snapshots and sends the return vector
-// to every live replica; each member estimates its shard of the n(n-1)/2
-// pairs; shards come back to the leader, which assembles the canonical
-// frame. A one-rank group touches no group transport at all.
+// sliding windows. Per snapshot the leader sends the return vector to every
+// live replica, then computes its own share before it gathers: Pearson for
+// every pair (O(1) each) plus Maronna block 0. The member at position b of
+// the round's live list owns block b — a contiguous, balanced slice of the
+// canonical pair order (stats::block_begin) — and ships back only its
+// Maronna values, which the leader copies into the frame linearly. A
+// one-rank group touches no group transport at all.
 //
 // With replica_deadline > 0 the gather is bounded: a replica that misses the
-// deadline is removed from the shard rotation (pairs reshard onto the
-// survivors from the next round on) and its shard for the current round is
-// recomputed by the leader, which mirrors every window — so the emitted
-// frames stay bit-identical to the healthy run. Each resharding event bumps
-// StageStats::faults. With replica_deadline == 0 every wait blocks forever.
+// deadline is dropped from the live list (from the next round on the pairs
+// are re-split into blocks over the survivors) and its block for the current
+// round is computed by the leader, which mirrors every window — so the
+// emitted frames stay bit-identical to the healthy run. Each resharding
+// event bumps StageStats::faults. With replica_deadline == 0 every wait
+// blocks forever.
 //
 // With a CorrStore attached the leader memoizes whole days of packed frames
 // under `store_key`: a hit releases the replicas and replays the stored

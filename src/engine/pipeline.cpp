@@ -67,7 +67,7 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
                              config.maronna, corr_fan_out, stats[3].get(),
                              config.replica_deadline, config.corr_store,
                              config.corr_key, smax),
-      config.correlation_replicas);
+      need_maronna ? config.correlation_replicas : 1);
 
   // Optional clustering branch: corr port k -> cluster stage -> snapshot sink.
   std::vector<ClusterSnapshot> cluster_log;

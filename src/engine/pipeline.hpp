@@ -37,8 +37,12 @@ struct PipelineConfig {
   std::size_t batch_size = 256;
   int channel_capacity = 64;
   RiskConfig risk{};
-  // Ranks in the correlation engine's group node (1 = the leader alone).
-  int correlation_replicas = 1;
+  // Ranks in the correlation engine's group node when a strategy needs
+  // Maronna (1 = the leader alone): each member estimates one contiguous
+  // block of the pairs. A Pearson-only day has nothing to shard and always
+  // runs one correlation rank. 4 is the best point of a 1..5 sweep on a
+  // 4-CPU host (CHANGES.md); frames are bit-identical at every size.
+  int correlation_replicas = 4;
   // >0 adds the clustering branch ([12]): a snapshot of the market's
   // co-movement groups every `cluster_every` intervals.
   std::int64_t cluster_every = 0;

@@ -45,6 +45,9 @@ class Packer {
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
   std::size_t size() const { return buffer_.size(); }
+  // Empty the buffer but keep its capacity, so a Packer reused across
+  // messages of a steady size stops allocating after the first.
+  void clear() { buffer_.clear(); }
 
  private:
   std::vector<std::uint8_t> buffer_;
@@ -75,14 +78,22 @@ class Unpacker {
 
   template <typename T>
   std::vector<T> get_vector() {
+    std::vector<T> v;
+    get_vector_into(v);
+    return v;
+  }
+
+  // get_vector into the caller's storage: reuses `out`'s capacity, so a
+  // decode loop over same-sized messages is allocation-free.
+  template <typename T>
+  void get_vector_into(std::vector<T>& out) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Unpacker::get_vector requires trivially copyable elements");
     const auto n = get<std::uint64_t>();
-    MM_ASSERT_MSG(offset_ + n * sizeof(T) <= buffer_.size(), "Unpacker: vector underrun");
-    std::vector<T> v(n);
-    std::memcpy(v.data(), buffer_.data() + offset_, n * sizeof(T));
+    MM_ASSERT_MSG(n <= (buffer_.size() - offset_) / sizeof(T), "Unpacker: vector underrun");
+    out.resize(n);
+    if (n > 0) std::memcpy(out.data(), buffer_.data() + offset_, n * sizeof(T));
     offset_ += n * sizeof(T);
-    return v;
   }
 
   bool exhausted() const { return offset_ == buffer_.size(); }

@@ -132,15 +132,11 @@ ParallelCorrelationEngine::ParallelCorrelationEngine(mpi::Comm& comm,
   h_compute_ = &reg.histogram("corr.step.compute_ns");
   h_exchange_ = &reg.histogram("corr.step.exchange_ns");
   h_assemble_ = &reg.histogram("corr.step.assemble_ns");
-  // Contiguous block shards, balanced to within one pair: the first `rem`
-  // ranks take one extra.
+  // Contiguous block shards, balanced to within one pair.
   const auto world = static_cast<std::size_t>(comm.size());
-  const std::size_t base = pairs_.size() / world;
-  const std::size_t rem = pairs_.size() % world;
   offsets_.resize(world + 1);
-  offsets_[0] = 0;
-  for (std::size_t r = 0; r < world; ++r)
-    offsets_[r + 1] = offsets_[r] + base + (r < rem ? 1 : 0);
+  for (std::size_t r = 0; r <= world; ++r)
+    offsets_[r] = block_begin(pairs_.size(), world, r);
   mine_.reserve(local_pair_count());
   returns_.resize(symbols);
 }

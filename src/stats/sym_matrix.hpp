@@ -119,4 +119,13 @@ inline std::vector<PairIndex> tiled_pairs(std::size_t n, std::size_t tile) {
   return out;
 }
 
+// Pair sharding: `count` pairs cut into `members` contiguous blocks balanced
+// to within one pair (the first count % members blocks take one extra).
+// Block b is [block_begin(count, members, b), block_begin(count, members,
+// b + 1)); block_begin(count, members, members) == count.
+inline std::size_t block_begin(std::size_t count, std::size_t members, std::size_t b) {
+  MM_ASSERT(members > 0 && b <= members);
+  return b * (count / members) + std::min(b, count % members);
+}
+
 }  // namespace mm::stats

@@ -319,6 +319,8 @@ void BacktestService::run_job(const std::shared_ptr<Job>& job) {
       config.strategies.push_back(job->spec.paramsets[i]);
     config.batch_size = config_.batch_size;
     config.channel_capacity = config_.channel_capacity;
+    // One correlation rank per unit, so `workers` bounds peak rank count.
+    config.correlation_replicas = 1;
     config.day = day.value();
     config.corr_store = &corr_store_;
     config.corr_key = key;

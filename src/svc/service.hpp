@@ -7,8 +7,9 @@
 //   CorrStore   — each (day, universe, ∆s, M, estimator) correlation stream
 //                 computed once, replayed bit-identically by later units;
 //   JobQueue +  — per-tenant fair-share admission onto a bounded worker
-//   Scheduler     pool; each worker streams one unit (= one run_pipeline)
-//                 at a time, so `workers` bounds peak rank count;
+//   Scheduler     pool; each worker streams one unit (= one run_pipeline
+//                 with a one-rank correlation group) at a time, so
+//                 `workers` bounds peak rank count;
 //   Registry +  — per-tenant labeled service counters next to the engine's
 //   MetricsServer own metrics, scraped from GET /metrics.
 //

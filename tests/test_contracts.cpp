@@ -75,6 +75,17 @@ TEST(ContractSerde, UnderrunAborts) {
   EXPECT_DEATH((void)u.get<double>(), "underrun");
 }
 
+TEST(ContractSerde, WrappingVectorLengthAborts) {
+  // A peer-supplied element count whose byte size wraps 64 bits (here
+  // (2^61 + 1) * 8 == 8) must be rejected as an underrun, not decoded.
+  mpi::Packer packer;
+  packer.put<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+  packer.put<double>(1.0);
+  const auto bytes = packer.take();
+  mpi::Unpacker u(bytes);
+  EXPECT_DEATH((void)u.get_vector<double>(), "vector underrun");
+}
+
 TEST(ContractBars, LogReturnsRejectNonPositivePrices) {
   EXPECT_DEATH((void)md::log_returns({1.0, 0.0}), "non-positive price");
 }

@@ -161,7 +161,33 @@ TEST(Pipeline, DbCollectorPathEquivalent) {
 }
 
 class PipelineCorrReplicas : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Replicas, PipelineCorrReplicas, ::testing::Values(1, 2, 3, 5));
+INSTANTIATE_TEST_SUITE_P(Replicas, PipelineCorrReplicas,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// Per-strategy results compared bit for bit.
+void expect_identical_summaries(const PipelineResult& got_run,
+                                const PipelineResult& want_run) {
+  EXPECT_EQ(got_run.master.trades, want_run.master.trades);
+  EXPECT_EQ(got_run.master.orders, want_run.master.orders);
+  const auto& got = got_run.master.strategy_summaries;
+  const auto& want = want_run.master.strategy_summaries;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w].strategy_id, want[w].strategy_id);
+    EXPECT_EQ(got[w].trades, want[w].trades) << "strategy " << w;
+    EXPECT_EQ(got[w].total_pnl, want[w].total_pnl) << "strategy " << w;
+    EXPECT_EQ(got[w].trade_returns, want[w].trade_returns) << "strategy " << w;
+  }
+}
+
+#if MM_OBS_ENABLED
+// Ranks the correlation group ran with: every member records one sample of
+// the node's wall-time histogram.
+std::uint64_t correlation_ranks(const PipelineResult& result) {
+  const obs::MetricValue* wall = result.metrics.find("dag.correlation.wall_ns");
+  return wall != nullptr ? wall->count : 0;
+}
+#endif
 
 TEST_P(PipelineCorrReplicas, ParallelCorrelationStageMatchesSerial) {
   // The Fig. 1 "Parallel Correlation Engine" as a rank group must be
@@ -172,22 +198,39 @@ TEST_P(PipelineCorrReplicas, ParallelCorrelationStageMatchesSerial) {
   cfg.symbols = 6;
   cfg.strategies = {pipeline_params(stats::Ctype::pearson),
                     pipeline_params(stats::Ctype::maronna)};
+  cfg.correlation_replicas = 1;
   const auto serial = run_pipeline(cfg, scenario.universe, scenario.quotes);
 
   cfg.correlation_replicas = GetParam();
   const auto parallel = run_pipeline(cfg, scenario.universe, scenario.quotes);
 
-  EXPECT_EQ(parallel.master.trades, serial.master.trades);
-  EXPECT_EQ(parallel.master.orders, serial.master.orders);
-  const auto& got = parallel.master.strategy_summaries;
-  const auto& want = serial.master.strategy_summaries;
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t w = 0; w < want.size(); ++w) {
-    EXPECT_EQ(got[w].strategy_id, want[w].strategy_id);
-    EXPECT_EQ(got[w].trades, want[w].trades) << "strategy " << w;
-    EXPECT_EQ(got[w].total_pnl, want[w].total_pnl) << "strategy " << w;
-    EXPECT_EQ(got[w].trade_returns, want[w].trade_returns) << "strategy " << w;
-  }
+  expect_identical_summaries(parallel, serial);
+#if MM_OBS_ENABLED
+  EXPECT_EQ(correlation_ranks(serial), 1u);
+  EXPECT_EQ(correlation_ranks(parallel), static_cast<std::uint64_t>(GetParam()));
+#endif
+}
+
+TEST(PipelineCorrGroup, PearsonOnlyDayRunsOneCorrelationRank) {
+  // Pearson is O(1) per pair, so a Pearson-only day has nothing to shard:
+  // the group runs its leader alone whatever correlation_replicas says, and
+  // the day is bit-identical to an explicit one-rank run.
+  auto scenario = make_scenario(6, 6);
+  PipelineConfig cfg;
+  cfg.symbols = 6;
+  cfg.strategies = {pipeline_params(stats::Ctype::pearson)};
+  cfg.correlation_replicas = 4;
+  const auto grouped = run_pipeline(cfg, scenario.universe, scenario.quotes);
+
+  cfg.correlation_replicas = 1;
+  const auto single = run_pipeline(cfg, scenario.universe, scenario.quotes);
+
+  EXPECT_GT(single.master.trades, 0u);
+  expect_identical_summaries(grouped, single);
+#if MM_OBS_ENABLED
+  EXPECT_EQ(correlation_ranks(grouped), 1u);
+  EXPECT_EQ(correlation_ranks(single), 1u);
+#endif
 }
 
 TEST(Pipeline, NettingAccountingConsistent) {

@@ -131,12 +131,15 @@ TEST(FaultMatrix, DelaysChangeTimingButNotResults) {
 
 TEST(FaultMatrix, KilledCorrelationReplicaReshardsWithIdenticalResults) {
   // Fig. 1's parallel correlation engine with one replica killed mid-day:
-  // the leader reshards the dead replica's pairs onto the survivors and
-  // recomputes the in-flight round locally, so the day's trading is
-  // BIT-IDENTICAL to the healthy run — the degradation is visible only in
-  // the fault report and the stage's fault counter.
+  // the leader computes the dead replica's Maronna block for the in-flight
+  // round and re-splits the pairs over the survivors from the next round
+  // on, so the day's trading is BIT-IDENTICAL to the healthy run — the
+  // degradation is visible only in the fault report and the stage's fault
+  // counter. A Combined strategy makes the group shard Maronna blocks (a
+  // Pearson-only day runs one correlation rank).
   const auto scenario = make_scenario(4, 3);
   PipelineConfig cfg = base_config();
+  cfg.strategies.front().ctype = stats::Ctype::combined;
   cfg.correlation_replicas = 3;  // group ranks 3 (leader), 4, 5
 
   const auto healthy = run_pipeline(cfg, scenario.universe, scenario.quotes);
@@ -145,14 +148,23 @@ TEST(FaultMatrix, KilledCorrelationReplicaReshardsWithIdenticalResults) {
 
   PipelineConfig faulted = cfg;
   faulted.fault.kill_rank = 4;  // first non-leader replica
-  faulted.fault.kill_at_op = 100;
+  // A replica does one recv and one send per round: op 400 lands after the
+  // M=100 window has filled, while its block carries Maronna values.
+  faulted.fault.kill_at_op = 400;
   faulted.replica_deadline = milliseconds{1000};
 
   const auto result = run_pipeline(faulted, scenario.universe, scenario.quotes);
 
   EXPECT_EQ(result.master.trades, healthy.master.trades);
   EXPECT_EQ(result.master.orders, healthy.master.orders);
-  EXPECT_NEAR(result.master.total_pnl, healthy.master.total_pnl, 1e-9);
+  const auto& got = result.master.strategy_summaries;
+  const auto& want = healthy.master.strategy_summaries;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w].trades, want[w].trades) << "strategy " << w;
+    EXPECT_EQ(got[w].total_pnl, want[w].total_pnl) << "strategy " << w;
+    EXPECT_EQ(got[w].trade_returns, want[w].trade_returns) << "strategy " << w;
+  }
 
   EXPECT_GE(result.stages[3].faults, 1u);  // at least one reshard event
   EXPECT_TRUE(result.degraded);

@@ -199,6 +199,49 @@ TEST(SvcEndToEnd, TwoTenantsShareCorrelationWorkAndMatchDirectRuns) {
   service.stop();
 }
 
+TEST(SvcEndToEnd, MaronnaUnitRunsOneCorrelationRank) {
+  // A direct run_pipeline spreads a Maronna day over correlation_replicas
+  // ranks; a service unit keeps its correlation group at one rank, so
+  // `workers` bounds the service's peak rank count. Both give the same bits.
+  BacktestService service(fast_config(1));
+  ASSERT_TRUE(service.start().has_value());
+  const std::string body = R"({"tenant":"solo","symbols":8,"seed":7,"day":0,
+    "paramsets":[{"ctype":"maronna","corr_window":60}]})";
+  const auto id = service.submit(parse_job_spec(body).value());
+  ASSERT_TRUE(id.has_value());
+  ASSERT_TRUE(service.wait(id.value(), 60000));
+  const auto result = get(service.port(), "/jobs/" + id.value() + "/result");
+  ASSERT_EQ(status_of(result), 200);
+  const auto via_svc = json_body(result).find("paramsets")->at(0);
+#if MM_OBS_ENABLED
+  // Every member of a group records one sample of the node's wall time.
+  const obs::Snapshot metrics = service.registry().snapshot();
+  const obs::MetricValue* wall = metrics.find("dag.correlation.wall_ns");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_EQ(wall->count, 1u);
+#endif
+  service.stop();
+
+  const md::Universe universe = md::make_universe(8);
+  md::GeneratorConfig generator;
+  generator.seed = 7;
+  generator.quote_rate = 0.15;
+  const md::SyntheticDay day(universe, generator, 0);
+  engine::PipelineConfig config;
+  config.symbols = 8;
+  config.strategies = {parse_job_spec(body).value().paramsets[0]};
+  const auto direct = engine::run_pipeline(config, universe, day.quotes());
+#if MM_OBS_ENABLED
+  const obs::MetricValue* direct_wall = direct.metrics.find("dag.correlation.wall_ns");
+  ASSERT_NE(direct_wall, nullptr);
+  EXPECT_EQ(direct_wall->count, 4u);  // the correlation_replicas default
+#endif
+  ASSERT_EQ(direct.master.strategy_summaries.size(), 1u);
+  const auto& summary = direct.master.strategy_summaries[0];
+  EXPECT_EQ(via_svc.get_int("trades", -1), static_cast<std::int64_t>(summary.trades));
+  EXPECT_TRUE(bits_equal(via_svc.get_double("total_pnl", 0.0), summary.total_pnl));
+}
+
 TEST(SvcEndToEnd, RestErrorLadder) {
   BacktestService service(fast_config(1));
   ASSERT_TRUE(service.start().has_value());

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -331,6 +332,66 @@ std::string read_file(const std::filesystem::path& path) {
   return out.str();
 }
 }  // namespace
+
+// --- correlation group overlap ------------------------------------------------
+
+TEST(TraceCorrelationGroup, LeaderComputesItsBlockBeforeGatheringShards) {
+  // A 4-member Maronna group: per snapshot the leader sends the round, fills
+  // its own block, and only then gathers the replicas' shards — so on the
+  // leader's row every corr-step holds a corr-block that ends before the
+  // step's first shard recv starts. Program order makes this deterministic.
+  md::Universe universe = md::make_universe(4);
+  md::GeneratorConfig gen;
+  gen.quote_rate = 0.15;
+  const md::SyntheticDay day(universe, gen, 0);
+
+  TraceSink sink;
+  engine::PipelineConfig cfg;
+  cfg.symbols = 4;
+  core::StrategyParams p = core::ParamGrid::base();
+  p.ctype = stats::Ctype::combined;
+  cfg.strategies = {p};
+  cfg.correlation_replicas = 4;
+  cfg.trace = &sink;
+  // A traced run, so the replicas' shard sends carry a header and the
+  // leader's recv of each one emits a "recv" span.
+  cfg.trace_context = make_trace_context(next_trace_id());
+
+  const auto result = engine::run_pipeline(cfg, universe, day.quotes());
+  EXPECT_FALSE(result.degraded);
+  EXPECT_GT(result.stages[3].records_in, 0u);
+
+#if MM_OBS_ENABLED
+  // Rank layout (add order): collector=0, cleaner=1, snapshot=2, correlation
+  // leader=3 with replicas 4-6, strategy-0=7, master=8.
+  const TraceRing& leader = sink.ring(3, "rank 3");
+  EXPECT_EQ(leader.dropped(), 0u);
+  std::vector<TraceEvent> steps, blocks, recvs;
+  for (const TraceEvent& e : events_of_kind(leader, TraceRing::kSpan)) {
+    if (std::strcmp(e.name, "corr-step") == 0) steps.push_back(e);
+    if (std::strcmp(e.name, "corr-block") == 0) blocks.push_back(e);
+    if (std::strcmp(e.name, "recv") == 0) recvs.push_back(e);
+  }
+  const auto by_start = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.ts_ns < b.ts_ns;
+  };
+  std::sort(blocks.begin(), blocks.end(), by_start);
+  std::sort(recvs.begin(), recvs.end(), by_start);
+  // The first span of `spans` that starts inside `step`, or null.
+  const auto first_in = [&](const std::vector<TraceEvent>& spans, const TraceEvent& step) {
+    const auto it = std::lower_bound(spans.begin(), spans.end(), step, by_start);
+    return it != spans.end() && it->ts_ns < step.ts_ns + step.dur_ns ? &*it : nullptr;
+  };
+  ASSERT_EQ(steps.size(), result.stages[3].records_in);
+  for (const TraceEvent& step : steps) {
+    const TraceEvent* block = first_in(blocks, step);
+    const TraceEvent* recv = first_in(recvs, step);
+    ASSERT_NE(block, nullptr) << "corr-step at " << step.ts_ns;
+    ASSERT_NE(recv, nullptr) << "corr-step at " << step.ts_ns;
+    EXPECT_LE(block->ts_ns + block->dur_ns, recv->ts_ns) << "corr-step at " << step.ts_ns;
+  }
+#endif
+}
 
 TEST(TraceFlight, KilledRankSpansAppearInFlightBundle) {
   md::Universe universe = md::make_universe(4);
