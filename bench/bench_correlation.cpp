@@ -197,6 +197,11 @@ void BM_MatrixStepMaronnaWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixStepMaronnaWarm)->Arg(20)->Arg(61)->Unit(benchmark::kMillisecond);
 
+// Fixed-iteration n = 20 variants for the CI smoke run (completion only; the
+// timed entries above are the numbers).
+BENCHMARK(BM_MatrixStepMaronnaCold)->Arg(20)->Iterations(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatrixStepMaronnaWarm)->Arg(20)->Iterations(5)->Unit(benchmark::kMillisecond);
+
 // --- universe-scale scaling curve -------------------------------------------
 //
 // Full-matrix step cost from the paper's n = 61 to the exchange-wide

@@ -70,7 +70,7 @@ class Unpacker {
 
   std::string get_string() {
     const auto n = get<std::uint64_t>();
-    MM_ASSERT_MSG(offset_ + n <= buffer_.size(), "Unpacker: string underrun");
+    MM_ASSERT_MSG(n <= buffer_.size() - offset_, "Unpacker: string underrun");
     std::string s(reinterpret_cast<const char*>(buffer_.data() + offset_), n);
     offset_ += n;
     return s;

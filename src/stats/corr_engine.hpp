@@ -5,8 +5,9 @@
 // in an online fashion. Pearson entries come from ReturnWindows' O(1)
 // incremental sums (full matrices via the blocked pearson_matrix kernel);
 // Maronna entries re-estimate each pair's 2×2 robust scatter over the window
-// (the expensive part the paper parallelizes [14]), warm-started from the
-// previous step's converged estimate when `warm_start` is enabled.
+// (the expensive part the paper parallelizes [14]). Cold starts seed from
+// per-symbol medians/MADs computed once per step; with `warm_start` enabled
+// each pair seeds from its previous step's converged estimate instead.
 //
 // ParallelCorrelationEngine shards the n(n-1)/2 pairs across the ranks of an
 // mpmini communicator — the "Parallel Correlation Engine" box of Fig. 1.
@@ -61,8 +62,10 @@ class CorrelationCalculator {
   // The two measures separately (both require ready()). pearson() is the
   // incremental estimate (Pearson and Combined calculators); robust() is
   // Maronna over the unwrapped windows, cold or warm-started per the
-  // config (Maronna and Combined calculators). Every per-pair estimate in
-  // the pipeline and the Approach-3 series goes through these.
+  // config (Maronna and Combined calculators). A cold robust() starts from
+  // the two symbols' step-scoped robust scales and equals the pairwise
+  // maronna_estimate bit for bit. Every per-pair estimate in the pipeline
+  // and the Approach-3 series goes through these.
   double pearson(std::size_t i, std::size_t j) const { return windows_.pearson(i, j); }
   double robust(std::size_t i, std::size_t j) const;
 
@@ -75,7 +78,8 @@ class CorrelationCalculator {
 
  private:
   // Unwrap every symbol's ring buffer into the contiguous arena, once per
-  // step, shared by all pair estimates of the step.
+  // step, shared by all pair estimates of the step; also refreshes the
+  // per-symbol robust scales (cold) or MAD-degeneracy flags (warm).
   void ensure_unwrapped() const;
   const double* window_view(std::size_t symbol) const {
     return unwrap_.data() + symbol * config_.window;
@@ -88,8 +92,9 @@ class CorrelationCalculator {
   mutable std::vector<double> unwrap_;  // [symbol * window], oldest -> newest
   mutable std::size_t unwrap_step_ = 0;  // windows_.steps() the arena reflects
   mutable std::vector<unsigned char> mad_zero_;  // per-symbol, warm path only
+  mutable std::vector<RobustScale> scale_;  // per-symbol, cold robust path only
   mutable WarmMaronna warm_;
-  mutable MaronnaScratch maronna_scratch_;  // cold-path median/MAD buffers
+  mutable MaronnaScratch maronna_scratch_;  // robust_scale's selection buffers
 };
 
 // Pair-sharded parallel engine. All ranks of `comm` construct it with the

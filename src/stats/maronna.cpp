@@ -23,8 +23,7 @@ double median_inplace(double* v, std::size_t n) {
 }
 
 // Median absolute deviation scaled to be consistent for the normal, using
-// caller-provided deviation scratch — the matrix engines call this O(n²)
-// times per step, so a fresh vector per call was the dominant allocation.
+// caller-provided deviation scratch so repeated calls never allocate.
 double mad(const double* v, std::size_t n, double center,
            std::vector<double>& dev) {
   dev.resize(n);
@@ -204,40 +203,47 @@ bool usable_seed(const MaronnaResult& seed) {
 
 }  // namespace
 
+RobustScale robust_scale(const double* v, std::size_t n,
+                         MaronnaScratch& scratch) {
+  MM_ASSERT_MSG(n >= 1, "robust_scale needs n >= 1");
+  // The copy lives in the caller's scratch (nth_element permutes it), so
+  // steady-state sweeps re-use capacity instead of allocating per call.
+  scratch.values.assign(v, v + n);
+  const double median = median_inplace(scratch.values.data(), n);
+  return {median, mad(v, n, median, scratch.dev)};
+}
+
+MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
+                               const RobustScale& sx, const RobustScale& sy,
+                               const MaronnaConfig& config) {
+  MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
+  MaronnaResult out;
+  // Robust initialization: coordinatewise medians and MADs, zero covariance.
+  out.location_x = sx.median;
+  out.location_y = sy.median;
+
+  // Degenerate dispersion (e.g. a constant return window): fall back to a
+  // tiny floor so the iteration is defined; if both are flat, report 0.
+  if (sx.mad <= 0.0 && sy.mad <= 0.0) return out;
+  const double floor_x = sx.mad > 0.0 ? 0.0 : 1e-12;
+  const double floor_y = sy.mad > 0.0 ? 0.0 : 1e-12;
+
+  out.scatter_xx = sx.mad * sx.mad + floor_x;
+  out.scatter_yy = sy.mad * sy.mad + floor_y;
+  out.scatter_xy = 0.0;
+  iterate_fixed_point(x, y, n, floor_x, floor_y, config, /*warm=*/false, out);
+  return out;
+}
+
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                const MaronnaConfig& config,
                                MaronnaScratch& scratch) {
   MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
-  MaronnaResult out;
-
-  // Robust initialization: coordinatewise medians and MADs, zero covariance.
-  // The copies live in the caller's scratch (nth_element permutes them), so
-  // steady-state matrix sweeps re-use capacity instead of allocating per
-  // pair.
-  scratch.xs.assign(x, x + n);
-  scratch.ys.assign(y, y + n);
-  const double mx = median_inplace(scratch.xs.data(), n);
-  const double my = median_inplace(scratch.ys.data(), n);
-  const double sx = mad(x, n, mx, scratch.dev);
-  const double sy = mad(y, n, my, scratch.dev);
-
-  // Degenerate dispersion (e.g. a constant return window): fall back to a
-  // tiny floor so the iteration is defined; if both are flat, report 0.
-  if (sx <= 0.0 && sy <= 0.0) {
-    out.location_x = mx;
-    out.location_y = my;
-    return out;
-  }
-  const double floor_x = sx > 0.0 ? 0.0 : 1e-12;
-  const double floor_y = sy > 0.0 ? 0.0 : 1e-12;
-
-  out.location_x = mx;
-  out.location_y = my;
-  out.scatter_xx = sx * sx + floor_x;
-  out.scatter_yy = sy * sy + floor_y;
-  out.scatter_xy = 0.0;
-  iterate_fixed_point(x, y, n, floor_x, floor_y, config, /*warm=*/false, out);
-  return out;
+  // One cold-start body: the pairwise form is the scale-seeded form fed
+  // from two fresh per-sample selections.
+  const RobustScale sx = robust_scale(x, n, scratch);
+  const RobustScale sy = robust_scale(y, n, scratch);
+  return maronna_estimate(x, y, n, sx, sy, config);
 }
 
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,

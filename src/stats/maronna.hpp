@@ -10,8 +10,10 @@
 // Two entry points into the same fixed-point map:
 //
 //   * maronna_estimate   — cold start from coordinatewise medians/MADs. This
-//     is the batch estimator; the median/MAD initialization costs several
-//     nth_element passes per call.
+//     is the batch estimator. A median/MAD pair depends on one sample only,
+//     so sweeps over many pairs compute each symbol's robust_scale once and
+//     pass it to the scale-seeded overload; the pairwise overload computes
+//     both scales itself (two nth_element selections per side).
 //   * maronna_reestimate — warm start from a previous converged estimate on
 //     an overlapping window (the sliding-window engines advance one return
 //     per step, so the previous fixed point is an excellent seed). Skips the
@@ -58,19 +60,37 @@ struct MaronnaResult {
   bool converged = false;
 };
 
-// Reusable scratch for the cold start's median/MAD initialization. The
-// matrix engines call the estimator O(n²) times per step; routing the copies
-// and the deviation buffer through one caller-owned scratch makes the sweep
+// Reusable scratch for robust_scale's selections. Routing the copy and the
+// deviation buffer through one caller-owned scratch makes repeated calls
 // allocation-free in steady state (capacity is grown once, then reused).
 struct MaronnaScratch {
-  std::vector<double> xs, ys;   // permutable copies for median_inplace
-  std::vector<double> dev;      // |x - median| buffer for the MAD
+  std::vector<double> values;  // permutable copy for the median selection
+  std::vector<double> dev;     // |v - median| buffer for the MAD
 };
 
+// One sample's cold-start seed: its median and its MAD scaled to be
+// consistent for the normal (1.4826 · median |v − median|). Both are exact
+// order statistics, so the values do not depend on the input order or on
+// how the selection permutes the scratch copy. n must be >= 1.
+struct RobustScale {
+  double median = 0.0;
+  double mad = 0.0;
+};
+RobustScale robust_scale(const double* v, std::size_t n, MaronnaScratch& scratch);
+
 // Full estimator output. n must be >= 2; degenerate inputs (zero dispersion)
-// yield correlation 0. The scratch-taking overload is allocation-free once
-// the scratch capacity has grown to n; the convenience overload allocates a
+// yield correlation 0.
+//
+// The scale-seeded overload is the cold start itself: it iterates from
+// sx/sy, which must be robust_scale(x, n) and robust_scale(y, n) — a matrix
+// sweep computes them once per symbol per step instead of once per pair. It
+// never allocates. The scratch-taking overload computes both scales and
+// delegates, so the two agree bit for bit; it is allocation-free once the
+// scratch capacity has grown to n. The convenience overload allocates a
 // local scratch per call.
+MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
+                               const RobustScale& sx, const RobustScale& sy,
+                               const MaronnaConfig& config);
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                const MaronnaConfig& config,
                                MaronnaScratch& scratch);

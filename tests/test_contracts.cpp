@@ -86,6 +86,17 @@ TEST(ContractSerde, WrappingVectorLengthAborts) {
   EXPECT_DEATH((void)u.get_vector<double>(), "vector underrun");
 }
 
+TEST(ContractSerde, WrappingStringLengthAborts) {
+  // A peer-supplied string length near 2^64 makes offset + length wrap to a
+  // small value; it must be rejected as an underrun, not decoded.
+  mpi::Packer packer;
+  packer.put<std::uint64_t>(~std::uint64_t{0} - 3);
+  packer.put<double>(1.0);
+  const auto bytes = packer.take();
+  mpi::Unpacker u(bytes);
+  EXPECT_DEATH((void)u.get_string(), "string underrun");
+}
+
 TEST(ContractBars, LogReturnsRejectNonPositivePrices) {
   EXPECT_DEATH((void)md::log_returns({1.0, 0.0}), "non-positive price");
 }

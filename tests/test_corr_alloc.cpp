@@ -7,8 +7,9 @@
 // their own executable, same pattern as tests/test_transport.cpp) and assert:
 //
 //   * CorrelationCalculator::push + matrix_into is allocation-free in steady
-//     state for Pearson, cold Maronna (the MaronnaScratch path) and
-//     warm-started Maronna — including across a cold restart;
+//     state for Pearson, cold Maronna and cold Combined (per-symbol robust
+//     scales in a persistent buffer) and warm-started Maronna/Combined —
+//     including across a cold restart;
 //   * a single-rank ParallelCorrelationEngine::step is allocation-free in
 //     steady state (the serial fast path);
 //   * a multi-rank step allocates only the transport's bounded per-message
@@ -104,7 +105,16 @@ TEST(CorrAlloc, ColdMaronnaSteadyStateIsAllocationFree) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 24;
-  cfg.warm_start = false;  // every pair runs the median/MAD cold start
+  cfg.warm_start = false;  // every pair cold-starts from per-symbol scales
+  EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
+}
+
+TEST(CorrAlloc, ColdCombinedSteadyStateIsAllocationFree) {
+  // The pipeline's correlation group runs exactly this configuration.
+  CorrEngineConfig cfg;
+  cfg.type = Ctype::combined;
+  cfg.window = 24;
+  cfg.warm_start = false;
   EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
 }
 

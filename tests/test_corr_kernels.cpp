@@ -21,8 +21,8 @@ namespace mm::stats {
 namespace {
 
 // 500-step correlated return stream with two adversarial episodes:
-//   * steps 120..134 — fat-finger outlier bursts on symbols 0 and 2
-//     (alternating sign, 500× the return scale),
+//   * steps 120..134 — fat-finger outlier bursts on symbols 0 and 2 (when
+//     the stream has a symbol 2), alternating sign, 500× the return scale,
 //   * steps 250..309 — symbol 1 freezes (exactly constant value), long
 //     enough to drive its whole window degenerate and out again.
 std::vector<std::vector<double>> golden_stream(std::size_t symbols,
@@ -36,7 +36,7 @@ std::vector<std::vector<double>> golden_stream(std::size_t symbols,
       out[s][i] = 1e-4 * (0.7 * f + rng.normal());
     if (s >= 120 && s < 135) {
       out[s][0] = (s % 2 == 0 ? 5e-2 : -5e-2);
-      out[s][2] = (s % 2 == 0 ? -5e-2 : 5e-2);
+      if (symbols > 2) out[s][2] = (s % 2 == 0 ? -5e-2 : 5e-2);
     }
     if (s >= 250 && s < 310) out[s][1] = 2.5e-4;
   }
@@ -154,19 +154,21 @@ TEST(WarmMaronna, ReestimateFallsBackOnBadSeed) {
 }
 
 TEST(MadIsZero, MatchesMedianDefinition) {
-  // mad_is_zero must agree with "a strict majority of values coincide".
-  std::vector<double> v = {1.0, 1.0, 1.0, 2.0, 3.0};
-  EXPECT_TRUE(mad_is_zero(v.data(), v.size()));
-  v = {1.0, 1.0, 2.0, 2.0, 3.0};
-  EXPECT_FALSE(mad_is_zero(v.data(), v.size()));
-  v = {4.0, 4.0, 4.0, 4.0};
-  EXPECT_TRUE(mad_is_zero(v.data(), v.size()));
-  v = {1.0, 2.0};
-  EXPECT_FALSE(mad_is_zero(v.data(), v.size()));
+  // mad_is_zero must agree with "a strict majority of values coincide", and
+  // with the cold start's own MAD (robust_scale) being exactly zero: the
+  // warm path's degeneracy flag and the cold path's floors follow one rule.
+  MaronnaScratch scratch;
+  const auto expect_mad_zero = [&](const std::vector<double>& v, bool zero) {
+    EXPECT_EQ(mad_is_zero(v.data(), v.size()), zero);
+    EXPECT_EQ(robust_scale(v.data(), v.size(), scratch).mad == 0.0, zero);
+  };
+  expect_mad_zero({1.0, 1.0, 1.0, 2.0, 3.0}, true);
+  expect_mad_zero({1.0, 1.0, 2.0, 2.0, 3.0}, false);
+  expect_mad_zero({4.0, 4.0, 4.0, 4.0}, true);
+  expect_mad_zero({1.0, 2.0}, false);
   // Exactly half is not a majority (even n: the upper middle deviation is
   // nonzero, so the MAD is nonzero).
-  v = {5.0, 5.0, 1.0, 2.0};
-  EXPECT_FALSE(mad_is_zero(v.data(), v.size()));
+  expect_mad_zero({5.0, 5.0, 1.0, 2.0}, false);
 }
 
 TEST(PearsonMatrix, EqualsElementwisePearsonExactly) {
@@ -208,15 +210,10 @@ TEST(UnwrapAll, MatchesCopyWindowForEverySymbol) {
   }
 }
 
-TEST(CorrelationCalculator, SplitAccessorsMatchBatchKernelsBitForBit) {
-  // The cold calculator is the pipeline's and the Approach-3 series' only
-  // per-pair estimator, so its accessors must be exactly the batch kernels'
-  // arithmetic: robust() == stats::maronna over two copy_window buffers,
-  // pearson() == ReturnWindows::pearson, and a Combined pair() ==
-  // combine(pearson, robust) — bit for bit, through the outlier bursts and
-  // the constant-window stretch.
+// One window of CorrelationCalculator.SplitAccessorsMatchBatchKernelsBitForBit.
+void expect_split_accessors_match_batch(std::size_t window) {
+  SCOPED_TRACE(::testing::Message() << "window " << window);
   constexpr std::size_t symbols = 5;
-  constexpr std::size_t window = 40;
   const auto stream = golden_stream(symbols, 400, 31);
 
   CorrEngineConfig cfg;
@@ -253,6 +250,19 @@ TEST(CorrelationCalculator, SplitAccessorsMatchBatchKernelsBitForBit) {
   }
   EXPECT_EQ(compared, stream.size() - window + 1);
   EXPECT_GT(constant_steps, 0u);  // the stream really drives a window constant
+}
+
+TEST(CorrelationCalculator, SplitAccessorsMatchBatchKernelsBitForBit) {
+  // The cold calculator is the pipeline's and the Approach-3 series' only
+  // per-pair estimator, so its accessors must be exactly the batch kernels'
+  // arithmetic: robust() (seeded from per-symbol robust scales) ==
+  // stats::maronna over two copy_window buffers, pearson() ==
+  // ReturnWindows::pearson, and a Combined pair() == combine(pearson,
+  // robust) — bit for bit, through the outlier bursts and the
+  // constant-window stretch. Even and odd windows: an even median averages
+  // two order statistics, an odd one reads a single one.
+  expect_split_accessors_match_batch(40);
+  expect_split_accessors_match_batch(41);
 }
 
 TEST(MarketCorrSeries, WarmMatchesColdWithinTolerance) {

@@ -3,6 +3,10 @@
 // outliers that destroy Pearson.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "stats/maronna.hpp"
 #include "stats/pearson.hpp"
@@ -141,8 +145,7 @@ TEST(Maronna, ScratchOverloadMatchesConvenienceBitwise) {
   // buffers; it must agree with the allocating convenience form bit-for-bit,
   // including when the scratch arrives oversized from a previous larger pair.
   MaronnaScratch scratch;
-  scratch.xs.resize(4096);
-  scratch.ys.resize(4096);
+  scratch.values.resize(4096);
   scratch.dev.resize(4096);
   for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     const auto p = make_correlated(100, 1.2, seed);
@@ -162,6 +165,65 @@ TEST(Maronna, ScratchOverloadMatchesConvenienceBitwise) {
         maronna_reestimate(p.x.data(), p.y.data(), p.x.size(), a, {}, scratch);
     EXPECT_EQ(c.correlation, d.correlation) << "seed " << seed;
     EXPECT_EQ(c.iterations, d.iterations);
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_bitwise_equal(const MaronnaResult& a, const MaronnaResult& b,
+                          const char* what) {
+  EXPECT_TRUE(same_bits(a.correlation, b.correlation)) << what;
+  EXPECT_TRUE(same_bits(a.location_x, b.location_x)) << what;
+  EXPECT_TRUE(same_bits(a.location_y, b.location_y)) << what;
+  EXPECT_TRUE(same_bits(a.scatter_xx, b.scatter_xx)) << what;
+  EXPECT_TRUE(same_bits(a.scatter_xy, b.scatter_xy)) << what;
+  EXPECT_TRUE(same_bits(a.scatter_yy, b.scatter_yy)) << what;
+  EXPECT_TRUE(same_bits(a.contraction, b.contraction)) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+  EXPECT_EQ(a.converged, b.converged) << what;
+}
+
+TEST(Maronna, ScaleSeededStartMatchesPairwiseBitwise) {
+  // The calculator computes each symbol's robust_scale once per step and
+  // starts every cold pair from it. That must be the pairwise cold start
+  // exactly: same medians/MADs, same floors, same early return — whatever
+  // order the sample arrives in (the scales here come from reversed copies).
+  for (std::size_t n : {100u, 101u}) {
+    const auto gauss = make_correlated(n, 1.2, 71);
+    auto burst = make_correlated(n, 1.2, 72);
+    for (std::size_t i = 10; i < 16; ++i) {
+      burst.x[i] = (i % 2 == 0 ? 40.0 : -40.0);
+      burst.y[i] = (i % 2 == 0 ? -40.0 : 40.0);
+    }
+    // A strict majority of one value: MAD zero although not constant, so the
+    // cold start engages its dispersion floor on that side.
+    auto majority = make_correlated(n, 1.2, 73);
+    for (std::size_t i = 0; i <= n / 2; ++i) majority.x[i] = 0.25;
+    // Both sides flat: the early return with correlation 0.
+    CleanPair flat{std::vector<double>(n, 1e-4), std::vector<double>(n, -3e-4), 0.0};
+
+    const std::pair<const char*, const CleanPair*> cases[] = {
+        {"gaussian", &gauss}, {"outlier burst", &burst},
+        {"majority side", &majority}, {"both flat", &flat}};
+    MaronnaScratch scratch;
+    for (const auto& [what, p] : cases) {
+      const std::vector<double> rx(p->x.rbegin(), p->x.rend());
+      const std::vector<double> ry(p->y.rbegin(), p->y.rend());
+      const RobustScale sx = robust_scale(rx.data(), n, scratch);
+      const RobustScale sy = robust_scale(ry.data(), n, scratch);
+      const auto pairwise =
+          maronna_estimate(p->x.data(), p->y.data(), n, {}, scratch);
+      const auto seeded = maronna_estimate(p->x.data(), p->y.data(), n, sx, sy, {});
+      expect_bitwise_equal(seeded, pairwise, what);
+      if (p == &majority) {
+        EXPECT_EQ(sx.mad, 0.0);
+        EXPECT_GT(seeded.scatter_xx, 0.0);  // the floor kept the map defined
+      }
+      if (p == &flat) {
+        EXPECT_EQ(seeded.correlation, 0.0);
+        EXPECT_EQ(seeded.iterations, 0);
+      }
+    }
   }
 }
 
