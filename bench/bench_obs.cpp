@@ -20,13 +20,9 @@ void BM_HeartbeatBeat(benchmark::State& state) {
   // The liveness hot path: every transport op calls beat() — one relaxed
   // store of a pre-incremented local sequence, no clock read, no RMW.
   // Budgeted at under 10 ns (see BENCH_obs.json / DESIGN.md).
-#if MM_OBS_ENABLED
   HeartbeatBoard board(1);
   Pulse pulse;
   pulse.slot = board.slot(0);
-#else
-  Pulse pulse;
-#endif
   for (auto _ : state) {
     pulse.beat();
     benchmark::DoNotOptimize(&pulse);
@@ -123,9 +119,7 @@ void BM_SpanWithContext(benchmark::State& state) {
     std::uint64_t header_trace_id = 0;
     std::uint32_t header_flow = 0;
     if (context.valid()) {
-#if MM_OBS_ENABLED
       header_trace_id = context.trace_id;
-#endif
       header_flow = next_span_id();
     }
     benchmark::DoNotOptimize(header_trace_id);

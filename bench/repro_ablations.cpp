@@ -7,8 +7,8 @@
 //      indefinite, how negative its spectrum goes, and how much the
 //      eigenvalue-clipping repair perturbs the coefficients.
 //
-// (Two further ablations live in the microbenches: incremental vs batch
-// Pearson in bench_correlation, channel capacity in bench_pipeline.)
+// (A further ablation lives in the microbenches: incremental vs batch
+// Pearson in bench_correlation.)
 #include <cstdio>
 
 #include "common/cli.hpp"

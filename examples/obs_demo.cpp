@@ -10,9 +10,6 @@
 //
 //   $ ./obs_demo [--symbols 8] [--workers 2] [--replicas 2] \
 //                [--trace obs_demo.trace.json] [--json]
-//
-// (Built with MM_OBS_ENABLED=OFF the pipeline still runs; the snapshot is
-// empty and the trace contains no events.)
 #include <cstdio>
 
 #include "common/cli.hpp"

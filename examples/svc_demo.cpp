@@ -146,7 +146,6 @@ int run_smoke() {
       std::fprintf(stderr, "smoke: GET trace failed for %s\n", tenants[t]);
       return 1;
     }
-#if MM_OBS_ENABLED
     const std::string own_tag = "\"job\":\"" + ids[t] + "\"";
     const std::string other_tag = "\"job\":\"" + ids[1 - t] + "\"";
     if (trace.find(own_tag) == std::string::npos ||
@@ -162,7 +161,6 @@ int run_smoke() {
       return 1;
     }
     ++flow_pairs;
-#endif
   }
 
   const auto store = service.corr_store().stats();

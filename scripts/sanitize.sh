@@ -1,18 +1,13 @@
 #!/usr/bin/env bash
-# Address+UB sanitizer flow plus the telemetry compile-out check:
+# Address+UB sanitizer flow: configure the Sanitize build tree and run the
+# `sanitize`-labeled test subset (numeric kernels, fault matrix, mm::obs
+# aggregation).
 #
-#   1. configure the Sanitize build tree and run the `sanitize`-labeled test
-#      subset (numeric kernels, fault matrix, mm::obs aggregation), then
-#   2. build an MM_OBS_ENABLED=OFF tree and run the obs suite there, proving
-#      the no-op telemetry API keeps every call site compiling and green.
-#
-# Usage: scripts/sanitize.sh [build-dir] [obs-off-build-dir]
-# (defaults: build-sanitize, build-obs-off).
+# Usage: scripts/sanitize.sh [build-dir] (default: build-sanitize).
 set -euo pipefail
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build-sanitize"}
-off_dir=${2:-"$repo_root/build-obs-off"}
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Sanitize
 cmake --build "$build_dir" -j --target \
@@ -20,8 +15,3 @@ cmake --build "$build_dir" -j --target \
   test_corr_engine test_corr_kernels test_faults test_obs
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$build_dir" -L sanitize --output-on-failure
-
-echo "== MM_OBS_ENABLED=OFF compile-out check =="
-cmake -B "$off_dir" -S "$repo_root" -DMM_OBS_ENABLED=OFF
-cmake --build "$off_dir" -j --target test_obs obs_demo
-ctest --test-dir "$off_dir" -R Obs --output-on-failure

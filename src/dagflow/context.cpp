@@ -100,12 +100,10 @@ bool Context::pump(std::chrono::steady_clock::time_point deadline) {
       MM_ASSERT_MSG(kind == kind_data, "dagflow: unknown frame kind");
       payload.erase(payload.begin());
       InMessage frame{in.port, std::move(payload)};
-#if MM_OBS_ENABLED
       // Buffer the frame's causal context alongside its bytes: the frame may
       // sit in ready_ behind others, and the context must be installed when
       // the node consumes it, not when the transport happened to deliver it.
       frame.trace = obs::make_trace_context(status.trace_id, status.flow);
-#endif
       ready_.push_back(std::move(frame));
       // Credit the producer as soon as the frame is buffered, not when the
       // node consumes it. Any ALIVE node keeps pumping — recv() pumps, and a

@@ -109,7 +109,7 @@ struct RunOptions {
   // nodes (no inputs) send with it, so the whole run stitches into one trace.
   // Nodes with inputs re-adopt the context of each frame they consume.
   // Invalid (the default) means sends are untraced until a frame says
-  // otherwise. Field-free no-op when MM_OBS_ENABLED=OFF.
+  // otherwise.
   obs::TraceContext trace_context{};
 
   // Multi-process mode: when set, this process runs ONLY rendezvous->rank of

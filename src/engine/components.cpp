@@ -19,15 +19,6 @@
 namespace mm::engine {
 namespace {
 
-void bump(StageStats* stats, std::uint64_t rec_in, std::uint64_t rec_out,
-          std::uint64_t it_in, std::uint64_t it_out) {
-  if (stats == nullptr) return;
-  stats->records_in += rec_in;
-  stats->records_out += rec_out;
-  stats->items_in += it_in;
-  stats->items_out += it_out;
-}
-
 // Sleep until the paced replay clock reaches `target_wall` — in chunks no
 // longer than the heartbeat interval, beating between chunks, so a pacing
 // collector reads as idle-but-alive to the monitor instead of going silent
@@ -47,8 +38,29 @@ void paced_sleep_until(std::chrono::steady_clock::time_point target_wall) {
   }
 }
 
+// A stage's engine.<node>.<what> counter on the run's registry (null when the
+// run records no metrics, as with step_histogram below).
+obs::Counter* stage_counter(dag::Context& ctx, const char* what) {
+  return ctx.metrics() != nullptr
+             ? &ctx.metrics()->counter("engine." + ctx.name() + "." + what)
+             : nullptr;
+}
+
+void count(obs::Counter* counter, std::uint64_t n) {
+  if (counter != nullptr) counter->add(n);
+}
+
+// A stage's item traffic: engine.<node>.items_in and engine.<node>.items_out.
+struct ItemCounters {
+  explicit ItemCounters(dag::Context& ctx)
+      : in(stage_counter(ctx, "items_in")), out(stage_counter(ctx, "items_out")) {}
+  obs::Counter* in;
+  obs::Counter* out;
+};
+
 void emit_quotes(dag::Context& ctx, const std::vector<md::Quote>& quotes,
-                 std::size_t batch_size, StageStats* stats, double replay_speedup) {
+                 std::size_t batch_size, double replay_speedup) {
+  obs::Counter* items_out = stage_counter(ctx, "items_out");
   const bool paced = replay_speedup > 0.0 && !quotes.empty();
   const auto wall_start = std::chrono::steady_clock::now();
   const md::TimeMs day_start = paced ? quotes.front().ts_ms : 0;
@@ -66,7 +78,7 @@ void emit_quotes(dag::Context& ctx, const std::vector<md::Quote>& quotes,
                             elapsed_market_ms * 1e6 / replay_speedup)});
     }
     ctx.emit(0, batch.pack());
-    bump(stats, 0, 1, 0, batch.quotes.size());
+    count(items_out, batch.quotes.size());
     batch.quotes.clear();
   };
   for (const auto& q : quotes) {
@@ -85,48 +97,42 @@ obs::Histogram* step_histogram(dag::Context& ctx, const char* name) {
 }  // namespace
 
 dag::NodeFn make_collector(std::shared_ptr<const std::vector<md::Quote>> day,
-                           std::size_t batch_size, StageStats* stats,
-                           double replay_speedup) {
+                           std::size_t batch_size, double replay_speedup) {
   MM_ASSERT(batch_size > 0);
   MM_ASSERT_MSG(day != nullptr, "collector needs a day");
-  return [day = std::move(day), batch_size, stats,
-          replay_speedup](dag::Context& ctx) {
-    emit_quotes(ctx, *day, batch_size, stats, replay_speedup);
+  return [day = std::move(day), batch_size, replay_speedup](dag::Context& ctx) {
+    emit_quotes(ctx, *day, batch_size, replay_speedup);
   };
 }
 
-dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config,
-                         StageStats* stats) {
-  return [symbols, config, stats](dag::Context& ctx) {
+dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config) {
+  return [symbols, config](dag::Context& ctx) {
+    const ItemCounters items(ctx);
     md::QuoteCleaner cleaner(symbols, config);
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
                 RecordType::quote_batch);
       auto batch = QuoteBatch::unpack(u);
-      const std::size_t in_count = batch.quotes.size();
+      count(items.in, batch.quotes.size());
 
       QuoteBatch out;
       out.quotes.reserve(batch.quotes.size());
       for (const auto& q : batch.quotes)
         if (cleaner.accept(q)) out.quotes.push_back(q);
       if (!out.quotes.empty()) {
-        const std::size_t out_count = out.quotes.size();
+        count(items.out, out.quotes.size());
         ctx.emit(0, out.pack());
-        bump(stats, 1, 1, in_count, out_count);
-      } else {
-        bump(stats, 1, 0, in_count, 0);
       }
     }
   };
 }
 
 dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
-                                std::int64_t delta_s, std::vector<double> seed_prices,
-                                StageStats* stats) {
+                                std::int64_t delta_s, std::vector<double> seed_prices) {
   MM_ASSERT(seed_prices.size() == symbols);
-  return [symbols, session, delta_s, seed = std::move(seed_prices),
-          stats](dag::Context& ctx) {
+  return [symbols, session, delta_s, seed = std::move(seed_prices)](dag::Context& ctx) {
+    const ItemCounters items(ctx);
     const std::int64_t smax = session.interval_count(delta_s);
     std::vector<double> last_bam = seed;
     std::vector<double> prev_prices = seed;
@@ -145,7 +151,7 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
         }
         prev_prices = last_bam;
         ctx.emit(0, snap.pack());
-        bump(stats, 0, 1, 0, 1);
+        count(items.out, 1);
       }
     };
 
@@ -154,7 +160,7 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
                 RecordType::quote_batch);
       const auto batch = QuoteBatch::unpack(u);
-      bump(stats, 1, 0, batch.quotes.size(), 0);
+      count(items.in, batch.quotes.size());
       for (const auto& q : batch.quotes) {
         const std::int64_t s = session.interval_of(q.ts_ms, delta_s);
         if (s < 0 || q.symbol >= symbols) continue;
@@ -169,16 +175,17 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
 }
 
 dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
-                               std::int64_t cadence, StageStats* stats) {
+                               std::int64_t cadence) {
   MM_ASSERT(cadence >= 1);
-  return [symbols, target_clusters, cadence, stats](dag::Context& ctx) {
+  return [symbols, target_clusters, cadence](dag::Context& ctx) {
+    const ItemCounters items(ctx);
     const auto pairs = stats::all_pairs(symbols);
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
                 RecordType::corr_frame);
       const auto frame = CorrFrame::unpack(u);
-      bump(stats, 1, 0, 1, 0);
+      count(items.in, 1);
       if (!frame.valid || frame.interval % cadence != 0) continue;
 
       stats::SymMatrix matrix(symbols, 0.0);
@@ -193,7 +200,7 @@ dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
       snapshot.assignment.assign(clusters.assignment.begin(),
                                  clusters.assignment.end());
       ctx.emit(0, snapshot.pack());
-      bump(stats, 0, 1, 0, 1);
+      count(items.out, 1);
     }
   };
 }
@@ -201,7 +208,7 @@ dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
 dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
                                         bool need_maronna,
                                         stats::MaronnaConfig maronna_config,
-                                        int fan_out, StageStats* stats,
+                                        int fan_out,
                                         std::chrono::milliseconds replica_deadline,
                                         stats::CorrStore* store, stats::CorrKey store_key,
                                         std::int64_t expected_frames) {
@@ -210,7 +217,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
   engine.type = need_maronna ? stats::Ctype::combined : stats::Ctype::pearson;
   engine.window = static_cast<std::size_t>(corr_window);
   engine.maronna = maronna_config;
-  return [symbols, corr_window, need_maronna, engine, fan_out, stats, replica_deadline,
+  return [symbols, corr_window, need_maronna, engine, fan_out, replica_deadline,
           store, store_key = std::move(store_key),
           expected_frames](dag::Context* ctx, mpi::Comm& group) {
     const auto all = stats::all_pairs(symbols);
@@ -292,6 +299,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
     }
 
     // Leader.
+    const ItemCounters items(*ctx);
     std::vector<std::int32_t> alive;
     for (int r = 0; r < group.size(); ++r) alive.push_back(r);
     std::uint64_t round_no = 0;
@@ -319,17 +327,18 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       std::size_t next = 0;
       while (auto msg = ctx->recv()) {
         MM_ASSERT(peek_type(msg->bytes) == RecordType::snapshot);
-        bump(stats, 1, 0, 1, 0);
+        count(items.in, 1);
         MM_ASSERT_MSG(next < day->frames.size(),
                       "memoized day shorter than the snapshot stream");
         const auto& packed = day->frames[next++];
         for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
-        bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
+        count(items.out, 1);
       }
       return;
     }
 
     obs::Histogram* step_ns = step_histogram(*ctx, "engine.correlation.step_ns");
+    obs::Counter* reshards = stage_counter(*ctx, "reshards");
     stats::CorrDay recorded;
     if (lease && expected_frames > 0)
       recorded.frames.reserve(static_cast<std::size_t>(expected_frames));
@@ -345,7 +354,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
                 RecordType::snapshot);
       auto snap = Snapshot::unpack(u);
-      bump(stats, 1, 0, 1, 0);
+      count(items.in, 1);
       obs::ObsSpan step(ctx->ring(), "corr-step", step_ns);
 
       // The assignment every party uses this round (alive may shrink below).
@@ -400,7 +409,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
                                     m, tag_shard);
             if (!r) {
               alive.erase(std::remove(alive.begin(), alive.end(), m), alive.end());
-              if (stats) stats->faults.fetch_add(1, std::memory_order_relaxed);
+              count(reshards, 1);
               break;
             }
             bytes = std::move(*r);
@@ -426,7 +435,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       const auto packed = frame.pack();
       for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
       if (lease) recorded.frames.push_back(packed);
-      bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
+      count(items.out, 1);
       ++round_no;
     }
 
@@ -443,10 +452,9 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
 
 dag::NodeFn make_strategy_stage(core::StrategyParams params,
                                 std::vector<stats::PairIndex> pairs,
-                                std::int32_t strategy_id, std::int64_t smax,
-                                StageStats* stats) {
-  return [params, pairs = std::move(pairs), strategy_id, smax,
-          stats](dag::Context& ctx) {
+                                std::int32_t strategy_id, std::int64_t smax) {
+  return [params, pairs = std::move(pairs), strategy_id, smax](dag::Context& ctx) {
+    const ItemCounters items(ctx);
     obs::Histogram* step_ns = step_histogram(ctx, "engine.strategy.step_ns");
     std::vector<core::PairStrategy> machines;
     machines.reserve(pairs.size());
@@ -465,7 +473,7 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       order.price_j = pj;
       order.is_entry = entry ? 1 : 0;
       ctx.emit(0, order.pack());
-      bump(stats, 0, 1, 0, 1);
+      count(items.out, 1);
     };
 
     std::vector<std::size_t> frame_index;  // built on the first frame
@@ -478,7 +486,7 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
                 RecordType::corr_frame);
       const auto frame = CorrFrame::unpack(u);
-      bump(stats, 1, 0, 1, 0);
+      count(items.in, 1);
       last_interval = frame.interval;
 
       if (frame_index.size() != pairs.size()) {
@@ -554,13 +562,12 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       }
     }
     ctx.emit(0, summary.pack());
-    bump(stats, 0, 1, 0, 0);
   };
 }
 
-dag::NodeFn make_master(MasterReport* report, RiskConfig risk, StageStats* stats) {
+dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
   MM_ASSERT(report != nullptr);
-  return [report, risk, stats](dag::Context& ctx) {
+  return [report, risk](dag::Context& ctx) {
     std::map<std::int64_t, std::uint64_t> baskets;  // interval -> orders netted
     // Per-(interval, symbol) signed share flow for netting accounting.
     std::map<std::int64_t, std::map<std::uint32_t, double>> basket_flow;
@@ -580,7 +587,6 @@ dag::NodeFn make_master(MasterReport* report, RiskConfig risk, StageStats* stats
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
       const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
-      bump(stats, 1, 0, 0, 0);
       if (type == RecordType::order) {
         const auto order = Order::unpack(u);
         ++report->orders;

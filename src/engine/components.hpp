@@ -18,9 +18,14 @@
 //                 records and an end-of-day StrategySummary;
 //   master      — order aggregation (netting into baskets), risk accounting,
 //                 and the run report.
+//
+// Stage traffic lives in the run's obs registry: dagflow counts every
+// node's records (dag.<node>.frames_in/out) and each component adds its
+// items per batch to engine.<node>.items_in/out (quotes, snapshots, frames,
+// orders). The pipeline's StageReport reads both back from the run's metrics
+// delta. A run without a registry counts nothing.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -39,20 +44,6 @@
 #include "stats/sym_matrix.hpp"
 
 namespace mm::engine {
-
-// Shared (in-process) counters a component fills in as it runs; the pipeline
-// report reads them after Graph::run returns. This is a harness-side shortcut
-// available because mpmini ranks share an address space — a cluster build
-// would ship these in messages instead.
-struct StageStats {
-  std::atomic<std::uint64_t> records_in{0};
-  std::atomic<std::uint64_t> records_out{0};
-  std::atomic<std::uint64_t> items_in{0};   // e.g. quotes, intervals
-  std::atomic<std::uint64_t> items_out{0};
-  // Fault events the stage absorbed (e.g. a correlation replica resharded
-  // away after missing its deadline).
-  std::atomic<std::uint64_t> faults{0};
-};
 
 // Risk limits enforced (observationally) by the master: Fig. 1's master
 // performs "additional tasks such as risk management and liquidity
@@ -124,19 +115,16 @@ struct MasterReport {
 // between chunks — a pacing collector is idle-but-alive, never suspect.
 // 0 (the default) emits as fast as downstream credits allow.
 dag::NodeFn make_collector(std::shared_ptr<const std::vector<md::Quote>> day,
-                           std::size_t batch_size, StageStats* stats = nullptr,
-                           double replay_speedup = 0.0);
+                           std::size_t batch_size, double replay_speedup = 0.0);
 
 // --- cleaning ------------------------------------------------------------
-dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config,
-                         StageStats* stats = nullptr);
+dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config);
 
 // --- bars / technical analysis -------------------------------------------
 // `seed_prices` provides a pre-open price per symbol so early intervals have
 // a defined BAM before a symbol's first quote.
 dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
-                                std::int64_t delta_s, std::vector<double> seed_prices,
-                                StageStats* stats = nullptr);
+                                std::int64_t delta_s, std::vector<double> seed_prices);
 
 // --- correlation engine ----------------------------------------------------
 // Fig. 1's "Parallel Correlation Engine" as a dagflow group node of any
@@ -156,7 +144,7 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
 // are re-split into blocks over the survivors) and its block for the current
 // round is computed by the leader, which mirrors every window — so the
 // emitted frames stay bit-identical to the healthy run. Each resharding
-// event bumps StageStats::faults. With replica_deadline == 0 every wait
+// event bumps engine.<node>.reshards. With replica_deadline == 0 every wait
 // blocks forever.
 //
 // With a CorrStore attached the leader memoizes whole days of packed frames
@@ -168,7 +156,7 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
 // by one group size replays correctly under any other.
 dag::GroupNodeFn make_correlation_stage(
     std::size_t symbols, std::int64_t corr_window, bool need_maronna,
-    stats::MaronnaConfig maronna_config, int fan_out, StageStats* stats = nullptr,
+    stats::MaronnaConfig maronna_config, int fan_out,
     std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0},
     stats::CorrStore* store = nullptr, stats::CorrKey store_key = {},
     std::int64_t expected_frames = 0);
@@ -179,14 +167,12 @@ dag::GroupNodeFn make_correlation_stage(
 // groups (single-linkage to `target_clusters`). Plugs in as an extra consumer
 // of the correlation engine's fan-out.
 dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
-                               std::int64_t cadence, StageStats* stats = nullptr);
+                               std::int64_t cadence);
 dag::NodeFn make_strategy_stage(core::StrategyParams params,
                                 std::vector<stats::PairIndex> pairs,
-                                std::int32_t strategy_id, std::int64_t smax,
-                                StageStats* stats = nullptr);
+                                std::int32_t strategy_id, std::int64_t smax);
 
 // --- master ------------------------------------------------------------------
-dag::NodeFn make_master(MasterReport* report, RiskConfig risk = {},
-                        StageStats* stats = nullptr);
+dag::NodeFn make_master(MasterReport* report, RiskConfig risk = {});
 
 }  // namespace mm::engine

@@ -45,28 +45,21 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   // Correlation fan-out: one port per strategy, plus the clustering branch.
   const int corr_fan_out = k + (clustering ? 1 : 0);
 
-  // Shared stage counters (in-process; see components.hpp).
-  const std::size_t n_stages = 4 + static_cast<std::size_t>(k) + 1;
-  std::vector<std::unique_ptr<StageStats>> stats(n_stages);
-  for (auto& s : stats) s = std::make_unique<StageStats>();
-
   MasterReport master;
 
   dag::Graph graph;
   const int collector = graph.add_node(
-      "collector", make_collector(std::move(day), config.batch_size, stats[0].get(),
-                                  config.replay_speedup));
-  const int cleaner = graph.add_node(
-      "cleaner", make_cleaner(config.symbols, config.cleaner, stats[1].get()));
+      "collector", make_collector(std::move(day), config.batch_size, config.replay_speedup));
+  const int cleaner =
+      graph.add_node("cleaner", make_cleaner(config.symbols, config.cleaner));
   const int snapshot = graph.add_node(
       "snapshot", make_snapshot_stage(config.symbols, session, base.delta_s,
-                                      universe.base_price, stats[2].get()));
+                                      universe.base_price));
   const int corr = graph.add_group_node(
       "correlation",
       make_correlation_stage(config.symbols, base.corr_window, need_maronna,
-                             config.maronna, corr_fan_out, stats[3].get(),
-                             config.replica_deadline, config.corr_store,
-                             config.corr_key, smax),
+                             config.maronna, corr_fan_out, config.replica_deadline,
+                             config.corr_store, config.corr_key, smax),
       need_maronna ? config.correlation_replicas : 1);
 
   // Optional clustering branch: corr port k -> cluster stage -> snapshot sink.
@@ -91,10 +84,9 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
     workers.push_back(graph.add_node(
         "strategy-" + std::to_string(w),
         make_strategy_stage(config.strategies[static_cast<std::size_t>(w)], pairs, w,
-                            smax, stats[4 + static_cast<std::size_t>(w)].get())));
+                            smax)));
   }
-  const int master_node = graph.add_node(
-      "master", make_master(&master, config.risk, stats[n_stages - 1].get()));
+  const int master_node = graph.add_node("master", make_master(&master, config.risk));
 
   graph.connect(collector, 0, cleaner, 0, config.channel_capacity);
   graph.connect(cleaner, 0, snapshot, 0, config.channel_capacity);
@@ -167,20 +159,23 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   result.degraded = !run_result.ok();
   for (const auto& status : run_result.nodes)
     if (!status.ok()) result.faults.push_back(status);
-  const char* names[] = {"collector", "cleaner", "snapshot", "correlation"};
-  for (std::size_t i = 0; i < 4; ++i)
-    result.stages.push_back({names[i], stats[i]->records_in.load(),
-                             stats[i]->records_out.load(), stats[i]->items_in.load(),
-                             stats[i]->items_out.load(), stats[i]->faults.load()});
-  for (int w = 0; w < k; ++w) {
-    const auto& s = *stats[4 + static_cast<std::size_t>(w)];
-    result.stages.push_back({"strategy-" + std::to_string(w), s.records_in.load(),
-                             s.records_out.load(), s.items_in.load(),
-                             s.items_out.load(), s.faults.load()});
+  // Stage reports read this run's metrics delta: records are dagflow's frame
+  // counters, items and faults the components' engine.<node>.* counters.
+  const auto counter = [&result](const std::string& name) -> std::uint64_t {
+    const obs::MetricValue* m = result.metrics.find(name);
+    return m != nullptr ? static_cast<std::uint64_t>(m->value) : 0;
+  };
+  std::vector<std::string> stage_names = {"collector", "cleaner", "snapshot",
+                                          "correlation"};
+  for (int w = 0; w < k; ++w) stage_names.push_back("strategy-" + std::to_string(w));
+  stage_names.push_back("master");
+  for (const auto& name : stage_names) {
+    const std::string dag = "dag." + name, engine = "engine." + name;
+    result.stages.push_back({name, counter(dag + ".frames_in"),
+                             counter(dag + ".frames_out"), counter(engine + ".items_in"),
+                             counter(engine + ".items_out"),
+                             counter(engine + ".reshards")});
   }
-  const auto& ms = *stats[n_stages - 1];
-  result.stages.push_back({"master", ms.records_in.load(), ms.records_out.load(),
-                           ms.items_in.load(), ms.items_out.load(), ms.faults.load()});
   return result;
 }
 

@@ -109,6 +109,10 @@ struct PipelineConfig {
   const mpi::Rendezvous* rendezvous = nullptr;
 };
 
+// One stage's traffic in this run, read from PipelineResult::metrics: records
+// are dag.<name>.frames_in/out, items engine.<name>.items_in/out, faults
+// engine.<name>.reshards. Runs that share a registry concurrently (the
+// service's workers) see each other's traffic here, as in `metrics`.
 struct StageReport {
   std::string name;
   std::uint64_t records_in = 0;
@@ -133,8 +137,8 @@ struct PipelineResult {
   std::vector<dag::NodeStatus> faults;
 
   // Structured telemetry for THIS run: mpmini transport counters, per-node
-  // dagflow frame/stall/wall metrics, and engine stage histograms (empty when
-  // built with MM_OBS_ENABLED=OFF). When the caller shares one registry
+  // dagflow frame/stall/wall metrics, and engine stage counters and
+  // histograms. When the caller shares one registry
   // across days this is still per-run — a delta against the registry's state
   // at run start — so back-to-back runs never bleed into each other.
   obs::Snapshot metrics;

@@ -31,15 +31,13 @@ struct Message {
   int tag = any_tag;
   std::uint64_t comm_id = 0;
   std::uint64_t sequence = 0;  // per-(source, comm) counter; enforces FIFO order
-#if MM_OBS_ENABLED
   // Causal trace header (packed extension, no heap): the sender's TraceContext
   // trace id plus the flow-event id linking the send span to the recv span.
   // 0/0 means untraced. Travels intact through the SPSC lane rings and the
   // pooled-envelope path because both recycle slots by whole-Message
-  // assignment. Compiled out entirely (zero bytes) when MM_OBS_ENABLED=OFF.
+  // assignment.
   std::uint64_t trace_id = 0;
   std::uint32_t flow = 0;
-#endif
   std::vector<std::uint8_t> payload;
 };
 
@@ -48,12 +46,10 @@ struct RecvStatus {
   int source = any_source;
   int tag = any_tag;
   std::size_t byte_count = 0;
-#if MM_OBS_ENABLED
   // Trace header of the received message (0/0 when untraced), so consumers
   // (dagflow) can adopt the sender's causal context without re-parsing.
   std::uint64_t trace_id = 0;
   std::uint32_t flow = 0;
-#endif
 };
 
 }  // namespace mm::mpi

@@ -18,10 +18,6 @@ constexpr std::uint32_t mesh_magic = 0x31544D4Du;
 constexpr std::uint8_t kind_message = 1;
 constexpr std::uint8_t kind_bye = 2;
 
-// Serialized envelope header after the kind byte: source, tag, comm id,
-// sequence, trace id, flow, payload length.
-constexpr std::size_t envelope_header_bytes = 4 + 4 + 8 + 8 + 8 + 4 + 8;
-
 // Registration sent by the dialing side of every mesh link.
 struct Registration {
   int rank = -1;
@@ -109,6 +105,24 @@ std::string local_advertised_host() {
 }
 
 }  // namespace
+
+Expected<Message> decode_envelope_header(const std::uint8_t* header) {
+  const std::uint64_t payload_len = wire::load_u64(header + 36);
+  if (payload_len > max_envelope_payload)
+    return Error(Errc::out_of_range,
+                 format("envelope announces a %llu-byte payload (limit %llu)",
+                        static_cast<unsigned long long>(payload_len),
+                        static_cast<unsigned long long>(max_envelope_payload)));
+  Message msg;
+  msg.source = static_cast<int>(wire::load_u32(header));
+  msg.tag = static_cast<int>(wire::load_u32(header + 4));
+  msg.comm_id = wire::load_u64(header + 8);
+  msg.sequence = wire::load_u64(header + 16);
+  msg.trace_id = wire::load_u64(header + 24);
+  msg.flow = wire::load_u32(header + 32);
+  msg.payload.resize(payload_len);
+  return msg;
+}
 
 Expected<Rendezvous> rendezvous_from_env() {
   const char* rank_raw = std::getenv("MM_MPMINI_RANK");
@@ -267,25 +281,16 @@ void SocketTransport::reader_loop(int peer_rank) {
       note_bye();
       return;
     }
-    Message msg;
-    const std::uint8_t* p = header.data();
-    msg.source = static_cast<int>(wire::load_u32(p));
-    msg.tag = static_cast<int>(wire::load_u32(p + 4));
-    msg.comm_id = wire::load_u64(p + 8);
-    msg.sequence = wire::load_u64(p + 16);
-    const std::uint64_t trace_id = wire::load_u64(p + 24);
-    const std::uint32_t flow = wire::load_u32(p + 32);
-#if MM_OBS_ENABLED
-    msg.trace_id = trace_id;
-    msg.flow = flow;
-#else
-    (void)trace_id;
-    (void)flow;
-#endif
-    const std::uint64_t payload_len = wire::load_u64(p + 36);
-    msg.payload.resize(payload_len);
-    if (payload_len > 0)
-      if (auto got = wire::recv_exact(peer.sock, msg.payload.data(), payload_len);
+    auto decoded = decode_envelope_header(header.data());
+    if (!decoded) {
+      MM_LOG_WARN("socket transport: bad envelope from rank "
+                  << peer_rank << ": " << decoded.error().to_string());
+      note_bye();
+      return;
+    }
+    Message msg = std::move(*decoded);
+    if (!msg.payload.empty())
+      if (auto got = wire::recv_exact(peer.sock, msg.payload.data(), msg.payload.size());
           !got) {
         if (!stopping_.load())
           MM_LOG_WARN("socket transport: link to rank "
@@ -302,6 +307,8 @@ Status SocketTransport::send_envelope(Peer& peer, const Message& msg) {
   std::lock_guard<std::mutex> lock(peer.send_mutex);
   if (!peer.sock.valid())
     return Error(Errc::io_error, "peer link is down");
+  if (msg.payload.size() > max_envelope_payload)
+    return Error(Errc::out_of_range, "payload exceeds max_envelope_payload");
   peer.tx.resize(1 + envelope_header_bytes + msg.payload.size());
   std::uint8_t* p = peer.tx.data();
   p[0] = kind_message;
@@ -309,13 +316,8 @@ Status SocketTransport::send_envelope(Peer& peer, const Message& msg) {
   wire::store_u32(p + 5, static_cast<std::uint32_t>(msg.tag));
   wire::store_u64(p + 9, msg.comm_id);
   wire::store_u64(p + 17, msg.sequence);
-#if MM_OBS_ENABLED
   wire::store_u64(p + 25, msg.trace_id);
   wire::store_u32(p + 33, msg.flow);
-#else
-  wire::store_u64(p + 25, 0);
-  wire::store_u32(p + 33, 0);
-#endif
   wire::store_u64(p + 37, msg.payload.size());
   if (!msg.payload.empty())
     std::memcpy(p + 45, msg.payload.data(), msg.payload.size());

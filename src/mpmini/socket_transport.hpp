@@ -20,8 +20,7 @@
 // Envelope serialization is little-endian and carries the full header —
 // source, tag, comm id, per-(source, comm) sequence AND the PR 9 trace
 // context (trace id + flow id) — so FIFO order and cross-process flow
-// stitching survive the wire. Builds with MM_OBS_ENABLED=OFF write zeroed
-// trace fields, keeping the two build flavors wire-compatible.
+// stitching survive the wire.
 //
 // Failure semantics: transmit() to a dead peer throws (poisoning the sending
 // rank like a fault-plan kill); a peer that disconnects before its goodbye
@@ -55,6 +54,21 @@ struct Rendezvous {
 // Parse MM_MPMINI_RANK and MM_MPMINI_RENDEZVOUS ("host:port") — the env
 // route used when MM_MPMINI_TRANSPORT=socket selects this transport.
 Expected<Rendezvous> rendezvous_from_env();
+
+// Serialized envelope header after the kind byte: source, tag, comm id,
+// sequence, trace id, flow, payload length.
+inline constexpr std::size_t envelope_header_bytes = 4 + 4 + 8 + 8 + 8 + 4 + 8;
+
+// Largest payload an envelope header may announce. The biggest frame the
+// pipeline sends, a packed 61-symbol CorrFrame, is ~29 KB; 64 MiB still fits
+// a 2,000-symbol frame (~32 MB) while a corrupt length can no longer ask the
+// reader thread for an unbounded allocation.
+inline constexpr std::uint64_t max_envelope_payload = std::uint64_t{64} << 20;
+
+// Decode one envelope header (envelope_header_bytes bytes from the wire) into
+// a Message whose payload is sized, zero-filled, for the bytes that follow.
+// A length above max_envelope_payload is a protocol error.
+Expected<Message> decode_envelope_header(const std::uint8_t* header);
 
 class SocketTransport final : public Transport {
  public:

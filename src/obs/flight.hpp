@@ -16,9 +16,6 @@
 // single-writer and unsynchronized by design, so reading them mid-run would
 // race. The monitor's detection timestamps are captured live; the bundle is
 // written cold.
-//
-// Compiled identically with MM_OBS_ENABLED on or off — every input type is
-// real in both modes (a disabled build just dumps empty traces/snapshots).
 #pragma once
 
 #include <string>

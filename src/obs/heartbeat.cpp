@@ -15,8 +15,6 @@ const char* liveness_name(Liveness state) {
   return "unknown";
 }
 
-#if MM_OBS_ENABLED
-
 HeartbeatBoard::HeartbeatBoard(int ranks) : ranks_(ranks) {
   MM_ASSERT_MSG(ranks > 0, "heartbeat board needs at least one rank");
   slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(ranks));
@@ -198,7 +196,5 @@ std::vector<int> HeartbeatMonitor::dead_ranks() const {
     if (health_[r].state == Liveness::down) out.push_back(static_cast<int>(r));
   return out;
 }
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

@@ -16,10 +16,6 @@
 // All HTTP handlers read through thread-safe paths only (registry snapshot,
 // monitor health copies, snapshot-ring copies), so the listener needs no
 // extra locking against the run.
-//
-// With MM_OBS_ENABLED=0 LivePlane is a field-free no-op: begin_run does
-// nothing, board() is null, end_run returns an empty report. LiveConfig and
-// LiveReport stay real in both modes so engine code compiles unchanged.
 #pragma once
 
 #include <atomic>
@@ -77,8 +73,6 @@ struct LiveReport {
   std::uint16_t http_port = 0;           // bound port, 0 if no listener
 };
 
-#if MM_OBS_ENABLED
-
 class LivePlane {
  public:
   LivePlane(LiveConfig config, Registry& registry, const TraceSink* trace);
@@ -125,29 +119,5 @@ class LivePlane {
   std::unique_ptr<SnapshotScheduler> scheduler_;
   std::unique_ptr<MetricsServer> server_;  // brought up last, torn down first
 };
-
-#else  // !MM_OBS_ENABLED
-
-class LivePlane {
- public:
-  LivePlane(LiveConfig config, Registry&, const TraceSink*) : config_(std::move(config)) {}
-  void begin_run(int, std::vector<std::string>) {}
-  HeartbeatBoard* board() { return nullptr; }
-  std::chrono::nanoseconds heartbeat_interval() const {
-    return config_.heartbeat_interval;
-  }
-  LiveReport end_run(std::vector<CrashEntry>) { return {}; }
-  std::string render_metrics() const { return {}; }
-  HttpResponse healthz() const { return {200, "text/plain; charset=utf-8", "ok\n"}; }
-  HeartbeatMonitor* monitor() { return nullptr; }
-  SnapshotScheduler* scheduler() { return nullptr; }
-  std::uint16_t http_port() const { return 0; }
-  const LiveConfig& config() const { return config_; }
-
- private:
-  LiveConfig config_;
-};
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

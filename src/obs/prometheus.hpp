@@ -2,8 +2,7 @@
 //
 // Pure cold-path string formatting over Snapshot / RankHealth / RateSample —
 // no sockets, no threads (the listener lives in obs/http.hpp, the wiring in
-// obs/live.hpp). Compiled identically with MM_OBS_ENABLED on or off: a
-// disabled build renders an empty snapshot.
+// obs/live.hpp).
 //
 // Mapping rules:
 //   * metric names are sanitized to [a-zA-Z_:][a-zA-Z0-9_:]* (every other

@@ -5,8 +5,6 @@
 
 namespace mm::obs {
 
-#if MM_OBS_ENABLED
-
 SnapshotRing::SnapshotRing(std::size_t capacity) : capacity_(capacity) {
   MM_ASSERT_MSG(capacity > 0, "snapshot ring needs a positive capacity");
   frames_.resize(capacity_);
@@ -101,7 +99,5 @@ RateSample SnapshotScheduler::rates() const {
   }
   return out;
 }
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

@@ -11,21 +11,15 @@
 //
 // All reads and writes are cold-path (registry aggregation under its own
 // mutex, ring under a mutex); nothing here touches the metric hot path.
-//
-// With MM_OBS_ENABLED=0 the scheduler is a field-free no-op: no thread, an
-// empty ring, zero rates. SnapshotFrame/RateSample stay real in both modes.
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/registry.hpp"
-
-#if MM_OBS_ENABLED
-#include <condition_variable>
-#endif
 
 namespace mm::obs {
 
@@ -45,8 +39,6 @@ struct RateSample {
   double p95_step_ns = 0.0;
   double p99_step_ns = 0.0;
 };
-
-#if MM_OBS_ENABLED
 
 // Fixed-capacity ring of frames; push overwrites the oldest (unlike the
 // trace ring, the NEWEST snapshots are the ones a postmortem needs).
@@ -99,37 +91,5 @@ class SnapshotScheduler {
   std::condition_variable stop_cv_;
   bool stopping_ = false;
 };
-
-#else  // !MM_OBS_ENABLED
-
-class SnapshotRing {
- public:
-  explicit SnapshotRing(std::size_t = 0) {}
-  void push(SnapshotFrame) {}
-  std::size_t size() const { return 0; }
-  std::size_t capacity() const { return 0; }
-  std::vector<SnapshotFrame> last(std::size_t = 0) const { return {}; }
-};
-
-class SnapshotScheduler {
- public:
-  struct Config {
-    std::chrono::nanoseconds period{std::chrono::milliseconds{250}};
-    std::size_t ring_capacity = 32;
-    std::string step_histogram = "engine.strategy.step_ns";
-  };
-  SnapshotScheduler(const Registry&, Config config) : config_(config) {}
-  void start() {}
-  void stop() {}
-  void tick() {}
-  RateSample rates() const { return {}; }
-  std::vector<SnapshotFrame> frames(std::size_t = 0) const { return {}; }
-  const Config& config() const { return config_; }
-
- private:
-  Config config_;
-};
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

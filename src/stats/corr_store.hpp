@@ -65,8 +65,8 @@ struct CorrDay {
 
 class CorrStore {
  public:
-  // Native counters (monotonic, read under the store mutex) so tests can
-  // assert compute-once even when MM_OBS_ENABLED=OFF strips the registry.
+  // Native counters (monotonic, read under the store mutex) so tests and
+  // perfbench can assert compute-once on a store that has no registry.
   struct Stats {
     std::uint64_t hits = 0;       // acquire() served a ready day
     std::uint64_t misses = 0;     // acquire() made the caller the owner

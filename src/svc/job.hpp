@@ -76,8 +76,7 @@ struct ParamOutcome {
 
 // Latency attribution for one stage of a job's life: exact quantiles over
 // this job's own samples (queue has one sample; cache/compute/exchange have
-// one per unit). Plain steady-clock timing, so the breakdown survives
-// MM_OBS_ENABLED=OFF builds.
+// one per unit). Plain steady-clock timing, kept because perfbench reads it.
 struct StageLatency {
   std::string stage;  // "queue" | "cache" | "compute" | "exchange"
   std::uint64_t count = 0;
@@ -113,7 +112,7 @@ struct Job {
   int units_total = 0;  // set before the job leaves `queued`
 
   // Causal tracing: the trace id every one of this job's spans and envelope
-  // headers carries (0 when tracing is compiled out), the submission instant
+  // headers carries, the submission instant
   // (queue-wait attribution), and the job-scoped sink GET /jobs/{id}/trace
   // serves once the job is terminal. The sink is written only by the worker
   // running the job; state release/acquire orders it for readers.

@@ -65,7 +65,6 @@ struct ServiceConfig {
   // Job-scoped causal traces: every job gets a trace_id at submit and its own
   // TraceSink; units run with the job's context so cross-rank flow events
   // stitch the whole job, served from GET /jobs/{id}/trace once terminal.
-  // A no-op (empty traces, trace_id 0) when MM_OBS_ENABLED=OFF.
   bool job_traces = true;
   // Per-rank event capacity of each job's trace rings (64 B/event). The
   // default bounds a job's trace at 256 KiB per rank; deep sweeps drop the

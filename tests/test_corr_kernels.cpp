@@ -328,14 +328,12 @@ TEST(ParallelEngine, WarmStartMatchesSerialAcrossRankCounts) {
       ASSERT_EQ(last.size(), symbols);
       EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0);
     });
-#if MM_OBS_ENABLED
     // Step-phase timings land in the obs histograms: one compute sample per
     // rank per ready step.
     const auto snap = registry.snapshot();
     const auto* compute = snap.find("corr.step.compute_ns");
     ASSERT_NE(compute, nullptr);
     EXPECT_GT(compute->count, 0u);
-#endif
   }
 }
 

@@ -67,9 +67,37 @@ TEST(Pipeline, StageThroughputAccounting) {
   PipelineConfig cfg;
   cfg.symbols = 4;
   cfg.strategies = {pipeline_params(stats::Ctype::pearson)};
+  // The same day twice through one caller-supplied registry: stage reports
+  // are read from each run's metrics delta, never from absolute values.
+  obs::Registry registry;
+  cfg.metrics = &registry;
   const auto result = run_pipeline(cfg, scenario.universe, scenario.quotes);
+  const auto again = run_pipeline(cfg, scenario.universe, scenario.quotes);
 
-  ASSERT_GE(result.stages.size(), 6u);
+  const std::vector<std::string> names = {"collector", "cleaner",    "snapshot",
+                                          "correlation", "strategy-0", "master"};
+  ASSERT_EQ(result.stages.size(), names.size());
+  ASSERT_EQ(again.stages.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const StageReport& first = result.stages[i];
+    const StageReport& second = again.stages[i];
+    EXPECT_EQ(first.name, names[i]);
+    EXPECT_EQ(second.name, first.name);
+    EXPECT_EQ(second.records_in, first.records_in) << first.name;
+    EXPECT_EQ(second.records_out, first.records_out) << first.name;
+    EXPECT_EQ(second.items_in, first.items_in) << first.name;
+    EXPECT_EQ(second.items_out, first.items_out) << first.name;
+    EXPECT_EQ(second.faults, first.faults) << first.name;
+
+    // Records are dagflow's frame counters for the node.
+    const auto frames = [&](const char* series) {
+      const obs::MetricValue* m = result.metrics.find("dag." + first.name + series);
+      return m != nullptr ? static_cast<std::uint64_t>(m->value) : ~std::uint64_t{0};
+    };
+    EXPECT_EQ(first.records_in, frames(".frames_in")) << first.name;
+    EXPECT_EQ(first.records_out, frames(".frames_out")) << first.name;
+  }
+
   const auto& collector = result.stages[0];
   const auto& cleaner = result.stages[1];
   const auto& snapshot = result.stages[2];
@@ -180,14 +208,12 @@ void expect_identical_summaries(const PipelineResult& got_run,
   }
 }
 
-#if MM_OBS_ENABLED
 // Ranks the correlation group ran with: every member records one sample of
 // the node's wall-time histogram.
 std::uint64_t correlation_ranks(const PipelineResult& result) {
   const obs::MetricValue* wall = result.metrics.find("dag.correlation.wall_ns");
   return wall != nullptr ? wall->count : 0;
 }
-#endif
 
 TEST_P(PipelineCorrReplicas, ParallelCorrelationStageMatchesSerial) {
   // The Fig. 1 "Parallel Correlation Engine" as a rank group must be
@@ -205,10 +231,8 @@ TEST_P(PipelineCorrReplicas, ParallelCorrelationStageMatchesSerial) {
   const auto parallel = run_pipeline(cfg, scenario.universe, scenario.quotes);
 
   expect_identical_summaries(parallel, serial);
-#if MM_OBS_ENABLED
   EXPECT_EQ(correlation_ranks(serial), 1u);
   EXPECT_EQ(correlation_ranks(parallel), static_cast<std::uint64_t>(GetParam()));
-#endif
 }
 
 TEST(PipelineCorrGroup, PearsonOnlyDayRunsOneCorrelationRank) {
@@ -227,10 +251,8 @@ TEST(PipelineCorrGroup, PearsonOnlyDayRunsOneCorrelationRank) {
 
   EXPECT_GT(single.master.trades, 0u);
   expect_identical_summaries(grouped, single);
-#if MM_OBS_ENABLED
   EXPECT_EQ(correlation_ranks(grouped), 1u);
   EXPECT_EQ(correlation_ranks(single), 1u);
-#endif
 }
 
 TEST(Pipeline, NettingAccountingConsistent) {

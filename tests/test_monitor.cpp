@@ -26,8 +26,6 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::nanoseconds;
 
-#if MM_OBS_ENABLED
-
 // Synthetic-clock fixture: the monitor's scan() takes the time explicitly,
 // so transitions are exact functions of (beats written, scan times) with no
 // wall clock involved. interval = 1000 "ns" keeps the arithmetic readable.
@@ -175,8 +173,6 @@ TEST(MonitorThreads, UnarmedPulseBeatsAreFreeAndInert) {
   EXPECT_FALSE(pulse.armed());
 }
 
-#endif  // MM_OBS_ENABLED
-
 // --- end-to-end: pipeline kill -> heartbeat detection -> flight bundle -----
 
 std::string read_file(const std::filesystem::path& path) {
@@ -228,7 +224,6 @@ TEST(LiveMonitorPipeline, KilledStageDetectedAndFlightBundleWritten) {
   const auto result = engine::run_pipeline(cfg, universe, day.quotes());
   EXPECT_TRUE(result.degraded);
 
-#if MM_OBS_ENABLED
   const auto& live = result.live;
   ASSERT_TRUE(live.enabled);
   ASSERT_EQ(live.health.size(), 6u);
@@ -275,7 +270,6 @@ TEST(LiveMonitorPipeline, KilledStageDetectedAndFlightBundleWritten) {
   EXPECT_NE(prom.find("mm_mpmini_send_messages_total"), std::string::npos);
 
   std::filesystem::remove_all(flight_dir);
-#endif  // MM_OBS_ENABLED
 }
 
 TEST(LiveMonitorPipeline, HealthyRunEndsAllDoneWithNoBundle) {
@@ -292,16 +286,12 @@ TEST(LiveMonitorPipeline, HealthyRunEndsAllDoneWithNoBundle) {
   const auto result = engine::run_pipeline(cfg, universe, day.quotes());
   EXPECT_FALSE(result.degraded);
 
-#if MM_OBS_ENABLED
   ASSERT_TRUE(result.live.enabled);
   ASSERT_EQ(result.live.health.size(), 6u);
   for (const auto& h : result.live.health)
     EXPECT_EQ(h.state, Liveness::done) << liveness_name(h.state);
   EXPECT_TRUE(result.live.crashes.empty());
   EXPECT_TRUE(result.live.flight_bundle.empty());
-#else
-  EXPECT_FALSE(result.live.enabled);
-#endif
 }
 
 // Shared-registry hygiene (regression): two back-to-back runs on ONE registry
@@ -322,7 +312,6 @@ TEST(LiveMonitorPipeline, BackToBackRunsOnSharedRegistryDoNotBleed) {
   ASSERT_FALSE(first.degraded);
   ASSERT_FALSE(second.degraded);
 
-#if MM_OBS_ENABLED
   const std::int64_t sent1 = first.metrics.counter_total("mpmini.send.messages");
   const std::int64_t sent2 = second.metrics.counter_total("mpmini.send.messages");
   ASSERT_GT(sent1, 0);
@@ -332,7 +321,6 @@ TEST(LiveMonitorPipeline, BackToBackRunsOnSharedRegistryDoNotBleed) {
   EXPECT_GT(sent2, sent1 / 2);
   // The registry itself accumulated both runs — the deltas partition it.
   EXPECT_EQ(shared.snapshot().counter_total("mpmini.send.messages"), sent1 + sent2);
-#endif
 }
 
 }  // namespace

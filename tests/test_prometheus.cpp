@@ -3,9 +3,7 @@
 // The exposition checks run a real (small) text-format parser over rendered
 // pages: every line must be HELP, TYPE or a well-formed sample, names must
 // match the Prometheus grammar, histogram buckets must be cumulative with
-// ascending le bounds and +Inf == _count. MetricValue/Snapshot are real in
-// both build modes, so the format tests are meaningful under
-// MM_OBS_ENABLED=OFF too; only the mid-run pipeline scrape is gated.
+// ascending le bounds and +Inf == _count.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -492,7 +490,6 @@ TEST(MetricsServerTest, GarbageRequestGetsAnErrorNotAHang) {
 
 // --- mid-run scrape of a live pipeline --------------------------------------
 
-#if MM_OBS_ENABLED
 TEST(MetricsServerTest, LivePipelineScrapeIsValidPrometheus) {
   md::Universe universe = md::make_universe(4);
   md::GeneratorConfig gen;
@@ -543,7 +540,6 @@ TEST(MetricsServerTest, LivePipelineScrapeIsValidPrometheus) {
   // The listener is down once the run ends.
   EXPECT_TRUE(http_get(port.load(), "/metrics").empty());
 }
-#endif  // MM_OBS_ENABLED
 
 }  // namespace
 }  // namespace mm::obs

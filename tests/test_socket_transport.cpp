@@ -27,6 +27,7 @@
 #include "mpmini/socket_transport.hpp"
 #include "mpmini/wait.hpp"
 #include "obs/trace.hpp"
+#include "wire/format.hpp"
 #include "wire/socket.hpp"
 
 namespace mm::mpi {
@@ -223,11 +224,9 @@ TEST(SocketTransport, EnvelopeTraceHeaderSurvivesTheWire) {
       obs::TraceContextScope context(obs::make_trace_context(kRootTrace));
       for (int i = 0; i < kSends; ++i)
         comm.send(1, 5, {static_cast<std::uint8_t>(i)});
-#if MM_OBS_ENABLED
       // One flow start per logical send on the sender's side.
       CHILD_CHECK(sink.total_flow_starts() ==
                   static_cast<std::uint64_t>(kSends));
-#endif
     } else {
       obs::TraceSink sink(256);
       obs::TraceRing& ring = sink.ring(1, "rank1");
@@ -238,21 +237,16 @@ TEST(SocketTransport, EnvelopeTraceHeaderSurvivesTheWire) {
         const auto payload = comm.recv(0, 5, &status);
         CHILD_CHECK(payload.size() == 1 &&
                     payload[0] == static_cast<std::uint8_t>(i));
-#if MM_OBS_ENABLED
         // The envelope header crossed the process boundary intact: the
         // sender's trace id, and a fresh flow id per send.
         CHILD_CHECK(status.trace_id == kRootTrace);
         CHILD_CHECK(status.flow != 0);
         CHILD_CHECK(status.flow != last_flow);
         last_flow = status.flow;
-#endif
       }
-#if MM_OBS_ENABLED
       // Exactly one flow finish per logical send on the receiver's side.
       CHILD_CHECK(sink.total_flow_finishes() ==
                   static_cast<std::uint64_t>(kSends));
-#endif
-      (void)last_flow;
     }
   });
   EXPECT_TRUE(ok);
@@ -336,10 +330,53 @@ TEST(SocketTransportPipeline, MultiProcessRunIsBitIdenticalToInProcess) {
 }  // namespace
 }  // namespace mm::engine
 
-// --- env-knob validation ----------------------------------------------------
+// --- envelope header decode -------------------------------------------------
 
 namespace mm::mpi {
 namespace {
+
+std::vector<std::uint8_t> envelope_header(std::uint64_t payload_len) {
+  std::vector<std::uint8_t> h(envelope_header_bytes);
+  wire::store_u32(h.data(), 3);                 // source
+  wire::store_u32(h.data() + 4, 7);             // tag
+  wire::store_u64(h.data() + 8, 11);            // comm id
+  wire::store_u64(h.data() + 16, 13);           // sequence
+  wire::store_u64(h.data() + 24, 17);           // trace id
+  wire::store_u32(h.data() + 32, 19);           // flow
+  wire::store_u64(h.data() + 36, payload_len);
+  return h;
+}
+
+TEST(SocketEnvelope, HeaderDecodesEveryField) {
+  const auto header = envelope_header(5);
+  const auto msg = decode_envelope_header(header.data());
+  ASSERT_TRUE(msg.has_value()) << msg.error().to_string();
+  EXPECT_EQ(msg->source, 3);
+  EXPECT_EQ(msg->tag, 7);
+  EXPECT_EQ(msg->comm_id, 11u);
+  EXPECT_EQ(msg->sequence, 13u);
+  EXPECT_EQ(msg->trace_id, 17u);
+  EXPECT_EQ(msg->flow, 19u);
+  EXPECT_EQ(msg->payload.size(), 5u);
+}
+
+TEST(SocketEnvelope, OversizedPayloadLengthIsRejectedWithoutAllocating) {
+  // A corrupt length used to reach vector::resize inside the reader thread,
+  // where length_error/bad_alloc terminated the whole process.
+  const auto huge = envelope_header(UINT64_MAX);
+  const auto rejected = decode_envelope_header(huge.data());
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_EQ(rejected.error().code, Errc::out_of_range);
+
+  const auto over = envelope_header(max_envelope_payload + 1);
+  EXPECT_FALSE(decode_envelope_header(over.data()).has_value());
+  const auto at_limit = envelope_header(max_envelope_payload);
+  const auto accepted = decode_envelope_header(at_limit.data());
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(accepted->payload.size(), max_envelope_payload);
+}
+
+// --- env-knob validation ----------------------------------------------------
 
 TEST(TransportEnv, DefaultsWhenUnset) {
   const TransportEnv env =

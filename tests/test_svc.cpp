@@ -179,10 +179,7 @@ TEST(SvcEndToEnd, TwoTenantsShareCorrelationWorkAndMatchDirectRuns) {
           << "return " << k;
   }
 
-  // Per-tenant labeled families on the scrape (the registry is a field-free
-  // no-op under MM_OBS_ENABLED=OFF; the native CorrStore/DayCache stats
-  // asserted above cover compute-once in that build).
-#if MM_OBS_ENABLED
+  // Per-tenant labeled families on the scrape.
   const std::string metrics = get(port, "/metrics");
   EXPECT_NE(metrics.find("mm_svc_jobs_done_total{tenant=\"alice\"} 1"),
             std::string::npos)
@@ -192,9 +189,6 @@ TEST(SvcEndToEnd, TwoTenantsShareCorrelationWorkAndMatchDirectRuns) {
   EXPECT_NE(metrics.find("mm_svc_units_done_total{tenant=\"alice\"} 2"),
             std::string::npos);
   EXPECT_NE(metrics.find("mm_corr_store_hits_total"), std::string::npos);
-#else
-  EXPECT_EQ(status_of(get(port, "/metrics")), 200);
-#endif
 
   service.stop();
 }
@@ -213,13 +207,11 @@ TEST(SvcEndToEnd, MaronnaUnitRunsOneCorrelationRank) {
   const auto result = get(service.port(), "/jobs/" + id.value() + "/result");
   ASSERT_EQ(status_of(result), 200);
   const auto via_svc = json_body(result).find("paramsets")->at(0);
-#if MM_OBS_ENABLED
   // Every member of a group records one sample of the node's wall time.
   const obs::Snapshot metrics = service.registry().snapshot();
   const obs::MetricValue* wall = metrics.find("dag.correlation.wall_ns");
   ASSERT_NE(wall, nullptr);
   EXPECT_EQ(wall->count, 1u);
-#endif
   service.stop();
 
   const md::Universe universe = md::make_universe(8);
@@ -231,11 +223,9 @@ TEST(SvcEndToEnd, MaronnaUnitRunsOneCorrelationRank) {
   config.symbols = 8;
   config.strategies = {parse_job_spec(body).value().paramsets[0]};
   const auto direct = engine::run_pipeline(config, universe, day.quotes());
-#if MM_OBS_ENABLED
   const obs::MetricValue* direct_wall = direct.metrics.find("dag.correlation.wall_ns");
   ASSERT_NE(direct_wall, nullptr);
   EXPECT_EQ(direct_wall->count, 4u);  // the correlation_replicas default
-#endif
   ASSERT_EQ(direct.master.strategy_summaries.size(), 1u);
   const auto& summary = direct.master.strategy_summaries[0];
   EXPECT_EQ(via_svc.get_int("trades", -1), static_cast<std::int64_t>(summary.trades));
@@ -374,16 +364,13 @@ TEST(SvcEndToEnd, TenantQueueLimitAnswers429AndCountsRejections) {
   EXPECT_GE(accepted, 1);
   ASSERT_GE(rejected, 1);
 
-  // The rejection shows up on the scrape, labeled by tenant (registry is a
-  // no-op under MM_OBS_ENABLED=OFF — the 429s above cover that build); the
-  // refused job is parked terminally cancelled so shutdown never waits on it.
-#if MM_OBS_ENABLED
+  // The rejection shows up on the scrape, labeled by tenant; the refused job
+  // is parked terminally cancelled so shutdown never waits on it.
   const std::string metrics = get(port, "/metrics");
   EXPECT_NE(metrics.find("mm_svc_jobs_rejected_total{tenant=\"greta\"} " +
                          std::to_string(rejected)),
             std::string::npos)
       << metrics.substr(0, 2000);
-#endif
   service.stop();
 }
 

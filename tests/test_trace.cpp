@@ -2,10 +2,6 @@
 // envelope, dagflow frame inheritance, flow-event stitching in the Chrome
 // JSON, fault-plan interaction (drops orphan nothing, duplicates don't
 // double-finish), the kill -> flight-bundle path, and name truncation.
-//
-// Every test compiles in MM_OBS_ENABLED=OFF builds too (the obs-off CI tree
-// runs this file): value assertions on trace content are #if-guarded, while
-// the control flow — scopes, sends, graph runs — executes in both modes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -35,7 +31,6 @@ namespace {
 
 using std::chrono::milliseconds;
 
-#if MM_OBS_ENABLED
 // Events of `kind` recorded on `ring`, in recording order.
 std::vector<TraceEvent> events_of_kind(const TraceRing& ring, std::uint8_t kind) {
   std::vector<TraceEvent> out;
@@ -43,7 +38,6 @@ std::vector<TraceEvent> events_of_kind(const TraceRing& ring, std::uint8_t kind)
     if (ring.event(i).kind == kind) out.push_back(ring.event(i));
   return out;
 }
-#endif
 
 // --- name truncation --------------------------------------------------------
 
@@ -54,7 +48,6 @@ TEST(TraceNames, LongNamesTruncateAtCapacity) {
   const std::string long_name(kMaxEventName + 12, 'b'); // must truncate
   ring.complete(max_name.c_str(), 10, 10);
   ring.complete(long_name.c_str(), 30, 10);
-#if MM_OBS_ENABLED
   ASSERT_EQ(ring.size(), 2u);
   EXPECT_EQ(std::strlen(ring.event(0).name), kMaxEventName);
   EXPECT_EQ(ring.event(0).name, max_name);
@@ -65,15 +58,11 @@ TEST(TraceNames, LongNamesTruncateAtCapacity) {
   EXPECT_NE(sink.chrome_json().find(long_name.substr(0, kMaxEventName)),
             std::string::npos);
   EXPECT_EQ(sink.chrome_json().find(long_name), std::string::npos);
-#else
-  EXPECT_EQ(ring.size(), 0u);
-#endif
 }
 
 // --- context plumbing -------------------------------------------------------
 
 TEST(TraceContextApi, ScopesInstallAndRestore) {
-#if MM_OBS_ENABLED
   EXPECT_FALSE(current_trace_context().valid());
   const std::uint64_t id = next_trace_id();
   {
@@ -91,29 +80,7 @@ TEST(TraceContextApi, ScopesInstallAndRestore) {
   // Allocators never return the 0 sentinel.
   EXPECT_NE(next_trace_id(), 0u);
   EXPECT_NE(next_span_id(), 0u);
-#else
-  // OFF: everything compiles to no-ops and the context is never valid.
-  TraceContextScope scope(make_trace_context(42));
-  EXPECT_FALSE(current_trace_context().valid());
-  EXPECT_EQ(next_trace_id(), 0u);
-  EXPECT_EQ(next_span_id(), 0u);
-#endif
 }
-
-#if !MM_OBS_ENABLED
-TEST(TraceOffMode, MessageCarriesNoTraceHeader) {
-  // The envelope header is a packed extension: compiled out entirely, it
-  // must add zero bytes to the Message struct.
-  struct BareMessage {
-    int source;
-    int tag;
-    std::uint64_t comm_id;
-    std::uint64_t sequence;
-    std::vector<std::uint8_t> payload;
-  };
-  EXPECT_EQ(sizeof(mpi::Message), sizeof(BareMessage));
-}
-#endif
 
 // --- cross-rank stitching through mpmini ------------------------------------
 
@@ -132,14 +99,11 @@ TEST(TraceCrossRank, SendRecvEmitLinkedFlowEvents) {
     } else {
       mpi::RecvStatus status;
       (void)comm.recv(0, 5, &status);
-#if MM_OBS_ENABLED
       recv_trace_id = status.trace_id;
       recv_flow = status.flow;
-#endif
     }
   });
 
-#if MM_OBS_ENABLED
   // The envelope carried the sender's context to the receiver intact.
   EXPECT_EQ(recv_trace_id.load(), root_trace);
   EXPECT_NE(recv_flow.load(), 0u);
@@ -172,10 +136,6 @@ TEST(TraceCrossRank, SendRecvEmitLinkedFlowEvents) {
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\",\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"flow\""), std::string::npos);
-#else
-  EXPECT_EQ(sink.total_events(), 0u);
-  EXPECT_EQ(root_trace, 0u);
-#endif
 }
 
 TEST(TraceCrossRank, UntracedSendsCarryNoHeaderAndEmitNothing) {
@@ -190,10 +150,8 @@ TEST(TraceCrossRank, UntracedSendsCarryNoHeaderAndEmitNothing) {
     } else {
       mpi::RecvStatus status;
       (void)comm.recv(0, 5, &status);
-#if MM_OBS_ENABLED
       EXPECT_EQ(status.trace_id, 0u);
       EXPECT_EQ(status.flow, 0u);
-#endif
     }
   });
   EXPECT_EQ(sink.total_events(), 0u);
@@ -255,15 +213,12 @@ TEST(TraceFaults, DuplicatedMessagesEmitOneFlowFinishEach) {
           for (int i = 0; i < 2 * kSends; ++i) {
             mpi::RecvStatus status;
             (void)comm.recv(0, 5, &status);
-#if MM_OBS_ENABLED
             (status.trace_id != 0 ? traced_recvs : untraced_recvs)++;
-#endif
           }
         }
       },
       plan);
 
-#if MM_OBS_ENABLED
   // The duplicate copy travels with a cleared header: exactly one of each
   // delivered pair is the causal edge, so flow finishes match flow starts
   // and nothing is double-emitted.
@@ -271,9 +226,6 @@ TEST(TraceFaults, DuplicatedMessagesEmitOneFlowFinishEach) {
   EXPECT_EQ(untraced_recvs.load(), kSends);
   EXPECT_EQ(sink.total_flow_starts(), static_cast<std::uint64_t>(kSends));
   EXPECT_EQ(sink.total_flow_finishes(), static_cast<std::uint64_t>(kSends));
-#else
-  EXPECT_EQ(sink.total_events(), 0u);
-#endif
 }
 
 // --- dagflow inheritance ----------------------------------------------------
@@ -292,11 +244,7 @@ TEST(TraceDagflow, FramesInheritTheContextOfTheMessageThatWokeThem) {
     while (auto msg = ctx.recv()) {
       (void)msg;
       std::lock_guard<std::mutex> lock(seen_mutex);
-#if MM_OBS_ENABLED
       seen.push_back(current_trace_context().trace_id);
-#else
-      seen.push_back(0);
-#endif
     }
   });
   g.connect(src, 0, dst, 0);
@@ -308,7 +256,6 @@ TEST(TraceDagflow, FramesInheritTheContextOfTheMessageThatWokeThem) {
   for (const auto& node : result.nodes) EXPECT_TRUE(node.ok()) << node.name;
 
   ASSERT_EQ(seen.size(), 5u);
-#if MM_OBS_ENABLED
   // Every frame the source emitted carried the root context (installed on
   // its rank thread by the run harness), and the consumer inherited it the
   // moment recv() handed the frame over.
@@ -319,7 +266,6 @@ TEST(TraceDagflow, FramesInheritTheContextOfTheMessageThatWokeThem) {
   EXPECT_GE(sink.total_flow_starts(), 5u);
   EXPECT_GE(sink.total_flow_finishes(), 5u);
   EXPECT_LE(sink.total_flow_finishes(), sink.total_flow_starts());
-#endif
 }
 
 // --- kill -> flight bundle --------------------------------------------------
@@ -361,7 +307,6 @@ TEST(TraceCorrelationGroup, LeaderComputesItsBlockBeforeGatheringShards) {
   EXPECT_FALSE(result.degraded);
   EXPECT_GT(result.stages[3].records_in, 0u);
 
-#if MM_OBS_ENABLED
   // Rank layout (add order): collector=0, cleaner=1, snapshot=2, correlation
   // leader=3 with replicas 4-6, strategy-0=7, master=8.
   const TraceRing& leader = sink.ring(3, "rank 3");
@@ -390,7 +335,6 @@ TEST(TraceCorrelationGroup, LeaderComputesItsBlockBeforeGatheringShards) {
     ASSERT_NE(recv, nullptr) << "corr-step at " << step.ts_ns;
     EXPECT_LE(block->ts_ns + block->dur_ns, recv->ts_ns) << "corr-step at " << step.ts_ns;
   }
-#endif
 }
 
 TEST(TraceFlight, KilledRankSpansAppearInFlightBundle) {
@@ -430,7 +374,6 @@ TEST(TraceFlight, KilledRankSpansAppearInFlightBundle) {
   const auto result = engine::run_pipeline(cfg, universe, day.quotes());
   EXPECT_TRUE(result.degraded);
 
-#if MM_OBS_ENABLED
   ASSERT_FALSE(result.live.flight_bundle.empty());
   const std::string trace =
       read_file(std::filesystem::path(result.live.flight_bundle) / "trace.json");
@@ -446,7 +389,6 @@ TEST(TraceFlight, KilledRankSpansAppearInFlightBundle) {
   const bool victim_flow =
       sink.ring(kStrategyRank, "rank 4").size() > 0;
   EXPECT_TRUE(victim_flow);
-#endif
   std::filesystem::remove_all(flight_dir);
 }
 
