@@ -1,7 +1,7 @@
 // Microbenchmarks for the correlation engines — the paper's computational
 // core. Covers: batch vs incremental Pearson (ablation of design decision 1),
-// Maronna cost vs window length M, full-matrix step cost vs universe size,
-// and the parallel engine across worker counts.
+// Maronna cost vs window length M, and full-matrix step cost vs universe
+// size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "marketdata/generator.hpp"
 #include "marketdata/symbols.hpp"
-#include "mpmini/environment.hpp"
 #include "stats/corr_engine.hpp"
 #include "stats/ewma.hpp"
 #include "stats/psd.hpp"
@@ -276,27 +275,6 @@ BENCHMARK(BM_MatrixScalingMaronnaWarmAvx2)
     ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatrixScalingMaronnaWarmAvx2)
     ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelEngineRanks(benchmark::State& state) {
-  // The paper's parallel correlation engine: pair shards across ranks. On a
-  // single-core host this measures coordination overhead; on real hardware
-  // the Maronna shard work scales with ranks.
-  const int ranks = static_cast<int>(state.range(0));
-  constexpr std::size_t n = 20;
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::maronna;
-  cfg.window = 50;
-  const auto stream = factor_stream(n, 70, 6);
-  for (auto _ : state) {
-    mm::mpi::Environment::run(ranks, [&](mm::mpi::Comm& comm) {
-      ParallelCorrelationEngine engine(comm, cfg, n);
-      for (const auto& r : stream) benchmark::DoNotOptimize(engine.step(r));
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * stream.size());
-}
-BENCHMARK(BM_ParallelEngineRanks)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_PsdRepair(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -7,6 +7,7 @@
 #include "dagflow/graph.hpp"
 #include "marketdata/generator.hpp"
 #include "marketdata/tickdb.hpp"
+#include "mpmini/socket_transport.hpp"
 
 namespace mm::engine {
 
@@ -28,9 +29,16 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
     if (s.ctype != stats::Ctype::pearson) need_maronna = true;
 
   // The day the collector streams: the caller's shared day, else a tickdb
-  // day, else the quotes argument.
+  // day, else the quotes argument. The collector is the graph's first node,
+  // so world rank 0 runs it; in multi-process mode every other process
+  // streams nothing and reads no day.
+  constexpr int kCollectorRank = 0;
+  const bool hosts_collector =
+      config.rendezvous == nullptr || config.rendezvous->rank == kCollectorRank;
   std::shared_ptr<const std::vector<md::Quote>> day = config.day;
-  if (day == nullptr && !config.tickdb_root.empty()) {
+  if (!hosts_collector) {
+    day = std::make_shared<const std::vector<md::Quote>>();
+  } else if (day == nullptr && !config.tickdb_root.empty()) {
     auto db = md::TickDb::open(config.tickdb_root);
     MM_ASSERT_MSG(db.has_value(), "db collector: cannot open tickdb");
     auto read = db->read_day(config.date);
@@ -50,6 +58,7 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   dag::Graph graph;
   const int collector = graph.add_node(
       "collector", make_collector(std::move(day), config.batch_size, config.replay_speedup));
+  MM_ASSERT(collector == kCollectorRank);
   const int cleaner =
       graph.add_node("cleaner", make_cleaner(config.symbols, config.cleaner));
   const int snapshot = graph.add_node(

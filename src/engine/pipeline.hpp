@@ -105,7 +105,9 @@ struct PipelineConfig {
   // over the TCP socket transport; peer processes run the same config with
   // their own ranks (see dag::RunOptions::rendezvous). The PipelineResult
   // reflects local ranks only — run the master rank's process to get the
-  // report. Must outlive the run.
+  // report. Only the process running rank 0 (the collector) reads the day:
+  // the others ignore `day`, `tickdb_root` and the quotes argument. Must
+  // outlive the run.
   const mpi::Rendezvous* rendezvous = nullptr;
 };
 

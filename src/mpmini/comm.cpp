@@ -423,20 +423,4 @@ Comm Comm::split(int color, int key) {
               my_new_rank, std::move(members));
 }
 
-Comm Comm::duplicate() {
-  std::uint64_t new_id = 0;
-  Packer packer;
-  if (rank_ == 0) {
-    new_id = world_->allocate_comm_id();
-    packer.put<std::uint64_t>(new_id);
-  }
-  std::vector<std::uint8_t> buf = packer.take();
-  bcast_bytes(buf, 0);
-  if (rank_ != 0) {
-    Unpacker unpacker(buf);
-    new_id = unpacker.get<std::uint64_t>();
-  }
-  return Comm(world_, new_id, rank_, members_);
-}
-
 }  // namespace mm::mpi

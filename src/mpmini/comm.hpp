@@ -195,10 +195,6 @@ class Comm {
   // Partition members by color, order by (key, rank). Collective.
   Comm split(int color, int key);
 
-  // Duplicate into a fresh communicator id (private channel namespace).
-  // Collective.
-  Comm duplicate();
-
   World& world() const { return *world_; }
   std::uint64_t id() const { return comm_id_; }
 

@@ -1,4 +1,4 @@
-// Market-wide correlation engines: serial and parallel.
+// Market-wide correlation calculator.
 //
 // This is the enabling component of the paper (§II): producing the full
 // n × n correlation matrix over a sliding M-return window, every ∆s interval,
@@ -9,14 +9,14 @@
 // per-symbol medians/MADs computed once per step; with `warm_start` enabled
 // each pair seeds from its previous step's converged estimate instead.
 //
-// ParallelCorrelationEngine shards the n(n-1)/2 pairs across the ranks of an
-// mpmini communicator — the "Parallel Correlation Engine" box of Fig. 1.
+// The "Parallel Correlation Engine" box of Fig. 1 is the pipeline's
+// correlation group node (engine::make_correlation_stage): every member runs
+// one CorrelationCalculator and the pairs are split into stats::block_begin
+// blocks across the members.
 #pragma once
 
 #include <vector>
 
-#include "mpmini/comm.hpp"
-#include "obs/registry.hpp"
 #include "stats/correlation.hpp"
 #include "stats/sym_matrix.hpp"
 #include "stats/windows.hpp"
@@ -27,21 +27,11 @@ struct CorrEngineConfig {
   Ctype type = Ctype::pearson;
   std::size_t window = 100;  // the paper's M
   MaronnaConfig maronna{};
-  // Repair the assembled matrix to PSD (meaningful for Maronna/Combined;
-  // costs an O(n³) eigendecomposition per step).
-  bool repair_psd = false;
   // Warm-start Maronna from the previous step's converged estimate (see
   // WarmMaronna). Results agree with the batch estimator to within the
-  // convergence tolerance instead of bit-for-bit, so this is opt-in.
+  // convergence tolerance instead of bit-for-bit, so this is opt-in. Each
+  // pair restarts cold every kWarmRestartInterval steps.
   bool warm_start = false;
-  // Cold-restart cadence for the warm-started path.
-  int warm_restart_interval = kWarmRestartInterval;
-  // Pair-iteration tile edge (symbols per block) for the O(n²) pair space:
-  // pairs are walked in tile-major order (see tiled_pairs), so a contiguous
-  // span of work touches at most ~2·tile distinct window rows and a rank's
-  // shard stays cache-resident at thousands of symbols. 0 degrades to the
-  // row-major canonical order.
-  std::size_t pair_tile = 64;
 };
 
 // Single-threaded engine: push one return per symbol per interval, then read
@@ -72,7 +62,10 @@ class CorrelationCalculator {
   // Full matrix at the current step, unit diagonal. matrix_into reuses the
   // caller's storage (resizing only when the symbol count changed), so a
   // steady-state loop is allocation-free; matrix() is the allocating
-  // convenience form.
+  // convenience form. Robust entries are swept tile-major (64-symbol tiles)
+  // so the window rows a tile reads stay cache-resident at thousands of
+  // symbols; every entry equals pair(i, j). The matrix is not PSD-repaired:
+  // a caller that needs that calls nearest_psd_correlation.
   void matrix_into(SymMatrix& out) const;
   SymMatrix matrix() const;
 
@@ -95,68 +88,6 @@ class CorrelationCalculator {
   mutable std::vector<RobustScale> scale_;  // per-symbol, cold robust path only
   mutable WarmMaronna warm_;
   mutable MaronnaScratch maronna_scratch_;  // robust_scale's selection buffers
-};
-
-// Pair-sharded parallel engine. All ranks of `comm` construct it with the
-// same arguments, then call step() collectively once per interval; rank 0
-// passes the market-wide return vector (other ranks' argument is ignored)
-// and every rank receives the assembled matrix (empty until windows fill).
-//
-// Shards are static, contiguous blocks of the tile-major pair order (see
-// tiled_pairs / CorrEngineConfig::pair_tile), balanced to within one pair:
-// rank r owns pairs [offsets[r], offsets[r+1]). Block sharding over the
-// tiled order keeps each rank's warm-start state and window rows
-// cache-resident at thousands of symbols and makes shard assembly a linear
-// copy instead of a round-robin scatter.
-//
-// The step is built around persistent buffers: the assembled matrix, the
-// mirrored return vector and every transport staging buffer are members
-// reused across steps, and step() returns a reference to the member matrix.
-// A single-rank engine touches no transport at all and is allocation-free in
-// steady state (asserted by tests/test_corr_alloc.cpp); multi-rank steps
-// allocate only the transport's bounded per-message envelopes. Exchange runs
-// over a private duplicate of `comm`: non-roots send their shard to rank 0,
-// which assembles (and PSD-repairs, if configured) once and broadcasts the
-// packed triangle.
-//
-// Per-step kernel timings land in mm::obs nanosecond histograms on the given
-// registry (corr.step.broadcast_ns / compute_ns / exchange_ns / assemble_ns),
-// one sample per rank per step — read them with Registry::snapshot(). With a
-// null registry the process-wide obs::Registry::global() is used. The serial
-// fast path records compute_ns only.
-class ParallelCorrelationEngine {
- public:
-  ParallelCorrelationEngine(mpi::Comm& comm, const CorrEngineConfig& config,
-                            std::size_t symbols, obs::Registry* registry = nullptr);
-
-  // Collective. Returns the matrix once windows are full, else an empty one.
-  // The reference stays valid until the next step() on this engine.
-  const SymMatrix& step(const std::vector<double>& returns);
-
-  bool ready() const { return calc_.ready(); }
-  std::size_t local_pair_count() const {
-    const auto r = static_cast<std::size_t>(comm_.rank());
-    return offsets_[r + 1] - offsets_[r];
-  }
-
- private:
-  mpi::Comm& comm_;
-  mpi::Comm dup_;  // private channel namespace for the shard exchange
-  CorrelationCalculator calc_;
-  std::vector<PairIndex> pairs_;      // tile-major order, built once
-  std::vector<std::size_t> offsets_;  // size() + 1 block boundaries
-  std::vector<double> mine_;          // this rank's shard values, reused
-  SymMatrix matrix_;                  // assembled result, reused across steps
-  std::vector<double> returns_;              // mirrored market returns
-  std::vector<std::uint8_t> bcast_buf_;      // return-vector broadcast staging
-  std::vector<std::uint8_t> shard_buf_;      // my shard, packed for the root
-  std::vector<std::uint8_t> mat_buf_;        // packed-matrix broadcast staging
-  std::vector<double> shard_vals_;           // root-side shard decode scratch
-  // Step-phase histograms (see class comment); handles resolved once.
-  obs::Histogram* h_broadcast_;
-  obs::Histogram* h_compute_;
-  obs::Histogram* h_exchange_;
-  obs::Histogram* h_assemble_;
 };
 
 }  // namespace mm::stats

@@ -71,7 +71,7 @@ class SymMatrix {
 };
 
 // Flat list of the n(n-1)/2 unordered pairs (i < j), in the canonical order
-// used to shard work across the parallel correlation workers.
+// that the correlation group node splits into blocks (block_begin).
 struct PairIndex {
   std::uint32_t i;
   std::uint32_t j;
@@ -91,32 +91,6 @@ inline std::vector<PairIndex> all_pairs(std::size_t n) {
 inline std::size_t pair_slot(std::size_t n, std::size_t i, std::size_t j) {
   MM_ASSERT(i < j && j < n);
   return i * (2 * n - i - 1) / 2 + (j - i - 1);
-}
-
-// The same n(n-1)/2 pairs in tile-major order: the symbol range is cut into
-// `tile`-wide blocks and the pairs of each (block_i, block_j) tile are
-// emitted together. A contiguous span of this order touches at most ~2·tile
-// distinct window rows, so at thousands of symbols a rank's shard stays
-// cache-resident instead of streaming the whole window store per row — the
-// row-major order's last rows pair symbol i with every j > i. tile == 0 (or
-// >= n) degrades to all_pairs. Every pair appears exactly once; pair_slot
-// stays the canonical per-pair state index regardless of iteration order.
-inline std::vector<PairIndex> tiled_pairs(std::size_t n, std::size_t tile) {
-  if (tile == 0 || tile >= n) return all_pairs(n);
-  std::vector<PairIndex> out;
-  out.reserve(n * (n - 1) / 2);
-  for (std::size_t bi = 0; bi < n; bi += tile) {
-    const std::size_t iend = std::min(bi + tile, n);
-    for (std::size_t bj = bi; bj < n; bj += tile) {
-      const std::size_t jend = std::min(bj + tile, n);
-      for (std::size_t i = bi; i < iend; ++i) {
-        for (std::size_t j = std::max(i + 1, bj); j < jend; ++j)
-          out.push_back({static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(j)});
-      }
-    }
-  }
-  return out;
 }
 
 // Pair sharding: `count` pairs cut into `members` contiguous blocks balanced

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "engine/pipeline.hpp"
+#include "marketdata/calendar.hpp"
 #include "marketdata/generator.hpp"
 #include "obs/prometheus.hpp"
 #include "wire/quote_source.hpp"
@@ -52,8 +54,20 @@ Status validate_spec(const JobSpec& spec) {
     return Error(Errc::invalid_argument, "symbols must be in [2, 4096]");
   if (spec.paramsets.empty() || spec.paramsets.size() > 256)
     return Error(Errc::invalid_argument, "paramsets must have 1..256 entries");
-  for (const auto& p : spec.paramsets)
+  const md::Session session;
+  for (const auto& p : spec.paramsets) {
     if (auto valid = p.validate(); !valid.has_value()) return valid.error();
+    // The M-return window fills at interval M, so the day needs M + 1
+    // intervals of ∆s; with fewer no frame is ever valid (and with none the
+    // strategies cannot even be built).
+    const std::int64_t intervals = session.interval_count(p.delta_s);
+    if (intervals < p.corr_window + 1)
+      return Error(Errc::invalid_argument,
+                   "corr_window " + std::to_string(p.corr_window) +
+                       " needs corr_window + 1 intervals, but delta_s " +
+                       std::to_string(p.delta_s) + " leaves " +
+                       std::to_string(intervals) + " in the session");
+  }
   return {};
 }
 
@@ -396,10 +410,13 @@ void BacktestService::wire_routes() {
           if (!spec.has_value()) return error_response(400, spec.error().message);
           auto id = submit(std::move(spec.value()));
           if (!id.has_value()) {
-            // Admission pushback is the tenant's to handle (back off and
-            // retry); everything else is the service going away.
-            const int status =
-                id.error().code == Errc::capacity ? 429 : 503;
+            // A rejected spec is the client's to fix; admission pushback
+            // the tenant's to handle (back off and retry); everything else
+            // is the service going away.
+            const Errc code = id.error().code;
+            const int status = code == Errc::invalid_argument ? 400
+                               : code == Errc::capacity       ? 429
+                                                              : 503;
             return error_response(status, id.error().message);
           }
           json::Value body = json::Value::object();

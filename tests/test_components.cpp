@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 
+#include "common/rng.hpp"
 #include "dagflow/context.hpp"
 #include "engine/components.hpp"
 #include "engine/messages.hpp"
 #include "marketdata/generator.hpp"
+#include "stats/corr_engine.hpp"
 
 namespace mm::engine {
 namespace {
@@ -146,6 +149,72 @@ TEST(CorrelationStage, FramesInvalidUntilWindowFills) {
       ASSERT_EQ(frame.maronna.size(), 1u);
       EXPECT_GE(frame.pearson[0], -1.0);
       EXPECT_LE(frame.pearson[0], 1.0);
+    }
+  }
+}
+
+// The correlation group's frames carry exactly what one cold Combined
+// CorrelationCalculator computes from the same returns, bit for bit, at any
+// group size: each member's Maronna block must land at its block_begin
+// offset of the canonical pair order, and the leader's Pearson must cover
+// every pair.
+class CorrelationStageParity : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(GroupSizes, CorrelationStageParity,
+                         ::testing::Values(1, 2, 3, 5));
+
+TEST_P(CorrelationStageParity, FramesMatchColdCalculatorBitForBit) {
+  constexpr std::size_t symbols = 7;  // 21 pairs: uneven blocks at 2 and 5
+  constexpr std::int64_t window = 12;
+  constexpr std::int64_t steps = 40;
+  mm::Rng rng(29);
+  std::vector<std::vector<double>> returns(steps);
+  std::vector<std::vector<std::uint8_t>> input;
+  for (std::int64_t s = 0; s < steps; ++s) {
+    Snapshot snap;
+    snap.interval = s;
+    snap.prices.assign(symbols, 10.0);
+    if (s > 0) {
+      const double f = rng.normal();
+      for (std::size_t i = 0; i < symbols; ++i)
+        snap.returns.push_back(1e-4 * (0.7 * f + rng.normal()));
+      // Outlier burst: three symbols jump together for four intervals.
+      if (s >= 18 && s < 22)
+        for (std::size_t i = 0; i < 3; ++i) snap.returns[i] += 4e-3;
+    }
+    returns[static_cast<std::size_t>(s)] = snap.returns;
+    input.push_back(snap.pack());
+  }
+
+  const auto captured =
+      drive(make_correlation_stage(symbols, window, /*need_maronna=*/true, {},
+                                   /*fan_out=*/1),
+            input, /*replicas=*/GetParam());
+  ASSERT_EQ(captured.size(), static_cast<std::size_t>(steps));
+
+  stats::CorrEngineConfig cfg;
+  cfg.type = stats::Ctype::combined;
+  cfg.window = static_cast<std::size_t>(window);
+  stats::CorrelationCalculator calc(cfg, symbols);
+  const auto pairs = stats::all_pairs(symbols);
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (std::int64_t s = 0; s < steps; ++s) {
+    const auto& r = returns[static_cast<std::size_t>(s)];
+    if (!r.empty()) calc.push(r);
+    mpi::Unpacker u(captured[static_cast<std::size_t>(s)]);
+    ASSERT_EQ(static_cast<RecordType>(u.get<std::uint8_t>()), RecordType::corr_frame);
+    const auto frame = CorrFrame::unpack(u);
+    EXPECT_EQ(frame.interval, s);
+    ASSERT_EQ(frame.valid, s >= window) << "interval " << s;
+    if (!frame.valid) continue;
+    ASSERT_EQ(frame.pearson.size(), pairs.size());
+    ASSERT_EQ(frame.maronna.size(), pairs.size());
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      EXPECT_TRUE(same_bits(frame.pearson[k], calc.pearson(pairs[k].i, pairs[k].j)))
+          << "pearson pair " << k << " interval " << s;
+      EXPECT_TRUE(same_bits(frame.maronna[k], calc.robust(pairs[k].i, pairs[k].j)))
+          << "maronna pair " << k << " interval " << s;
     }
   }
 }

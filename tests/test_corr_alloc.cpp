@@ -6,14 +6,10 @@
 // operator new calls (binary-wide replacement — which is why they live in
 // their own executable, same pattern as tests/test_transport.cpp) and assert:
 //
-//   * CorrelationCalculator::push + matrix_into is allocation-free in steady
-//     state for Pearson, cold Maronna and cold Combined (per-symbol robust
-//     scales in a persistent buffer) and warm-started Maronna/Combined —
-//     including across a cold restart;
-//   * a single-rank ParallelCorrelationEngine::step is allocation-free in
-//     steady state (the serial fast path);
-//   * a multi-rank step allocates only the transport's bounded per-message
-//     envelopes — constant per step, independent of how long it runs.
+//   CorrelationCalculator::push + matrix_into is allocation-free in steady
+//   state for Pearson, cold Maronna and cold Combined (per-symbol robust
+//   scales in a persistent buffer) and warm-started Maronna/Combined —
+//   including across a cold restart.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "mpmini/environment.hpp"
 #include "stats/corr_engine.hpp"
 
 namespace {
@@ -123,8 +118,9 @@ TEST(CorrAlloc, WarmMaronnaSteadyStateIsAllocationFreeAcrossColdRestart) {
   cfg.type = Ctype::maronna;
   cfg.window = 24;
   cfg.warm_start = true;
-  cfg.warm_restart_interval = 3;  // force cold restarts inside the window
-  EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 8), 0u);
+  // Run past a whole restart interval so every pair restarts cold at least
+  // once inside the measured steps.
+  EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, kWarmRestartInterval + 8), 0u);
 }
 
 TEST(CorrAlloc, CombinedSteadyStateIsAllocationFree) {
@@ -133,51 +129,6 @@ TEST(CorrAlloc, CombinedSteadyStateIsAllocationFree) {
   cfg.window = 24;
   cfg.warm_start = true;
   EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
-}
-
-TEST(CorrAlloc, SerialEngineStepIsAllocationFree) {
-  CorrEngineConfig cfg;
-  cfg.window = 32;
-  constexpr std::size_t symbols = 24;
-  mpi::Environment::run(1, [&](mpi::Comm& comm) {
-    ParallelCorrelationEngine engine(comm, cfg, symbols);
-    StepSource source(symbols, 7);
-    for (std::size_t t = 0; t < cfg.window + 2; ++t) engine.step(source.next());
-
-    const auto before = allocations();
-    double checksum = 0.0;
-    for (std::size_t t = 0; t < 8; ++t) {
-      const auto& m = engine.step(source.next());
-      checksum += m(0, 1);
-    }
-    EXPECT_EQ(allocations() - before, 0u) << "checksum " << checksum;
-  });
-}
-
-TEST(CorrAlloc, MultiRankStepAllocationsAreBoundedPerStep) {
-  CorrEngineConfig cfg;
-  cfg.window = 16;
-  constexpr std::size_t symbols = 12;
-  mpi::Environment::run(3, [&](mpi::Comm& comm) {
-    ParallelCorrelationEngine engine(comm, cfg, symbols);
-    StepSource source(symbols, 11);  // same stream on every rank; rank 0 wins
-    for (std::size_t t = 0; t < cfg.window + 2; ++t) engine.step(source.next());
-
-    // Steady-state cost of a step is the transport's per-message envelopes
-    // only: a few sends and two broadcasts across three ranks. The bound is
-    // deliberately loose — what matters is that it does not scale with the
-    // step count (no leak) and does not include matrix/buffer churn.
-    constexpr std::uint64_t kMaxAllocsPerStepAllRanks = 200;
-    constexpr std::size_t kSteps = 6;
-    comm.barrier();
-    const auto before = allocations();
-    for (std::size_t t = 0; t < kSteps; ++t) engine.step(source.next());
-    comm.barrier();
-    if (comm.rank() == 0) {
-      const auto per_step = (allocations() - before) / kSteps;
-      EXPECT_LE(per_step, kMaxAllocsPerStepAllRanks);
-    }
-  });
 }
 
 }  // namespace

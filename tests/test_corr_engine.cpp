@@ -1,9 +1,11 @@
-// Tests for the serial and parallel market-wide correlation engines.
+// Tests for the market-wide correlation calculator and the pair blocks the
+// correlation group node splits its work into.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.hpp"
-#include "mpmini/collectives.hpp"
-#include "mpmini/environment.hpp"
 #include "stats/corr_engine.hpp"
 #include "stats/psd.hpp"
 
@@ -89,135 +91,48 @@ TEST(CorrelationCalculator, PsdRepairProducesPsdMaronnaMatrix) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 12;  // short windows + robust pairwise = likely not PSD
-  cfg.repair_psd = true;
   CorrelationCalculator calc(cfg, 8);
   for (const auto& r : make_stream(8, 40, 5)) calc.push(r);
-  EXPECT_TRUE(is_psd(calc.matrix(), 1e-7));
+  EXPECT_TRUE(is_psd(nearest_psd_correlation(calc.matrix()), 1e-7));
 }
 
-class ParallelEngineRanks : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Ranks, ParallelEngineRanks, ::testing::Values(1, 2, 3, 5));
-
-TEST_P(ParallelEngineRanks, MatchesSerialExactly) {
-  const int ranks = GetParam();
-  constexpr std::size_t symbols = 6;
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::pearson;
-  cfg.window = 15;
-  const auto stream = make_stream(symbols, 40, 6);
-
-  // Serial reference.
-  CorrelationCalculator serial(cfg, symbols);
-  SymMatrix expected;
-  for (const auto& r : stream) serial.push(r);
-  expected = serial.matrix();
-
-  // Parallel under various rank counts; every rank's result must match.
-  mpi::Environment::run(ranks, [&](mpi::Comm& comm) {
-    ParallelCorrelationEngine engine(comm, cfg, symbols);
-    SymMatrix last;
-    for (const auto& r : stream) last = engine.step(r);
-    ASSERT_EQ(last.size(), symbols);
-    EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0);
-  });
-}
-
-TEST(ParallelEngine, EmptyMatrixBeforeWarmup) {
-  CorrEngineConfig cfg;
-  cfg.window = 50;
-  mpi::Environment::run(2, [&](mpi::Comm& comm) {
-    ParallelCorrelationEngine engine(comm, cfg, 4);
-    const auto m = engine.step(std::vector<double>(4, 0.01));
-    EXPECT_EQ(m.size(), 0u);
-  });
-}
-
-TEST(TiledPairs, CoversEveryPairExactlyOnce) {
-  for (const std::size_t n : {2u, 5u, 9u, 64u, 130u}) {
-    for (const std::size_t tile : {0u, 1u, 3u, 64u, 200u}) {
-      const auto pairs = tiled_pairs(n, tile);
-      ASSERT_EQ(pairs.size(), n * (n - 1) / 2) << "n=" << n << " tile=" << tile;
-      std::vector<char> seen(pairs.size(), 0);
-      for (const auto& p : pairs) {
-        ASSERT_LT(p.i, p.j);
-        ASSERT_LT(p.j, n);
-        char& slot = seen[pair_slot(n, p.i, p.j)];
-        EXPECT_EQ(slot, 0) << "duplicate (" << p.i << "," << p.j << ")";
-        slot = 1;
-      }
-    }
-  }
-}
-
-TEST(TiledPairs, DegeneratesToRowMajorWhenTileCoversUniverse) {
-  const auto canonical = all_pairs(7);
-  for (const std::size_t tile : {0u, 7u, 100u}) {
-    const auto pairs = tiled_pairs(7, tile);
-    ASSERT_EQ(pairs.size(), canonical.size());
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      EXPECT_EQ(pairs[k].i, canonical[k].i);
-      EXPECT_EQ(pairs[k].j, canonical[k].j);
-    }
-  }
-}
-
-// The tile edge is a performance knob: it reorders the pair sweep but must
-// not change a single matrix entry, serial or parallel.
+// matrix_into sweeps the robust entries tile-major, 64 symbols per tile; at
+// 130 symbols (three tiles a side, the last one partial) every entry must
+// still be the pair's own estimate, and none may be skipped.
 TEST(CorrelationCalculator, MatrixIndependentOfPairTile) {
-  constexpr std::size_t symbols = 10;
-  const auto stream = make_stream(symbols, 60, 17);
-  SymMatrix reference;
-  for (const std::size_t tile : {0u, 1u, 3u, 4u, 64u}) {
-    CorrEngineConfig cfg;
-    cfg.type = Ctype::maronna;  // exercises the tiled sweep in matrix_into
-    cfg.window = 25;
-    cfg.pair_tile = tile;
-    CorrelationCalculator calc(cfg, symbols);
-    for (const auto& r : stream) calc.push(r);
-    const auto m = calc.matrix();
-    if (tile == 0) {
-      reference = m;
-    } else {
-      EXPECT_EQ(SymMatrix::max_abs_diff(m, reference), 0.0) << "tile=" << tile;
+  constexpr std::size_t symbols = 130;
+  CorrEngineConfig cfg;
+  cfg.type = Ctype::maronna;
+  cfg.window = 25;
+  CorrelationCalculator calc(cfg, symbols);
+  for (const auto& r : make_stream(symbols, 40, 17)) calc.push(r);
+  SymMatrix m(symbols, std::numeric_limits<double>::quiet_NaN());
+  calc.matrix_into(m);
+  for (std::size_t i = 0; i < symbols; ++i) {
+    EXPECT_EQ(m(i, i), 1.0);
+    for (std::size_t j = i + 1; j < symbols; ++j)
+      ASSERT_EQ(m(i, j), calc.pair(i, j)) << "(" << i << "," << j << ")";
+  }
+}
+
+// Blocks are contiguous, cover [0, count) exactly and differ in size by at
+// most one, also when there are more members than pairs.
+TEST(BlockBegin, ContiguousBalancedBlocksCoverEveryPair) {
+  for (const std::size_t count : {0u, 1u, 5u, 36u, 1830u}) {
+    for (const std::size_t members : {1u, 2u, 3u, 4u, 7u, 50u}) {
+      ASSERT_EQ(block_begin(count, members, 0), 0u);
+      ASSERT_EQ(block_begin(count, members, members), count);
+      std::size_t smallest = count, largest = 0;
+      for (std::size_t b = 0; b < members; ++b) {
+        const std::size_t begin = block_begin(count, members, b);
+        const std::size_t end = block_begin(count, members, b + 1);
+        ASSERT_LE(begin, end) << "count=" << count << " members=" << members;
+        smallest = std::min(smallest, end - begin);
+        largest = std::max(largest, end - begin);
+      }
+      EXPECT_LE(largest - smallest, 1u) << "count=" << count << " members=" << members;
     }
   }
-}
-
-TEST(ParallelEngine, MatchesSerialAcrossPairTiles) {
-  constexpr std::size_t symbols = 8;
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::pearson;
-  cfg.window = 12;
-  const auto stream = make_stream(symbols, 30, 19);
-  CorrelationCalculator serial(cfg, symbols);
-  for (const auto& r : stream) serial.push(r);
-  const auto expected = serial.matrix();
-
-  for (const std::size_t tile : {1u, 3u, 8u}) {
-    cfg.pair_tile = tile;
-    mpi::Environment::run(3, [&](mpi::Comm& comm) {
-      ParallelCorrelationEngine engine(comm, cfg, symbols);
-      SymMatrix last;
-      for (const auto& r : stream) last = engine.step(r);
-      ASSERT_EQ(last.size(), symbols);
-      EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0) << "tile=" << tile;
-    });
-  }
-}
-
-TEST(ParallelEngine, ShardsCoverAllPairsExactlyOnce) {
-  constexpr std::size_t symbols = 9;  // 36 pairs
-  mpi::Environment::run(4, [&](mpi::Comm& comm) {
-    CorrEngineConfig cfg;
-    cfg.window = 5;
-    ParallelCorrelationEngine engine(comm, cfg, symbols);
-    const auto total = mpi::allreduce_value(
-        comm, static_cast<int>(engine.local_pair_count()), mpi::Sum{});
-    EXPECT_EQ(total, 36);
-    // Balanced within 1.
-    EXPECT_GE(engine.local_pair_count(), 36u / 4);
-    EXPECT_LE(engine.local_pair_count(), 36u / 4 + 1);
-  });
 }
 
 }  // namespace

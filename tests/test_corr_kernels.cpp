@@ -10,9 +10,6 @@
 
 #include "common/rng.hpp"
 #include "core/backtester.hpp"
-#include "mpmini/collectives.hpp"
-#include "mpmini/environment.hpp"
-#include "obs/registry.hpp"
 #include "stats/corr_engine.hpp"
 #include "stats/maronna.hpp"
 #include "stats/windows.hpp"
@@ -299,41 +296,6 @@ TEST(MarketCorrSeries, WarmMatchesColdWithinTolerance) {
           << "pair " << k << " step " << s;
       ASSERT_DOUBLE_EQ(warm.pearson[k][s], cold.pearson[k][s]);
     }
-  }
-}
-
-TEST(ParallelEngine, WarmStartMatchesSerialAcrossRankCounts) {
-  // Warm state is per pair and the shards are deterministic, so the parallel
-  // engine must produce identical matrices under any rank count.
-  constexpr std::size_t symbols = 6;
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::maronna;
-  cfg.window = 15;
-  cfg.warm_start = true;
-  const auto stream = golden_stream(symbols, 60, 23);
-
-  CorrelationCalculator serial(cfg, symbols);
-  SymMatrix expected;
-  for (const auto& r : stream) {
-    serial.push(r);
-    if (serial.ready()) expected = serial.matrix();
-  }
-
-  for (int ranks : {1, 3}) {
-    obs::Registry registry;
-    mpi::Environment::run(ranks, [&](mpi::Comm& comm) {
-      ParallelCorrelationEngine engine(comm, cfg, symbols, &registry);
-      SymMatrix last;
-      for (const auto& r : stream) last = engine.step(r);
-      ASSERT_EQ(last.size(), symbols);
-      EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0);
-    });
-    // Step-phase timings land in the obs histograms: one compute sample per
-    // rank per ready step.
-    const auto snap = registry.snapshot();
-    const auto* compute = snap.find("corr.step.compute_ns");
-    ASSERT_NE(compute, nullptr);
-    EXPECT_GT(compute->count, 0u);
   }
 }
 

@@ -180,20 +180,6 @@ TEST(Split, GroupsByColorOrdersByKey) {
   });
 }
 
-TEST(Duplicate, SeparatesTrafficFromParent) {
-  Environment::run(2, [](Comm& comm) {
-    Comm dup = comm.duplicate();
-    if (comm.rank() == 0) {
-      comm.send_value<int>(1, 1, 10);
-      dup.send_value<int>(1, 1, 20);
-    } else {
-      // Same (source, tag) but different communicators must not cross-match.
-      EXPECT_EQ(dup.recv_value<int>(0, 1), 20);
-      EXPECT_EQ(comm.recv_value<int>(0, 1), 10);
-    }
-  });
-}
-
 TEST(Serde, RoundTripsMixedPayload) {
   Packer packer;
   packer.put<int>(7);

@@ -16,6 +16,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "engine/pipeline.hpp"
 #include "marketdata/generator.hpp"
 #include "marketdata/symbols.hpp"
+#include "marketdata/tickdb.hpp"
 #include "mpmini/environment.hpp"
 #include "mpmini/socket_transport.hpp"
 #include "mpmini/wait.hpp"
@@ -325,6 +328,58 @@ TEST(SocketTransportPipeline, MultiProcessRunIsBitIdenticalToInProcess) {
       &got);
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, expect);
+}
+
+// Multi-process mode reads the tickdb day only in the collector's process:
+// every other child gets a tickdb_root under a regular file, which can be
+// neither opened nor created, and the run must still match the in-process
+// tickdb run bit for bit.
+TEST(SocketTransportPipeline, OnlyTheCollectorProcessReadsTheTickdbDay) {
+  constexpr std::size_t kSymbols = 5;
+  const md::Universe universe = md::make_universe(kSymbols);
+  md::GeneratorConfig generator;
+  generator.quote_rate = 0.15;
+  const md::SyntheticDay day(universe, generator, 0);
+
+  const std::filesystem::path base =
+      std::filesystem::temp_directory_path() /
+      ("mm_socket_tickdb_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(base);
+  const std::string root = (base / "db").string();
+  {
+    auto db = md::TickDb::open(root);
+    ASSERT_TRUE(db.has_value());
+    ASSERT_TRUE(db->put_symbols(universe.table).has_value());
+    ASSERT_TRUE(db->write_day(md::Date{2008, 3, 3}, day.quotes()).has_value());
+  }
+  const std::filesystem::path blocker = base / "regular-file";
+  std::ofstream(blocker) << "not a directory\n";
+  const std::string unopenable = (blocker / "db").string();
+  ASSERT_FALSE(md::TickDb::open(unopenable).has_value());
+
+  PipelineConfig config;
+  config.symbols = kSymbols;
+  config.strategies = {demo_params()};
+  config.tickdb_root = root;
+  config.date = md::Date{2008, 3, 3};
+  constexpr int kRanks = 6;  // collector, cleaner, snapshot, correlation,
+  constexpr int kMasterRank = kRanks - 1;  // strategy-0, master
+  const PipelineResult reference = run_pipeline(config, universe, {});
+  ASSERT_GT(reference.master.orders, 0u);
+
+  std::string got;
+  const bool ok = mpi::fork_ranks(
+      kRanks, kMasterRank,
+      [&](const mpi::Rendezvous& rz) {
+        PipelineConfig local = config;
+        local.rendezvous = &rz;
+        if (rz.rank != 0) local.tickdb_root = unopenable;
+        return summarize(run_pipeline(local, universe, {}));
+      },
+      &got);
+  std::filesystem::remove_all(base);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(got, summarize(reference));
 }
 
 }  // namespace

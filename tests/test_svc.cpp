@@ -270,6 +270,43 @@ TEST(SvcEndToEnd, RestErrorLadder) {
   service.stop();
 }
 
+// A paramset whose M-return window can never fill inside the 23400 s
+// session is the client's error: 400 over REST, invalid_argument from
+// submit, and the service keeps serving.
+TEST(SvcEndToEnd, SpecWhoseWindowCannotFillIsRejected) {
+  BacktestService service(fast_config(1));
+  ASSERT_TRUE(service.start().has_value());
+  const std::uint16_t port = service.port();
+  const auto spec_with = [](const std::string& paramset) {
+    return R"({"tenant":"a","symbols":3,"paramsets":[)" + paramset + "]}";
+  };
+  const auto expect_rejected = [&](const std::string& body) {
+    EXPECT_EQ(status_of(post(port, "/jobs", body)), 400) << body;
+    auto spec = parse_job_spec(body);
+    ASSERT_TRUE(spec.has_value()) << body;
+    const auto id = service.submit(spec.value());
+    ASSERT_FALSE(id.has_value()) << body;
+    EXPECT_EQ(id.error().code, Errc::invalid_argument) << body;
+  };
+  // ∆s longer than the session: no interval at all.
+  expect_rejected(spec_with(R"({"delta_s":30000})"));
+  // ∆s = 2340 s leaves 10 intervals: M = 10 never fills, M = 9 fills at the
+  // last interval and is accepted on both paths.
+  expect_rejected(spec_with(R"({"delta_s":2340,"corr_window":10})"));
+  const std::string boundary = spec_with(R"({"delta_s":2340,"corr_window":9})");
+  const auto posted = post(port, "/jobs", boundary);
+  ASSERT_EQ(status_of(posted), 201);
+  const std::string posted_id = json_body(posted).get_string("id", "");
+  const auto submitted = service.submit(parse_job_spec(boundary).value());
+  ASSERT_TRUE(submitted.has_value());
+  for (const auto& id : {posted_id, submitted.value()}) {
+    ASSERT_TRUE(service.wait(id, 60000)) << id;
+    EXPECT_EQ(status_of(get(port, "/jobs/" + id + "/result")), 200) << id;
+  }
+  EXPECT_EQ(status_of(get(port, "/healthz")), 200);
+  service.stop();
+}
+
 TEST(SvcQueue, FairShareRoundRobinsTenantsAndRemovesQueuedJobs) {
   JobQueue queue;
   const auto make_job = [](const std::string& tenant, const std::string& id) {
