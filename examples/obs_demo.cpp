@@ -8,7 +8,7 @@
 //      rank, one named "thread" row per dagflow node — loadable in
 //      chrome://tracing or https://ui.perfetto.dev.
 //
-//   $ ./obs_demo [--symbols 8] [--workers 2] [--replicas 2] \
+//   $ ./obs_demo [--symbols 8] [--workers 2] [--replicas 2]
 //                [--trace obs_demo.trace.json] [--json]
 #include <cstdio>
 

@@ -124,7 +124,7 @@ RunResult Graph::run(const RunOptions& options) {
     const int node = node_of_rank[static_cast<std::size_t>(comm.rank())];
     const Node& spec = nodes_[static_cast<std::size_t>(node)];
     NodeStatus local;           // this rank's observations only
-    std::optional<Context> ctx; // leaders only; built after the split
+    std::optional<Context> ctx; // leaders only
 
     // Telemetry: this rank's trace ring (pid = rank, tid = node, thread
     // row named after the node) and the node's wall-time histogram.
@@ -146,9 +146,8 @@ RunResult Graph::run(const RunOptions& options) {
     obs::TraceContextScope context_scope(options.trace_context);
 
     try {
-      // Private group communicator per node (collective over the world).
-      mpi::Comm group = comm.split(node, comm.rank());
-      const bool leader = comm.rank() == leader_rank[static_cast<std::size_t>(node)];
+      const int first = leader_rank[static_cast<std::size_t>(node)];
+      const bool leader = comm.rank() == first;
       if (leader)
         ctx.emplace(comm, node, spec.name, edges_, leader_rank,
                     options.pump_timeout, options.metrics, ring);
@@ -157,6 +156,9 @@ RunResult Graph::run(const RunOptions& options) {
         MM_ASSERT(leader);  // single-rank nodes have exactly one member
         spec.fn(*ctx);
       } else {
+        // The node's private communicator over its rank block, built
+        // locally: every member derives the same one with no message.
+        mpi::Comm group = comm.subgroup(node, first, spec.replicas);
         spec.group_fn(leader ? &*ctx : nullptr, group);
       }
     } catch (const std::exception& e) {

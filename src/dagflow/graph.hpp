@@ -48,7 +48,8 @@ using NodeFn = std::function<void(Context&)>;
 // A node backed by a GROUP of ranks (Fig. 1's "Parallel Correlation Engine"
 // is such a box). The group's rank 0 (the leader) owns the node's edges and
 // receives a Context; every member (leader included) receives the group's
-// private communicator for internal collectives. Non-leaders get ctx ==
+// private communicator (Comm::subgroup over the node's rank block, built
+// without a message) for its internal protocol. Non-leaders get ctx ==
 // nullptr.
 using GroupNodeFn = std::function<void(Context* ctx, mpi::Comm& group)>;
 

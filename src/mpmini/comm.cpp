@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <thread>
 
 #include "mpmini/serde.hpp"
@@ -14,6 +13,10 @@ namespace {
 inline void bump(obs::Counter* counter, std::uint64_t n = 1) {
   if (counter != nullptr) counter->add(n);
 }
+
+// Subgroup ids carry the top bit; World::allocate_comm_id counts up from 1
+// and never reaches it.
+constexpr std::uint64_t kSubgroupBit = std::uint64_t{1} << 63;
 
 }  // namespace
 
@@ -166,63 +169,54 @@ Request Comm::isend(int dest, int tag, std::vector<std::uint8_t> payload) {
   return Request::completed();
 }
 
-std::vector<std::uint8_t> Comm::recv(int source, int tag, RecvStatus* status) {
+bool Comm::receive(std::chrono::nanoseconds timeout, int source, int tag,
+                   RecvStatus* status, Message* msg) {
   fault_point();
   Mailbox& box = world_->mailbox(members_[static_cast<std::size_t>(rank_)]);
   obs::ThreadTrace& thread_trace = obs::thread_trace();
   const std::int64_t recv_t0 =
       thread_trace.ring != nullptr ? obs::now_ns() : 0;
-  // Fast path: stack ticket inside the mailbox, zero allocation per receive.
-  Message msg = box.receive(comm_id_, source, tag);
-  bump(world_->metrics().recv_messages);
-  bump(world_->metrics().recv_bytes, msg.payload.size());
-  if (status != nullptr) {
-    status->source = msg.source;
-    status->tag = msg.tag;
-    status->byte_count = msg.payload.size();
-    status->trace_id = msg.trace_id;
-    status->flow = msg.flow;
+  // Stack ticket inside the mailbox, zero allocation per receive. On timeout
+  // the ticket is withdrawn, so a message arriving later stays available
+  // for future receives instead of being swallowed by an abandoned ticket.
+  if (!box.receive_for(comm_id_, source, tag, timeout, msg)) {
+    bump(world_->metrics().timeouts);
+    return false;
   }
-  if (recv_t0 != 0 && msg.trace_id != 0) {
+  bump(world_->metrics().recv_messages);
+  bump(world_->metrics().recv_bytes, msg->payload.size());
+  if (status != nullptr) {
+    status->source = msg->source;
+    status->tag = msg->tag;
+    status->byte_count = msg->payload.size();
+    status->trace_id = msg->trace_id;
+    status->flow = msg->flow;
+  }
+  if (recv_t0 != 0 && msg->trace_id != 0) {
     // The recv span covers the wait; the flow finish lands inside it and
     // closes the arrow the sender started.
     const std::int64_t dur = std::max<std::int64_t>(obs::now_ns() - recv_t0, 1);
     thread_trace.ring->complete("recv", recv_t0, dur);
-    thread_trace.ring->flow_finish("msg", recv_t0, msg.flow);
+    thread_trace.ring->flow_finish("msg", recv_t0, msg->flow);
   }
+  return true;
+}
+
+std::vector<std::uint8_t> Comm::recv(int source, int tag, RecvStatus* status) {
+  Message msg;
+  // A receive without a deadline cannot time out.
+  const bool received =
+      receive(std::chrono::nanoseconds::max(), source, tag, status, &msg);
+  MM_ASSERT(received);
   return std::move(msg.payload);
 }
 
 Expected<std::vector<std::uint8_t>> Comm::recv_for(std::chrono::milliseconds timeout,
                                                    int source, int tag,
                                                    RecvStatus* status) {
-  fault_point();
-  Mailbox& box = world_->mailbox(members_[static_cast<std::size_t>(rank_)]);
-  obs::ThreadTrace& thread_trace = obs::thread_trace();
-  const std::int64_t recv_t0 =
-      thread_trace.ring != nullptr ? obs::now_ns() : 0;
   Message msg;
-  // receive_for withdraws its (stack) ticket on timeout, so a message
-  // arriving later stays available for future receives instead of being
-  // swallowed by an abandoned ticket.
-  if (!box.receive_for(comm_id_, source, tag, timeout, &msg)) {
-    bump(world_->metrics().timeouts);
+  if (!receive(timeout, source, tag, status, &msg))
     return Error(Errc::timeout, "recv_for: no matching message within deadline");
-  }
-  bump(world_->metrics().recv_messages);
-  bump(world_->metrics().recv_bytes, msg.payload.size());
-  if (status != nullptr) {
-    status->source = msg.source;
-    status->tag = msg.tag;
-    status->byte_count = msg.payload.size();
-    status->trace_id = msg.trace_id;
-    status->flow = msg.flow;
-  }
-  if (recv_t0 != 0 && msg.trace_id != 0) {
-    const std::int64_t dur = std::max<std::int64_t>(obs::now_ns() - recv_t0, 1);
-    thread_trace.ring->complete("recv", recv_t0, dur);
-    thread_trace.ring->flow_finish("msg", recv_t0, msg.flow);
-  }
   return std::move(msg.payload);
 }
 
@@ -354,73 +348,18 @@ std::vector<std::uint8_t> Comm::scatter_bytes(
   return recv(root, tag);
 }
 
-Comm Comm::split(int color, int key) {
-  // Share (color, key) with every member.
-  Packer packer;
-  packer.put<int>(color);
-  packer.put<int>(key);
-  auto all = allgather_bytes(packer.take());
-
-  struct Entry {
-    int color;
-    int key;
-    int parent_rank;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(all.size());
-  for (std::size_t r = 0; r < all.size(); ++r) {
-    Unpacker unpacker(all[r]);
-    Entry e;
-    e.color = unpacker.get<int>();
-    e.key = unpacker.get<int>();
-    e.parent_rank = static_cast<int>(r);
-    entries.push_back(e);
-  }
-
-  // Rank 0 allocates one fresh comm id per distinct color (ascending) so all
-  // members agree on ids without racing the world allocator.
-  std::map<int, std::uint64_t> color_ids;
-  Packer id_packer;
-  if (rank_ == 0) {
-    for (const auto& e : entries)
-      if (!color_ids.count(e.color)) color_ids[e.color] = 0;
-    id_packer.put<std::uint64_t>(color_ids.size());
-    for (auto& [c, id] : color_ids) {
-      id = world_->allocate_comm_id();
-      id_packer.put<int>(c);
-      id_packer.put<std::uint64_t>(id);
-    }
-  }
-  std::vector<std::uint8_t> id_buf = id_packer.take();
-  bcast_bytes(id_buf, 0);
-  if (rank_ != 0) {
-    Unpacker unpacker(id_buf);
-    const auto n = unpacker.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const int c = unpacker.get<int>();
-      const auto id = unpacker.get<std::uint64_t>();
-      color_ids[c] = id;
-    }
-  }
-
-  // My group, ordered by (key, parent rank).
-  std::vector<Entry> group;
-  for (const auto& e : entries)
-    if (e.color == entries[static_cast<std::size_t>(rank_)].color) group.push_back(e);
-  std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-    return a.key != b.key ? a.key < b.key : a.parent_rank < b.parent_rank;
-  });
-
-  std::vector<int> members;
-  members.reserve(group.size());
-  int my_new_rank = -1;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    members.push_back(members_[static_cast<std::size_t>(group[i].parent_rank)]);
-    if (group[i].parent_rank == rank_) my_new_rank = static_cast<int>(i);
-  }
-  MM_ASSERT(my_new_rank >= 0);
-  return Comm(world_, color_ids.at(entries[static_cast<std::size_t>(rank_)].color),
-              my_new_rank, std::move(members));
+Comm Comm::subgroup(int index, int first, int count) const {
+  MM_ASSERT_MSG(index >= 0, "subgroup: index must be non-negative");
+  MM_ASSERT_MSG(first >= 0 && count >= 1 && first + count <= size(),
+                "subgroup: rank range outside the communicator");
+  MM_ASSERT_MSG(rank_ >= first && rank_ < first + count,
+                "subgroup: calling rank outside the range");
+  MM_ASSERT_MSG(comm_id_ < (std::uint64_t{1} << 31),
+                "subgroup: parent must be an allocated communicator");
+  const std::uint64_t id = kSubgroupBit | comm_id_ << 32 |
+                           static_cast<std::uint32_t>(index);
+  std::vector<int> members(members_.begin() + first, members_.begin() + first + count);
+  return Comm(world_, id, rank_ - first, std::move(members));
 }
 
 }  // namespace mm::mpi

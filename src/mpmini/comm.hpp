@@ -192,8 +192,14 @@ class Comm {
   std::vector<std::uint8_t> scatter_bytes(
       const std::vector<std::vector<std::uint8_t>>& parts, int root);
 
-  // Partition members by color, order by (key, rank). Collective.
-  Comm split(int color, int key);
+  // Sub-communicator over this comm's ranks [first, first + count), in
+  // order, built locally without a message: every member that passes the
+  // same arguments gets the same communicator, in any thread or process.
+  // Its id is a pure function of (id(), index) with the top bit set, a range
+  // World::allocate_comm_id never reaches, so distinct indices and allocated
+  // communicators never cross-match. The calling rank must lie in the range,
+  // and this comm must not itself be a subgroup.
+  Comm subgroup(int index, int first, int count) const;
 
   World& world() const { return *world_; }
   std::uint64_t id() const { return comm_id_; }
@@ -204,6 +210,12 @@ class Comm {
   int next_collective_tag();
 
   void internal_send(int dest, int tag, std::vector<std::uint8_t> payload);
+
+  // The one receive body behind recv and recv_for: fault point, mailbox
+  // wait (nanoseconds::max() = no deadline), metrics, status and the recv
+  // span closing the sender's flow. False on timeout.
+  bool receive(std::chrono::nanoseconds timeout, int source, int tag,
+               RecvStatus* status, Message* msg);
 
   // Fault-plan hook at the start of every operation (may throw RankKilled).
   void fault_point();

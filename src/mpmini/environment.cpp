@@ -97,10 +97,10 @@ void Environment::run_rendezvous(const Rendezvous& rz, int world_size,
 
   std::vector<int> members(static_cast<std::size_t>(world_size));
   std::iota(members.begin(), members.end(), 0);
-  // Rank 0 of every process allocates the same first id from its own world:
-  // comm-id agreement across processes needs no traffic because collectives
-  // allocate at rank 0 and broadcast (split/duplicate), and the world comm
-  // is id #1 everywhere by construction.
+  // Every process allocates the same first id from its own world, so the
+  // world comm is id #1 everywhere by construction; subgroup ids are pure
+  // functions of it (Comm::subgroup), so comm-id agreement across processes
+  // needs no traffic.
   const std::uint64_t world_comm_id = world.allocate_comm_id();
 
   std::exception_ptr error;

@@ -55,8 +55,8 @@ struct FaultPlan {
 
   // Kill `kill_rank` (world rank, -1 = nobody) when it starts its
   // `kill_at_op`-th mpmini operation (sends and receive initiations both
-  // count, 1-based). Choose a step past communicator setup to model a
-  // mid-day death.
+  // count, 1-based). Any step is meaningful: 1 models a rank that dies
+  // before it sends or receives anything.
   int kill_rank = -1;
   std::uint64_t kill_at_op = 0;
 

@@ -331,24 +331,17 @@ bool Mailbox::test(const std::shared_ptr<RecvTicket>& ticket) {
 // --- fast-path receives -----------------------------------------------------
 
 Message Mailbox::receive(std::uint64_t comm_id, int source, int tag) {
-  RecvTicket t;  // stack ticket: zero allocation on the hot path
-  t.comm_id = comm_id;
-  t.source = source;
-  t.tag = tag;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (drain_locked() && parked_.load(std::memory_order_relaxed) > 0)
-      cv_.notify_all();
-    if (Envelope* e = find_match_locked(t); e != nullptr) return take_locked(e);
-    pending_push_locked(&t);
-  }
-  block_on(t, kNoDeadline);
-  return std::move(t.message);
+  Message msg;
+  // A blocking receive cannot time out.
+  const bool received = receive_for(comm_id, source, tag,
+                                    std::chrono::nanoseconds::max(), &msg);
+  MM_ASSERT(received);
+  return msg;
 }
 
 bool Mailbox::receive_for(std::uint64_t comm_id, int source, int tag,
                           std::chrono::nanoseconds timeout, Message* out) {
-  RecvTicket t;
+  RecvTicket t;  // stack ticket: zero allocation on the hot path
   t.comm_id = comm_id;
   t.source = source;
   t.tag = tag;

@@ -146,12 +146,14 @@ class Mailbox {
   // Non-blocking completion check.
   bool test(const std::shared_ptr<RecvTicket>& ticket);
 
-  // Fast-path blocking receive: stack ticket, spin-then-park wait, zero
-  // allocation. Equivalent to post_recv + wait.
+  // Blocking receive: receive_for without a deadline. Equivalent to
+  // post_recv + wait, without the heap ticket.
   Message receive(std::uint64_t comm_id, int source, int tag);
 
-  // Fast-path deadline receive: true and *out filled on success, false when
-  // the deadline passed with no match (nothing stays posted afterwards).
+  // Fast-path deadline receive: stack ticket, spin-then-park wait, zero
+  // allocation. True and *out filled on success, false when the deadline
+  // passed with no match (nothing stays posted afterwards);
+  // nanoseconds::max() waits forever.
   bool receive_for(std::uint64_t comm_id, int source, int tag,
                    std::chrono::nanoseconds timeout, Message* out);
 

@@ -464,7 +464,7 @@ TEST(Containment, KilledRankDetectedViaPumpDeadline) {
 
   RunOptions options;
   options.fault.kill_rank = 0;
-  options.fault.kill_at_op = 60;  // well past comm setup, well before 500 sends
+  options.fault.kill_at_op = 60;  // mid-stream, well before 500 sends
   options.pump_timeout = std::chrono::milliseconds{1000};
 
   const RunResult result = g.run(options);

@@ -1,11 +1,14 @@
-// Fault-matrix tests for the Fig. 1 pipeline: kill each stage mid-day, drop
-// or delay messages in flight, kill a correlation replica — and in every case
-// run_pipeline() must RETURN (degraded and reporting the fault) rather than
-// hang. Fault injection is deterministic (pure envelope hashes), so degraded
-// runs are reproducible for a given seed.
+// Fault-matrix tests for the Fig. 1 pipeline: kill each stage mid-day or at
+// any of its first operations, drop or delay messages in flight, kill a
+// correlation replica — and in every case run_pipeline() must RETURN
+// (degraded and reporting the fault) rather than hang. Fault injection is
+// deterministic (pure envelope hashes), so degraded runs are reproducible
+// for a given seed.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <string>
 
 #include "engine/pipeline.hpp"
 #include "marketdata/generator.hpp"
@@ -70,7 +73,8 @@ TEST_P(FaultMatrixKill, KilledStageMidDayStillReturnsWithFaultReported) {
   cfg.fault.kill_rank = victim;
   // The master only handles orders and summaries, so its op budget is far
   // smaller than the streaming stages'; scale its kill step to the healthy
-  // run's record count so the kill lands mid-day, past communicator setup.
+  // run's record count so the kill lands mid-day (KillAnywhere covers the
+  // first ops).
   cfg.fault.kill_at_op =
       victim == master_rank
           ? 10 + healthy.stages.back().records_in / 2
@@ -88,6 +92,78 @@ TEST_P(FaultMatrixKill, KilledStageMidDayStillReturnsWithFaultReported) {
     if (fault.failed) victim_reported = true;
   EXPECT_TRUE(victim_reported) << "victim rank " << victim;
   EXPECT_LT(result.wall_seconds, 60.0);
+}
+
+// Kill-anywhere sweep: an 8-symbol day with one Pearson and one Combined
+// strategy, so the correlation node is a two-rank group. Each victim rank is
+// killed at its first three operations and at half and nine tenths of the
+// frames a healthy day moves through its node; no step may leave a peer
+// waiting past its deadline. Rank layout: collector=0, cleaner=1,
+// snapshot=2, correlation leader=3 and replica=4, strategy-0=5,
+// strategy-1=6, master=7.
+PipelineConfig sweep_config() {
+  PipelineConfig cfg = base_config();
+  cfg.symbols = 8;
+  core::StrategyParams combined = pipeline_params(0.001);
+  combined.ctype = stats::Ctype::combined;
+  cfg.strategies = {pipeline_params(), combined};
+  cfg.correlation_replicas = 2;
+  return cfg;
+}
+
+constexpr int sweep_rank_count = 8;
+constexpr int sweep_replica_rank = 4;
+// World rank -> index of its node in PipelineResult::stages.
+constexpr std::array<std::size_t, sweep_rank_count> sweep_stage_of_rank = {
+    0, 1, 2, 3, 3, 4, 5, 6};
+
+class KillAnywhere : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(EveryRank, KillAnywhere,
+                         ::testing::Range(0, sweep_rank_count));
+
+TEST_P(KillAnywhere, EveryKillStepReturnsDegradedNamingTheVictim) {
+  const int victim = GetParam();
+  const auto scenario = make_scenario(8, 5);
+
+  // Deadlines do not change a healthy day's frame counts, so the reference
+  // runs without them (and cannot time out on a slow sanitizer build).
+  const auto healthy = run_pipeline(sweep_config(), scenario.universe, scenario.quotes);
+  ASSERT_FALSE(healthy.degraded);
+  const StageReport& stage =
+      healthy.stages.at(sweep_stage_of_rank[static_cast<std::size_t>(victim)]);
+  // F: frames through the victim's node. A replica serves one round per
+  // frame into its leader. Every rank spends at least one op per frame, so
+  // each step below lands before the rank's day ends.
+  const std::uint64_t frames = victim == sweep_replica_rank
+                                   ? stage.records_in
+                                   : stage.records_in + stage.records_out;
+  ASSERT_GE(frames, 4u) << stage.name;
+  const auto ceil_tenths = [frames](std::uint64_t tenths) {
+    return (frames * tenths + 9) / 10;
+  };
+
+  for (const std::uint64_t op :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, ceil_tenths(5),
+        ceil_tenths(9)}) {
+    SCOPED_TRACE("victim rank " + std::to_string(victim) + " (" + stage.name +
+                 ") killed at op " + std::to_string(op));
+    PipelineConfig cfg = sweep_config();
+    cfg.fault.kill_rank = victim;
+    cfg.fault.kill_at_op = op;
+    cfg.stage_deadline = milliseconds{250};
+    cfg.replica_deadline = milliseconds{250};
+
+    const auto start = std::chrono::steady_clock::now();
+    const auto result = run_pipeline(cfg, scenario.universe, scenario.quotes);
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+
+    EXPECT_LT(took.count(), 10.0);
+    EXPECT_TRUE(result.degraded);
+    bool victim_failed = false;
+    for (const auto& fault : result.faults)
+      if (fault.name == stage.name && fault.failed) victim_failed = true;
+    EXPECT_TRUE(victim_failed);
+  }
 }
 
 TEST(FaultMatrix, DroppedMessagesLeaveDegradedReportNotHang) {

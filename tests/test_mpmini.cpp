@@ -1,5 +1,5 @@
 // Tests for the mpmini message-passing runtime: point-to-point semantics,
-// envelope matching, ordering, probing, requests and communicator split.
+// envelope matching, ordering, probing, requests and subgroup communicators.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -161,23 +161,56 @@ TEST(Probe, IprobeNegativeThenPositive) {
   });
 }
 
-TEST(Split, GroupsByColorOrdersByKey) {
-  Environment::run(4, [](Comm& comm) {
-    // Even ranks -> color 0, odd -> color 1; key reverses order.
-    Comm sub = comm.split(comm.rank() % 2, -comm.rank());
-    EXPECT_EQ(sub.size(), 2);
-    // Higher parent rank got lower key, so it is rank 0 in the subgroup.
-    const int expected_rank = comm.rank() >= 2 ? 0 : 1;
-    EXPECT_EQ(sub.rank(), expected_rank);
+TEST(Subgroup, ContiguousRangesAgreeLocallyAndNeverCrossMatch) {
+  constexpr int kTag = 7;
+  std::vector<std::uint64_t> ids(6);
+  std::uint64_t world_id = 0;
+  std::uint64_t fresh_id = 0;
+  Environment::run(6, [&](Comm& comm) {
+    // World ranks {0, 1, 2} form subgroup 0, {3, 4, 5} subgroup 1.
+    const int first = comm.rank() < 3 ? 0 : 3;
+    Comm sub = comm.subgroup(first / 3, first, 3);
+    EXPECT_EQ(sub.size(), 3);
+    EXPECT_EQ(sub.rank(), comm.rank() - first);  // parent order kept
+    ids[static_cast<std::size_t>(comm.rank())] = sub.id();
+    EXPECT_NE(comm.subgroup(2, first, 3).id(), sub.id());
+    if (comm.rank() == 0) {
+      world_id = comm.id();
+      fresh_id = comm.world().allocate_comm_id();
+    }
 
-    // Traffic stays inside the subgroup.
+    // Each leader first sends a decoy over the WORLD comm, then the real
+    // value over its subgroup, both on the same tag; members receive from
+    // subgroup rank 0, which is also the decoy's world source for group 0.
     if (sub.rank() == 0) {
-      sub.send_value<int>(1, 1, comm.rank());
+      for (int r = 1; r < 3; ++r) {
+        comm.send_value<int>(first + r, kTag, -1);
+        sub.send_value<int>(r, kTag, 100 + comm.rank());
+      }
     } else {
-      const int from = sub.recv_value<int>(0, 1);
-      EXPECT_EQ(from % 2, comm.rank() % 2);
+      EXPECT_EQ(sub.recv_value<int>(0, kTag), 100 + first);
+      EXPECT_EQ(comm.recv_value<int>(first, kTag), -1);
+    }
+
+    // Members answer their leader on the same tag in both groups; a
+    // wildcard receive sees only its own group's members.
+    if (sub.rank() != 0) {
+      sub.send_value<int>(0, kTag, comm.rank());
+    } else {
+      for (int i = 1; i < 3; ++i) {
+        RecvStatus status;
+        const int from = sub.recv_value<int>(any_source, kTag, &status);
+        EXPECT_EQ(from, first + status.source);
+      }
     }
   });
+  for (int r = 0; r < 6; ++r)
+    EXPECT_EQ(ids[static_cast<std::size_t>(r)], ids[r < 3 ? 0u : 3u]) << "rank " << r;
+  EXPECT_NE(ids[0], ids[3]);
+  for (const std::uint64_t id : {ids[0], ids[3]}) {
+    EXPECT_NE(id, world_id);
+    EXPECT_NE(id, fresh_id);
+  }
 }
 
 TEST(Serde, RoundTripsMixedPayload) {

@@ -200,14 +200,14 @@ TEST(SocketTransport, CollectivesAgreeAcrossProcesses) {
     for (int r = 0; r < 3; ++r)
       CHILD_CHECK(all[static_cast<std::size_t>(r)][0] == 10 + r);
 
-    // split: {0,2} vs {1}; comm ids agree across processes because
-    // collectives allocate at rank 0 and broadcast.
-    Comm half = comm.split(comm.rank() % 2, comm.rank());
-    CHILD_CHECK(half.size() == (comm.rank() % 2 == 0 ? 2 : 1));
-    if (comm.rank() % 2 == 0) {
+    // subgroup: {0,1} vs {2}; every process derives the same comm ids
+    // locally, with no traffic.
+    Comm half = comm.rank() < 2 ? comm.subgroup(0, 0, 2) : comm.subgroup(1, 2, 1);
+    CHILD_CHECK(half.size() == (comm.rank() < 2 ? 2 : 1));
+    if (comm.rank() < 2) {
       std::vector<std::uint8_t> probe{static_cast<std::uint8_t>(comm.rank())};
       half.bcast_bytes(probe, 0);
-      CHILD_CHECK(probe[0] == 0);  // world rank 0 is color-0's root
+      CHILD_CHECK(probe[0] == 0);  // world rank 0 is group 0's root
     }
     comm.barrier();
   });
@@ -299,9 +299,15 @@ TEST(SocketTransportPipeline, MultiProcessRunIsBitIdenticalToInProcess) {
 
   PipelineConfig config;
   config.symbols = kSymbols;
-  config.strategies = {demo_params()};
-  // collector, cleaner, snapshot, correlation, strategy-0, master
-  constexpr int kRanks = 6;
+  // The Combined strategy makes the correlation node a two-rank group, so
+  // its processes must derive the same group communicator without traffic.
+  core::StrategyParams combined = demo_params();
+  combined.ctype = stats::Ctype::combined;
+  config.strategies = {demo_params(), combined};
+  config.correlation_replicas = 2;
+  // collector, cleaner, snapshot, correlation x2, strategy-0, strategy-1,
+  // master
+  constexpr int kRanks = 8;
   constexpr int kMasterRank = kRanks - 1;
 
   // Reference: the classic thread-per-rank run.
