@@ -10,9 +10,9 @@
 //                       heap-and-lock mailbox (the "before" side of the
 //                       before/after comparison). `bench_json` emits exactly
 //                       this family into BENCH_mpmini.json.
-//   everything else   — macro benchmarks over Environment::run (world spawn,
-//                       collectives), which measure coordination rather than
-//                       transport cost.
+//   everything else   — macro benchmarks over Environment::run (pingpong,
+//                       streaming, world spawn), which time thread spawn and
+//                       join along with the traffic.
 //
 // Interpreting the numbers on a single-core host (the CI container): blocking
 // round trips are floored by two scheduler handoffs (see
@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "mpmini/collectives.hpp"
 #include "mpmini/environment.hpp"
 
 // Process-wide allocation counter: the transport benchmarks report
@@ -442,49 +441,6 @@ void BM_SendThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_SendThroughput);
-
-void BM_Barrier(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  constexpr int rounds = 128;
-  for (auto _ : state) {
-    Environment::run(ranks, [&](Comm& comm) {
-      for (int i = 0; i < rounds; ++i) comm.barrier();
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_BcastVector(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  const auto doubles = static_cast<std::size_t>(state.range(1));
-  constexpr int rounds = 32;
-  for (auto _ : state) {
-    Environment::run(ranks, [&](Comm& comm) {
-      std::vector<double> data(doubles, 1.0);
-      for (int i = 0; i < rounds; ++i)
-        benchmark::DoNotOptimize(bcast_vector(comm, data, 0));
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-  state.SetBytesProcessed(state.iterations() * rounds *
-                          static_cast<std::int64_t>(doubles * sizeof(double)));
-}
-BENCHMARK(BM_BcastVector)->Args({4, 64})->Args({4, 4096})->Args({8, 4096});
-
-void BM_AllreduceSum(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  constexpr int rounds = 64;
-  for (auto _ : state) {
-    Environment::run(ranks, [&](Comm& comm) {
-      for (int i = 0; i < rounds; ++i)
-        benchmark::DoNotOptimize(
-            allreduce_value(comm, static_cast<double>(comm.rank()), Sum{}));
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-BENCHMARK(BM_AllreduceSum)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_EnvironmentSpawn(benchmark::State& state) {
   // Cost of standing up and tearing down a world (thread spawn + join).

@@ -15,7 +15,7 @@ inline core::ExperimentConfig build_config(Cli& cli, int argc, char** argv) {
   auto& symbols = cli.add_int("symbols", 20, "universe size (2..61)");
   auto& days = cli.add_int("days", 5, "trading days starting 2008-03-03");
   auto& seed = cli.add_int("seed", 20080303, "generator seed");
-  auto& ranks = cli.add_int("ranks", 4, "mpmini ranks for the pair fan-out");
+  auto& ranks = cli.add_int("ranks", 4, "threads for the pair fan-out");
   auto& full = cli.add_flag("full", "paper scale: 61 symbols, 20 days");
   cli.parse(argc, argv);
 

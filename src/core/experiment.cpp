@@ -1,14 +1,13 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <map>
+#include <thread>
 
 #include "common/timer.hpp"
 #include "core/metrics.hpp"
 #include "marketdata/bars.hpp"
-#include "mpmini/collectives.hpp"
-#include "mpmini/environment.hpp"
-#include "mpmini/serde.hpp"
 
 namespace mm::core {
 namespace {
@@ -198,66 +197,6 @@ ExperimentResult assemble(const ExperimentConfig& config,
   return result;
 }
 
-void pack_measures(mpi::Packer& packer, const std::vector<PairMeasures>& ms) {
-  for (const auto& m : ms) {
-    packer.put<double>(m.monthly_return_plus1);
-    packer.put<double>(m.max_daily_drawdown);
-    packer.put<double>(m.win_loss);
-  }
-}
-
-void unpack_measures(mpi::Unpacker& unpacker, std::vector<PairMeasures>& ms) {
-  for (auto& m : ms) {
-    m.monthly_return_plus1 = unpacker.get<double>();
-    m.max_daily_drawdown = unpacker.get<double>();
-    m.win_loss = unpacker.get<double>();
-  }
-}
-
-std::vector<std::uint8_t> pack_shard(const ShardOutput& shard) {
-  mpi::Packer packer;
-  packer.put<std::uint64_t>(shard.pairs.size());
-  for (const auto& p : shard.pairs) {
-    packer.put<std::uint32_t>(p.i);
-    packer.put<std::uint32_t>(p.j);
-  }
-  for (std::size_t c = 0; c < n_ctypes; ++c) pack_measures(packer, shard.measures[c]);
-  packer.put<std::uint64_t>(shard.n_levels);
-  packer.put<std::uint64_t>(shard.by_level.size());
-  for (const auto& level : shard.by_level) pack_measures(packer, level);
-  packer.put<std::uint64_t>(shard.total_trades);
-  packer.put<std::uint64_t>(shard.quotes_processed);
-  packer.put<std::uint64_t>(shard.quotes_dropped);
-  return packer.take();
-}
-
-ShardOutput unpack_shard(const std::vector<std::uint8_t>& bytes) {
-  mpi::Unpacker unpacker(bytes);
-  ShardOutput shard;
-  const auto count = unpacker.get<std::uint64_t>();
-  shard.pairs.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    stats::PairIndex p{};
-    p.i = unpacker.get<std::uint32_t>();
-    p.j = unpacker.get<std::uint32_t>();
-    shard.pairs.push_back(p);
-  }
-  for (std::size_t c = 0; c < n_ctypes; ++c) {
-    shard.measures[c].resize(count);
-    unpack_measures(unpacker, shard.measures[c]);
-  }
-  shard.n_levels = static_cast<std::size_t>(unpacker.get<std::uint64_t>());
-  shard.by_level.resize(static_cast<std::size_t>(unpacker.get<std::uint64_t>()));
-  for (auto& level : shard.by_level) {
-    level.resize(count);
-    unpack_measures(unpacker, level);
-  }
-  shard.total_trades = unpacker.get<std::uint64_t>();
-  shard.quotes_processed = static_cast<std::size_t>(unpacker.get<std::uint64_t>());
-  shard.quotes_dropped = static_cast<std::size_t>(unpacker.get<std::uint64_t>());
-  return shard;
-}
-
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
@@ -272,24 +211,31 @@ ExperimentResult run_experiment_parallel(const ExperimentConfig& config) {
   MM_ASSERT_MSG(config.ranks >= 1, "need at least one rank");
   Stopwatch watch;
 
-  ExperimentResult result;
-  mpi::Environment::run(config.ranks, [&](mpi::Comm& comm) {
-    // Static shard: pair k -> rank k % size.
-    const auto pairs = stats::all_pairs(config.symbols);
-    std::vector<stats::PairIndex> mine;
-    for (std::size_t k = 0; k < pairs.size(); ++k)
-      if (static_cast<int>(k % static_cast<std::size_t>(comm.size())) == comm.rank())
-        mine.push_back(pairs[k]);
-
-    const auto shard = run_shard(config, mine);
-    auto gathered = comm.gather_bytes(pack_shard(shard), 0);
-    if (comm.rank() == 0) {
-      std::vector<ShardOutput> shards;
-      shards.reserve(gathered.size());
-      for (const auto& bytes : gathered) shards.push_back(unpack_shard(bytes));
-      result = assemble(config, shards);
+  // Static shard: pair k -> rank k % ranks. Each rank writes only its own
+  // slot, and assemble places every pair by its canonical index, so the
+  // result does not depend on which rank finishes first.
+  const auto ranks = static_cast<std::size_t>(config.ranks);
+  const auto pairs = stats::all_pairs(config.symbols);
+  std::vector<ShardOutput> shards(ranks);
+  std::vector<std::exception_ptr> errors(ranks);
+  {
+    std::vector<std::jthread> threads;  // joined when the scope ends, on any path
+    threads.reserve(ranks);
+    for (std::size_t r = 0; r < ranks; ++r) {
+      threads.emplace_back([&, r] {
+        try {
+          std::vector<stats::PairIndex> mine;
+          for (std::size_t k = r; k < pairs.size(); k += ranks) mine.push_back(pairs[k]);
+          shards[r] = run_shard(config, mine);
+        } catch (...) {
+          errors[r] = std::current_exception();
+        }
+      });
     }
-  });
+  }
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
+  auto result = assemble(config, shards);
   result.wall_seconds = watch.elapsed_seconds();
   return result;
 }

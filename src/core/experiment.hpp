@@ -47,7 +47,7 @@ struct ExperimentConfig {
   bool warm_maronna = true;
   ParamGrid grid{};
 
-  // Ranks for the mpmini fan-out in run_experiment_parallel.
+  // Threads for the pair-sharded fan-out in run_experiment_parallel.
   int ranks = 4;
 
   // Retain the per-(Ctype, level, pair) measures in the result (used by the
@@ -85,10 +85,10 @@ struct ExperimentResult {
 // Serial runner (single rank).
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-// Pair-sharded parallel runner over `config.ranks` mpmini ranks: each rank
+// Pair-sharded parallel runner over `config.ranks` threads: each one
 // generates the (identical, deterministic) day, computes correlation series
-// only for its pair shard, runs the strategies and the results are gathered
-// at rank 0. Output is identical to run_experiment.
+// only for its pair shard and runs the strategies; the shards are then
+// assembled in canonical pair order. Output is identical to run_experiment.
 ExperimentResult run_experiment_parallel(const ExperimentConfig& config);
 
 }  // namespace mm::core

@@ -477,8 +477,6 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
     };
 
     std::vector<std::size_t> frame_index;  // built on the first frame
-    std::vector<double> held_i(pairs.size(), 0.0), held_j(pairs.size(), 0.0);
-    std::vector<double> last_pi(pairs.size(), 0.0), last_pj(pairs.size(), 0.0);
     std::int64_t last_interval = -1;
 
     while (auto msg = ctx.recv()) {
@@ -504,8 +502,6 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
         auto& machine = machines[k];
         const double pi = frame.prices[pairs[k].i];
         const double pj = frame.prices[pairs[k].j];
-        last_pi[k] = pi;
-        last_pj[k] = pj;
 
         double corr = 0.0;
         if (frame.valid) {
@@ -528,17 +524,14 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
         machine.step(frame.interval, pi, pj, corr, frame.valid);
 
         if (!was_open && machine.in_position()) {
-          held_i[k] = machine.position_shares_i();
-          held_j[k] = machine.position_shares_j();
-          emit_order(frame.interval, pairs[k], held_i[k], held_j[k],
-                     machine.position_entry_price_i(),
+          emit_order(frame.interval, pairs[k], machine.position_shares_i(),
+                     machine.position_shares_j(), machine.position_entry_price_i(),
                      machine.position_entry_price_j(), true);
         }
         if (machine.trades().size() > trades_before) {
           const auto& t = machine.trades().back();
           emit_order(frame.interval, pairs[k], -t.shares_i, -t.shares_j,
                      t.exit_price_i, t.exit_price_j, false);
-          held_i[k] = held_j[k] = 0.0;
         }
       }
     }
@@ -568,8 +561,8 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
 dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
   MM_ASSERT(report != nullptr);
   return [report, risk](dag::Context& ctx) {
-    std::map<std::int64_t, std::uint64_t> baskets;  // interval -> orders netted
-    // Per-(interval, symbol) signed share flow for netting accounting.
+    // Per-(interval, symbol) signed share flow for netting accounting; every
+    // order adds its interval, so the map's size is the basket count.
     std::map<std::int64_t, std::map<std::uint32_t, double>> basket_flow;
     std::map<std::uint32_t, double> last_price;
 
@@ -595,7 +588,6 @@ dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
         else ++report->exits;
         apply_leg(order, order.symbol_i, order.shares_i, order.price_i);
         apply_leg(order, order.symbol_j, order.shares_j, order.price_j);
-        ++baskets[order.interval];
 
         double gross = 0.0;
         for (const auto& [symbol, net] : report->net_shares)
@@ -615,7 +607,7 @@ dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
         MM_ASSERT_MSG(false, "master: unexpected record type");
       }
     }
-    report->basket_count = baskets.size();
+    report->basket_count = basket_flow.size();
     // Arrival order across workers is a race; sort for deterministic reports.
     std::sort(report->strategy_summaries.begin(), report->strategy_summaries.end(),
               [](const StrategySummary& a, const StrategySummary& b) {

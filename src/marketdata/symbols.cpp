@@ -97,7 +97,7 @@ Universe make_universe(std::size_t n) {
   constexpr std::size_t kSyntheticSectorSize = 25;  // names per synthetic sector
   const auto base_sectors = u.sector_names.size();
   for (std::size_t i = builtin; i < n; ++i) {
-    char ticker[16];
+    char ticker[24];  // "SYN" + up to 20 digits of a size_t + NUL
     std::snprintf(ticker, sizeof(ticker), "SYN%05zu", i);
     const SymbolId id = u.table.intern(ticker);
     MM_ASSERT(id == i);

@@ -1,10 +1,8 @@
 #include "mpmini/comm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
-#include "mpmini/serde.hpp"
 #include "obs/heartbeat.hpp"
 
 namespace mm::mpi {
@@ -78,15 +76,10 @@ Comm::Comm(World* world, std::uint64_t comm_id, int rank, std::vector<int> membe
   MM_ASSERT(rank_ >= 0 && rank_ < static_cast<int>(members_.size()));
 }
 
-int Comm::next_collective_tag() {
-  // 2^22 in-flight collective generations per communicator before wraparound;
-  // messages from generation g can never coexist with generation g + 2^22.
-  return reserved_tag_base + static_cast<int>(collective_seq_++ % (1u << 22));
-}
-
 void Comm::fault_point() { world_->check_op(members_[static_cast<std::size_t>(rank_)]); }
 
-void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
+void Comm::send(int dest, int tag, std::vector<std::uint8_t> payload) {
+  MM_ASSERT_MSG(tag >= 0, "send: tags must be non-negative");
   MM_ASSERT_MSG(dest >= 0 && dest < size(), "send: destination rank out of range");
   fault_point();
   Message msg;
@@ -158,17 +151,6 @@ void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
   }
 }
 
-void Comm::send(int dest, int tag, std::vector<std::uint8_t> payload) {
-  MM_ASSERT_MSG(tag >= 0 && tag < reserved_tag_base,
-                "user tags must be in [0, reserved_tag_base)");
-  internal_send(dest, tag, std::move(payload));
-}
-
-Request Comm::isend(int dest, int tag, std::vector<std::uint8_t> payload) {
-  send(dest, tag, std::move(payload));
-  return Request::completed();
-}
-
 bool Comm::receive(std::chrono::nanoseconds timeout, int source, int tag,
                    RecvStatus* status, Message* msg) {
   fault_point();
@@ -218,134 +200,6 @@ Expected<std::vector<std::uint8_t>> Comm::recv_for(std::chrono::milliseconds tim
   if (!receive(timeout, source, tag, status, &msg))
     return Error(Errc::timeout, "recv_for: no matching message within deadline");
   return std::move(msg.payload);
-}
-
-Request Comm::irecv(int source, int tag) {
-  fault_point();
-  Mailbox& box = world_->mailbox(members_[static_cast<std::size_t>(rank_)]);
-  return Request::receiving(&box, box.post_recv(comm_id_, source, tag));
-}
-
-RecvStatus Comm::probe(int source, int tag) {
-  fault_point();
-  return world_->mailbox(members_[static_cast<std::size_t>(rank_)])
-      .probe(comm_id_, source, tag);
-}
-
-Expected<RecvStatus> Comm::probe_for(std::chrono::milliseconds timeout, int source,
-                                     int tag) {
-  fault_point();
-  RecvStatus status;
-  if (!world_->mailbox(members_[static_cast<std::size_t>(rank_)])
-           .probe_for(comm_id_, source, tag, timeout, &status)) {
-    bump(world_->metrics().timeouts);
-    return Error(Errc::timeout, "probe_for: no matching message within deadline");
-  }
-  return status;
-}
-
-bool Comm::iprobe(int source, int tag, RecvStatus* status) {
-  fault_point();
-  return world_->mailbox(members_[static_cast<std::size_t>(rank_)])
-      .iprobe(comm_id_, source, tag, status);
-}
-
-std::vector<std::uint8_t> Comm::sendrecv(int dest, int send_tag,
-                                         std::vector<std::uint8_t> payload, int source,
-                                         int recv_tag, RecvStatus* status) {
-  send(dest, send_tag, std::move(payload));
-  return recv(source, recv_tag, status);
-}
-
-void Comm::barrier() {
-  const int tag = next_collective_tag();
-  if (rank_ == 0) {
-    for (int r = 1; r < size(); ++r) (void)recv(any_source, tag);
-    for (int r = 1; r < size(); ++r) internal_send(r, tag, {});
-  } else {
-    internal_send(0, tag, {});
-    (void)recv(0, tag);
-  }
-}
-
-void Comm::bcast_bytes(std::vector<std::uint8_t>& buf, int root) {
-  MM_ASSERT(root >= 0 && root < size());
-  const int tag = next_collective_tag();
-  const int n = size();
-  if (n == 1) return;
-
-  // Binomial tree rooted at `root`: virtual rank v = (rank - root) mod n.
-  // Node v's parent clears v's lowest set bit; its children are v + bit for
-  // every bit strictly below that lowest set bit (all bits for the root).
-  const int v = (rank_ - root + n) % n;
-  if (v != 0) {
-    const int parent_v = v & (v - 1);
-    buf = recv((parent_v + root) % n, tag);
-  }
-  const int lsb = (v == 0) ? (1 << 30) : (v & -v);
-  int top = 1;
-  while ((top << 1) < n) top <<= 1;
-  for (int bit = top; bit >= 1; bit >>= 1) {
-    if (bit >= lsb) continue;
-    const int child_v = v | bit;
-    if (child_v >= n) continue;
-    internal_send((child_v + root) % n, tag, buf);
-  }
-}
-
-std::vector<std::vector<std::uint8_t>> Comm::gather_bytes(std::vector<std::uint8_t> mine,
-                                                          int root) {
-  MM_ASSERT(root >= 0 && root < size());
-  const int tag = next_collective_tag();
-  std::vector<std::vector<std::uint8_t>> out;
-  if (rank_ == root) {
-    out.resize(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(rank_)] = std::move(mine);
-    for (int i = 0; i < size() - 1; ++i) {
-      RecvStatus status;
-      auto payload = recv(any_source, tag, &status);
-      out[static_cast<std::size_t>(status.source)] = std::move(payload);
-    }
-  } else {
-    internal_send(root, tag, std::move(mine));
-  }
-  return out;
-}
-
-std::vector<std::vector<std::uint8_t>> Comm::allgather_bytes(
-    std::vector<std::uint8_t> mine) {
-  auto gathered = gather_bytes(std::move(mine), 0);
-  // Frame the gathered buffers into one bcast payload.
-  Packer packer;
-  if (rank_ == 0) {
-    packer.put<std::uint64_t>(gathered.size());
-    for (const auto& part : gathered) packer.put_vector(part);
-  }
-  std::vector<std::uint8_t> framed = packer.take();
-  bcast_bytes(framed, 0);
-  if (rank_ == 0) return gathered;
-
-  Unpacker unpacker(framed);
-  const auto count = unpacker.get<std::uint64_t>();
-  std::vector<std::vector<std::uint8_t>> out(count);
-  for (auto& part : out) part = unpacker.get_vector<std::uint8_t>();
-  return out;
-}
-
-std::vector<std::uint8_t> Comm::scatter_bytes(
-    const std::vector<std::vector<std::uint8_t>>& parts, int root) {
-  MM_ASSERT(root >= 0 && root < size());
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    MM_ASSERT_MSG(static_cast<int>(parts.size()) == size(),
-                  "scatter: need one part per member");
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      internal_send(r, tag, parts[static_cast<std::size_t>(r)]);
-    }
-    return parts[static_cast<std::size_t>(rank_)];
-  }
-  return recv(root, tag);
 }
 
 Comm Comm::subgroup(int index, int first, int count) const {

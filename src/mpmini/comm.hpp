@@ -3,8 +3,9 @@
 // A World owns one mailbox per rank. A Comm is a view over a subset of world
 // ranks (the world communicator covers all of them) with its own id, so that
 // traffic in different communicators never cross-matches — the property the
-// DAG scheduler uses to give every edge and every collective group a private
-// channel namespace.
+// DAG scheduler uses to give every edge and every group node a private
+// channel namespace. Communication is point to point only: buffered sends and
+// blocking or deadline receives.
 #pragma once
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include "mpmini/fault.hpp"
 #include "mpmini/mailbox.hpp"
 #include "mpmini/message.hpp"
-#include "mpmini/request.hpp"
 #include "mpmini/transport.hpp"
 #include "mpmini/wait.hpp"
 #include "obs/registry.hpp"
@@ -93,8 +93,8 @@ class World {
 // Threading contract (ring transport, the default): all sends attributed to
 // one world rank — across every Comm built for that rank — must originate
 // from a single thread, because the rank's outbound lanes are
-// single-producer rings. Receives and probes on one rank may run from
-// multiple threads (the mailbox serializes them). Debug builds assert the
+// single-producer rings. Receives on one rank may run from multiple threads
+// (the mailbox serializes them). Debug builds assert the
 // send-side rule; use TransportMode::locked (or MM_MPMINI_TRANSPORT=locked)
 // when a rank must send from several threads.
 class Comm {
@@ -106,15 +106,14 @@ class Comm {
   int size() const { return static_cast<int>(members_.size()); }
 
   // --- point to point -------------------------------------------------
-  // Buffered send: the payload is copied into dest's mailbox immediately.
+  // Buffered send: the payload is moved toward dest's mailbox immediately.
+  // Tags are non-negative (negative values are the receive wildcards).
   void send(int dest, int tag, std::vector<std::uint8_t> payload);
-  Request isend(int dest, int tag, std::vector<std::uint8_t> payload);
 
   // Blocking receive; source/tag may be wildcards. If status is non-null the
   // actual envelope is reported (useful with wildcards).
   std::vector<std::uint8_t> recv(int source = any_source, int tag = any_tag,
                                  RecvStatus* status = nullptr);
-  Request irecv(int source = any_source, int tag = any_tag);
 
   // Deadline receive: the payload, or Errc::timeout if no matching message
   // arrived in time. On timeout the posted receive is withdrawn — a message
@@ -124,20 +123,6 @@ class Comm {
                                                int source = any_source,
                                                int tag = any_tag,
                                                RecvStatus* status = nullptr);
-
-  RecvStatus probe(int source = any_source, int tag = any_tag);
-  bool iprobe(int source = any_source, int tag = any_tag, RecvStatus* status = nullptr);
-
-  // Deadline probe: the matching envelope (reserved for this thread, see
-  // Mailbox) or Errc::timeout.
-  Expected<RecvStatus> probe_for(std::chrono::milliseconds timeout,
-                                 int source = any_source, int tag = any_tag);
-
-  // Combined send+receive (deadlock-free even when both peers call it
-  // simultaneously, because sends are buffered).
-  std::vector<std::uint8_t> sendrecv(int dest, int send_tag,
-                                     std::vector<std::uint8_t> payload, int source,
-                                     int recv_tag, RecvStatus* status = nullptr);
 
   // Typed conveniences for trivially copyable values / element vectors.
   template <typename T>
@@ -177,21 +162,6 @@ class Comm {
     return out;
   }
 
-  // --- byte-level collectives ------------------------------------------
-  // All members must call each collective, in the same order. Typed wrappers
-  // (reduce/allreduce/gather/...) live in collectives.hpp.
-  void barrier();
-  // At root `buf` is the input; at every rank it holds root's bytes on return.
-  void bcast_bytes(std::vector<std::uint8_t>& buf, int root);
-  // Root receives all members' buffers, in rank order; non-roots get {}.
-  std::vector<std::vector<std::uint8_t>> gather_bytes(std::vector<std::uint8_t> mine,
-                                                      int root);
-  // Every rank receives all members' buffers, in rank order.
-  std::vector<std::vector<std::uint8_t>> allgather_bytes(std::vector<std::uint8_t> mine);
-  // Root supplies one buffer per member; each member gets its own.
-  std::vector<std::uint8_t> scatter_bytes(
-      const std::vector<std::vector<std::uint8_t>>& parts, int root);
-
   // Sub-communicator over this comm's ranks [first, first + count), in
   // order, built locally without a message: every member that passes the
   // same arguments gets the same communicator, in any thread or process.
@@ -205,12 +175,6 @@ class Comm {
   std::uint64_t id() const { return comm_id_; }
 
  private:
-  // Next internal tag for collectives; each member advances identically
-  // because collectives must be invoked in the same order everywhere.
-  int next_collective_tag();
-
-  void internal_send(int dest, int tag, std::vector<std::uint8_t> payload);
-
   // The one receive body behind recv and recv_for: fault point, mailbox
   // wait (nanoseconds::max() = no deadline), metrics, status and the recv
   // span closing the sender's flow. False on timeout.
@@ -224,7 +188,6 @@ class Comm {
   std::uint64_t comm_id_ = 0;
   int rank_ = 0;                // my rank within this communicator
   std::vector<int> members_;    // comm rank -> world rank
-  std::uint64_t collective_seq_ = 0;
   std::uint64_t send_seq_ = 0;
 };
 

@@ -26,9 +26,6 @@ double to_unit(std::uint64_t h) {
 
 FaultDecision FaultPlan::decide(const Message& msg, int dest_world_rank) const {
   FaultDecision decision;
-  // Collective control traffic is reliable by contract (see header).
-  if (msg.tag >= reserved_tag_base) return decision;
-
   const double u = to_unit(envelope_hash(seed, msg, dest_world_rank, 1));
   if (u < drop_prob) {
     decision.drop = true;

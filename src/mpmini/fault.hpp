@@ -6,10 +6,6 @@
 // shared generator, so the injected fault set is identical run-to-run
 // regardless of thread interleaving — the property the fault-matrix tests
 // rely on to assert exact degraded-mode results.
-//
-// Faults target the data plane only: messages carrying a reserved (collective)
-// tag are never dropped, duplicated or delayed. Collective control traffic is
-// modeled as reliable; killing a rank is the way to break a collective group.
 #pragma once
 
 #include <chrono>

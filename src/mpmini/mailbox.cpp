@@ -15,15 +15,10 @@ constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 Mailbox::Mailbox() = default;
 
 Mailbox::~Mailbox() {
+  // Queued envelopes live in pool blocks, which release themselves; pending
+  // tickets live on their receivers' stacks.
   for (int s = 0; s < lane_count_; ++s)
     delete lanes_[static_cast<std::size_t>(s)].load(std::memory_order_relaxed);
-  // Queued envelopes and pending tickets hold no owned resources beyond the
-  // pool blocks / shared_ptrs, which release themselves.
-  for (RecvTicket* t = pending_head_; t != nullptr;) {
-    RecvTicket* next = t->next;
-    t->self.reset();
-    t = next;
-  }
 }
 
 void Mailbox::init_lanes(int world_size) {
@@ -125,13 +120,10 @@ void Mailbox::queue_unlink_locked(Envelope* e) {
 
 void Mailbox::complete_locked(RecvTicket* t, Message&& msg) {
   pending_unlink_locked(t);
-  // Take the self-reference BEFORE flipping done: block_on's spin phase
-  // reads `done` without the mutex, so the moment the store below lands a
-  // stack ticket's frame may be gone — the release store must be the last
-  // touch of *t. For an abandoned irecv ticket `keep` is the final owner
-  // and destroys it at scope exit, after the store.
-  auto keep = std::move(t->self);
   t->message = std::move(msg);
+  // block_on's spin phase reads `done` without the mutex, so the moment this
+  // store lands the ticket's stack frame may be gone: it must be the last
+  // touch of *t.
   t->done.store(true, std::memory_order_release);
 }
 
@@ -163,11 +155,9 @@ bool Mailbox::drain_locked() {
 }
 
 Envelope* Mailbox::find_match_locked(const RecvTicket& ticket) {
-  const auto me = std::this_thread::get_id();
-  // Earliest-arrived matching message wins (skipping messages another
-  // thread's probe reserved; taking a message releases its reservation).
+  // Earliest-arrived matching message wins.
   for (Envelope* e = queue_head_; e != nullptr; e = e->next) {
-    if (visible_to(*e, me) && matches(ticket, e->msg)) return e;
+    if (matches(ticket, e->msg)) return e;
   }
   return nullptr;
 }
@@ -199,7 +189,7 @@ void Mailbox::deliver(Message msg) {
     drain_locked();
     absorb_locked(std::move(msg));
   }
-  cv_.notify_all();  // wake waiters and probers (locked path is always loud)
+  cv_.notify_all();  // wake waiters (the locked path is always loud)
 }
 
 void Mailbox::notify_ring_push() noexcept {
@@ -276,59 +266,7 @@ bool Mailbox::block_on(RecvTicket& t, Clock::time_point deadline) {
   }
 }
 
-// --- posted receives --------------------------------------------------------
-
-std::shared_ptr<RecvTicket> Mailbox::post_recv(std::uint64_t comm_id, int source,
-                                               int tag) {
-  auto ticket = std::make_shared<RecvTicket>();
-  ticket->comm_id = comm_id;
-  ticket->source = source;
-  ticket->tag = tag;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (drain_locked() && parked_.load(std::memory_order_relaxed) > 0)
-    cv_.notify_all();
-  if (Envelope* e = find_match_locked(*ticket); e != nullptr) {
-    ticket->message = take_locked(e);
-    ticket->done.store(true, std::memory_order_release);
-    return ticket;
-  }
-  pending_push_locked(ticket.get());
-  ticket->self = ticket;  // the mailbox owns it too while it is posted
-  return ticket;
-}
-
-Message Mailbox::wait(const std::shared_ptr<RecvTicket>& ticket) {
-  block_on(*ticket, kNoDeadline);
-  return std::move(ticket->message);
-}
-
-bool Mailbox::wait_for(const std::shared_ptr<RecvTicket>& ticket,
-                       std::chrono::nanoseconds timeout) {
-  if (ticket->done.load(std::memory_order_acquire)) return true;
-  const auto deadline = (timeout == std::chrono::nanoseconds::max())
-                            ? kNoDeadline
-                            : Clock::now() + timeout;
-  return block_on(*ticket, deadline);
-}
-
-std::optional<Message> Mailbox::cancel(const std::shared_ptr<RecvTicket>& ticket) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ticket->done.load(std::memory_order_relaxed)) return std::move(ticket->message);
-  pending_unlink_locked(ticket.get());
-  ticket->self.reset();
-  return std::nullopt;
-}
-
-bool Mailbox::test(const std::shared_ptr<RecvTicket>& ticket) {
-  if (ticket->done.load(std::memory_order_acquire)) return true;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (drain_locked() && parked_.load(std::memory_order_relaxed) > 0)
-    cv_.notify_all();
-  return ticket->done.load(std::memory_order_relaxed);
-}
-
-// --- fast-path receives -----------------------------------------------------
+// --- receives ---------------------------------------------------------------
 
 Message Mailbox::receive(std::uint64_t comm_id, int source, int tag) {
   Message msg;
@@ -370,115 +308,6 @@ bool Mailbox::receive_for(std::uint64_t comm_id, int source, int tag,
   }
   pending_unlink_locked(&t);  // the stack ticket must not outlive this frame
   return false;
-}
-
-// --- probes -----------------------------------------------------------------
-
-bool Mailbox::iprobe(std::uint64_t comm_id, int source, int tag, RecvStatus* status) {
-  RecvTicket probe_ticket;
-  probe_ticket.comm_id = comm_id;
-  probe_ticket.source = source;
-  probe_ticket.tag = tag;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (drain_locked() && parked_.load(std::memory_order_relaxed) > 0)
-    cv_.notify_all();
-  Envelope* e = find_match_locked(probe_ticket);
-  if (e == nullptr) return false;
-  if (status != nullptr) {
-    status->source = e->msg.source;
-    status->tag = e->msg.tag;
-    status->byte_count = e->msg.payload.size();
-  }
-  return true;
-}
-
-RecvStatus Mailbox::probe(std::uint64_t comm_id, int source, int tag) {
-  RecvStatus status;
-  // A blocking probe cannot time out waiting on itself.
-  const bool found = probe_for(comm_id, source, tag,
-                               std::chrono::nanoseconds::max(), &status);
-  MM_ASSERT(found);
-  return status;
-}
-
-bool Mailbox::probe_for(std::uint64_t comm_id, int source, int tag,
-                        std::chrono::nanoseconds timeout, RecvStatus* status) {
-  RecvTicket probe_ticket;
-  probe_ticket.comm_id = comm_id;
-  probe_ticket.source = source;
-  probe_ticket.tag = tag;
-
-  const auto deadline = (timeout == std::chrono::nanoseconds::max())
-                            ? kNoDeadline
-                            : Clock::now() + timeout;
-
-  obs::Pulse& pulse = obs::pulse_this_thread();
-
-  // Locked scan: reserve-and-report the earliest visible match, if any.
-  const auto scan = [&]() -> bool {
-    if (drain_locked() && parked_.load(std::memory_order_relaxed) > 0)
-      cv_.notify_all();
-    Envelope* e = find_match_locked(probe_ticket);
-    if (e == nullptr) return false;
-    e->reserved = true;
-    e->reserved_by = std::this_thread::get_id();
-    if (status != nullptr) {
-      status->source = e->msg.source;
-      status->tag = e->msg.tag;
-      status->byte_count = e->msg.payload.size();
-    }
-    return true;
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (scan()) return true;
-  }
-
-  // Spin phase: poll the lanes for traffic before parking.
-  const SpinPolicy& sp = spin_policy();
-  if (lane_count_ > 0 && sp.enabled()) {
-    for (std::uint32_t i = 0; i < sp.iterations; ++i) {
-      if (lanes_nonempty()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (scan()) return true;
-      } else {
-        spin_relax(sp, i);
-      }
-      if ((i & 63u) == 0) {
-        pulse.beat();
-        if (deadline != kNoDeadline && Clock::now() >= deadline) break;
-      }
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    if (scan()) return true;
-    const auto now = Clock::now();
-    if (now >= deadline) {
-      // The scan above was the post-deadline scan: a message racing the
-      // deadline has already been honored.
-      return false;
-    }
-    parked_.fetch_add(1, std::memory_order_seq_cst);
-    if (scan()) {  // close the publish/park race
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-    auto target = deadline;
-    if (pulse.armed()) {
-      const auto chunk = now + pulse.interval();
-      if (chunk < target) target = chunk;
-    }
-    if (target == kNoDeadline)
-      cv_.wait(lock);
-    else
-      cv_.wait_until(lock, target);
-    parked_.fetch_sub(1, std::memory_order_relaxed);
-    pulse.beat();
-  }
 }
 
 std::size_t Mailbox::queued() {

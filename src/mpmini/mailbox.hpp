@@ -18,8 +18,8 @@
 // the receiving mailbox's mutex, so concurrent senders to one rank do not
 // contend with each other or with the receiver. The receiving side drains its
 // lanes into the matching structures under the mailbox mutex — uncontended in
-// the common one-thread-per-rank regime — which keeps the multi-consumer
-// matching contract (below) intact. Messages that must queue are parked in
+// the common one-thread-per-rank regime — so several threads may receive on
+// one mailbox and each message still goes to exactly one of them. Messages that must queue are parked in
 // pooled envelopes (pool.hpp): steady-state traffic performs no heap
 // allocation anywhere in the transport.
 //
@@ -30,14 +30,6 @@
 // wake. The legacy locked path (deliver()) remains both the overflow route
 // for full rings and the whole transport in "locked" mode, which the bench
 // uses as its before/after baseline.
-//
-// Probe/recv matching contract (the MPI_Mprobe problem): a blocking probe
-// RESERVES the message it reports for the probing thread. Reserved messages
-// are invisible to every other thread's receives and probes, so the classic
-// probe -> recv sequence can never lose its message to a concurrent wildcard
-// receive on another thread. The reservation is released when the probing
-// thread posts a matching receive (which then consumes exactly that message).
-// iprobe is advisory and does not reserve.
 #pragma once
 
 #include <atomic>
@@ -46,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "mpmini/message.hpp"
@@ -82,12 +73,11 @@ struct Lane {
   }
 };
 
-// Shared completion state for one posted receive. Mutation is guarded by the
-// owning mailbox's mutex; `done` flips with release ordering so spin waiters
-// can observe completion (and then read `message`) without the lock. Posted
-// tickets are threaded into an intrusive pending list — heap tickets (irecv)
-// keep themselves alive through `self` while posted, fast-path receives link
-// stack-allocated tickets and pay no allocation.
+// Completion state for one posted receive, living on the receiver's stack
+// and threaded into the mailbox's intrusive pending list while posted.
+// Mutation is guarded by the owning mailbox's mutex; `done` flips with
+// release ordering so spin waiters can observe completion (and then read
+// `message`) without the lock.
 struct RecvTicket {
   std::uint64_t comm_id = 0;
   int source = any_source;
@@ -97,7 +87,6 @@ struct RecvTicket {
 
   RecvTicket* prev = nullptr;  // intrusive pending list (mailbox mutex)
   RecvTicket* next = nullptr;
-  std::shared_ptr<RecvTicket> self;  // posted heap tickets own themselves
 };
 
 class Mailbox {
@@ -125,50 +114,16 @@ class Mailbox {
   void deliver(Message msg);
 
   // --- receives ---------------------------------------------------------
-  // Post a receive. If a queued or in-ring message already matches, the
-  // ticket completes immediately; otherwise it completes on a future
-  // delivery.
-  std::shared_ptr<RecvTicket> post_recv(std::uint64_t comm_id, int source, int tag);
-
-  // Block until the ticket completes, then return its message.
-  Message wait(const std::shared_ptr<RecvTicket>& ticket);
-
-  // Deadline wait: true once the ticket completed, false if the deadline
-  // passed first (the ticket stays posted — wait again, or cancel()).
-  bool wait_for(const std::shared_ptr<RecvTicket>& ticket,
-                std::chrono::nanoseconds timeout);
-
-  // Withdraw a posted receive (after a wait_for timeout). If the ticket
-  // completed in the meantime its message is returned — the caller must
-  // treat that as a successful receive, the message is not requeued.
-  std::optional<Message> cancel(const std::shared_ptr<RecvTicket>& ticket);
-
-  // Non-blocking completion check.
-  bool test(const std::shared_ptr<RecvTicket>& ticket);
-
-  // Blocking receive: receive_for without a deadline. Equivalent to
-  // post_recv + wait, without the heap ticket.
+  // Blocking receive: receive_for without a deadline.
   Message receive(std::uint64_t comm_id, int source, int tag);
 
-  // Fast-path deadline receive: stack ticket, spin-then-park wait, zero
-  // allocation. True and *out filled on success, false when the deadline
-  // passed with no match (nothing stays posted afterwards);
-  // nanoseconds::max() waits forever.
+  // Deadline receive: stack ticket, spin-then-park wait, zero allocation.
+  // The earliest-arrived queued or in-ring match is taken at once; otherwise
+  // the ticket is posted and completes on a future delivery. True and *out
+  // filled on success, false when the deadline passed with no match (nothing
+  // stays posted afterwards); nanoseconds::max() waits forever.
   bool receive_for(std::uint64_t comm_id, int source, int tag,
                    std::chrono::nanoseconds timeout, Message* out);
-
-  // --- probes -----------------------------------------------------------
-  // Non-blocking probe: reports the envelope of the earliest matching
-  // message without consuming or reserving it.
-  bool iprobe(std::uint64_t comm_id, int source, int tag, RecvStatus* status);
-
-  // Blocking probe; reserves the reported message for the calling thread.
-  RecvStatus probe(std::uint64_t comm_id, int source, int tag);
-
-  // Deadline probe: true (and *status filled, message reserved) if a match
-  // arrived before the deadline.
-  bool probe_for(std::uint64_t comm_id, int source, int tag,
-                 std::chrono::nanoseconds timeout, RecvStatus* status);
 
   // Queued (drained but unreceived) messages, after absorbing any ring
   // backlog; for tests/stats.
@@ -189,11 +144,6 @@ class Mailbox {
            (ticket.tag == any_tag || ticket.tag == msg.tag);
   }
 
-  // A queued envelope is visible to `thread` unless another thread reserved it.
-  static bool visible_to(const Envelope& e, std::thread::id thread) {
-    return !e.reserved || e.reserved_by == thread;
-  }
-
   // All private helpers below require mutex_ unless noted otherwise.
 
   // Pop every lane ring into the matching structures. Returns true if any
@@ -201,9 +151,9 @@ class Mailbox {
   bool drain_locked();
   // Match `msg` against the earliest posted receive, else queue it.
   void absorb_locked(Message&& msg);
-  // Complete `t` with `msg`: unlink, fill, flip done (release), drop self.
+  // Complete `t` with `msg`: unlink, fill, flip done (release).
   void complete_locked(RecvTicket* t, Message&& msg);
-  // Earliest queued match visible to the calling thread, or nullptr.
+  // Earliest queued match, or nullptr.
   Envelope* find_match_locked(const RecvTicket& ticket);
   // Unlink `e` from the queue, move its message out, recycle the envelope.
   Message take_locked(Envelope* e);
@@ -216,9 +166,9 @@ class Mailbox {
   // True when any lane ring has traffic (lock-free peek for spin loops).
   bool lanes_nonempty() const noexcept;
 
-  // Shared blocking core for wait/wait_for/receive/receive_for: spin-then-
-  // park until `t` completes or `deadline` (time_point::max() = never)
-  // passes. Returns t.done. Called WITHOUT the mutex.
+  // The mailbox's one blocking loop: spin-then-park until `t` completes or
+  // `deadline` (time_point::max() = never) passes. Returns t.done. Called
+  // WITHOUT the mutex.
   bool block_on(RecvTicket& t, std::chrono::steady_clock::time_point deadline);
 
   mutable std::mutex mutex_;

@@ -19,10 +19,6 @@ namespace mm::mpi {
 inline constexpr int any_source = -1;
 inline constexpr int any_tag = -1;
 
-// Tags at or above this value are reserved for internal use (collectives).
-// User code must use tags in [0, reserved_tag_base).
-inline constexpr int reserved_tag_base = 1 << 24;
-
 // Delivery envelope plus payload. Payloads are raw bytes; typed access goes
 // through serde.hpp (Packer/Unpacker) or the trivially-copyable helpers on
 // Comm.
@@ -41,7 +37,7 @@ struct Message {
   std::vector<std::uint8_t> payload;
 };
 
-// Result of a completed receive or probe, mirroring MPI_Status.
+// Result of a completed receive, mirroring MPI_Status.
 struct RecvStatus {
   int source = any_source;
   int tag = any_tag;

@@ -14,19 +14,16 @@
 
 #include <cstddef>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "mpmini/message.hpp"
 
 namespace mm::mpi {
 
-// One queued message plus its matching state (probe reservation) and the
-// intrusive links that thread it into the mailbox queue or the free list.
+// One queued message plus the intrusive links that thread it into the
+// mailbox queue or the free list.
 struct Envelope {
   Message msg;
-  bool reserved = false;             // reserved by a blocking probe
-  std::thread::id reserved_by;
   Envelope* prev = nullptr;
   Envelope* next = nullptr;
 };
@@ -44,7 +41,6 @@ class EnvelopePool {
     free_ = e->next;
     e->prev = nullptr;
     e->next = nullptr;
-    e->reserved = false;
     return e;
   }
 

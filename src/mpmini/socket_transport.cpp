@@ -328,7 +328,7 @@ void SocketTransport::transmit(int src_world, int dest_world, Message&& msg) {
   MM_ASSERT_MSG(src_world == rz_.rank,
                 "socket transport: sends must originate from the local rank");
   if (dest_world == rz_.rank) {
-    // Self-send stays in process (sendrecv-to-self, gather at root, ...).
+    // Self-send stays in process.
     mailbox_.deliver(std::move(msg));
     return;
   }

@@ -14,8 +14,7 @@
 //      ranks on its own listener: exactly one socket per rank pair.
 //   5. Each rank starts one reader thread per peer; inbound envelopes are
 //      deserialized and delivered into the LOCAL rank's mailbox, where the
-//      usual matching (tags, wildcards, Mprobe reservation, deadlines)
-//      applies untouched.
+//      usual matching (tags, wildcards, deadlines) applies untouched.
 //
 // Envelope serialization is little-endian and carries the full header —
 // source, tag, comm id, per-(source, comm) sequence AND the PR 9 trace

@@ -1,8 +1,8 @@
 // The pluggable transport seam under Comm/World.
 //
 // A Transport moves envelopes toward destination mailboxes. Everything above
-// it — envelope matching, Mprobe reservation, deadline waits, fault
-// injection, collectives, trace headers — is transport-agnostic, which is
+// it — envelope matching, deadline waits, fault injection, trace headers —
+// is transport-agnostic, which is
 // what makes "swap in a real interconnect" a transport change rather than a
 // runtime rewrite:
 //
@@ -32,7 +32,7 @@ class Transport {
   // matching a fault-plan kill.
   virtual void transmit(int src_world, int dest_world, Message&& msg) = 0;
 
-  // The mailbox `world_rank`'s receives and probes match in. Remote-rank
+  // The mailbox `world_rank`'s receives match in. Remote-rank
   // mailboxes do not exist on a socket transport (asserted).
   virtual Mailbox& mailbox(int world_rank) = 0;
 

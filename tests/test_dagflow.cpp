@@ -7,7 +7,6 @@
 
 #include "dagflow/context.hpp"
 #include "dagflow/graph.hpp"
-#include "mpmini/collectives.hpp"
 #include "mpmini/serde.hpp"
 
 namespace mm::dag {
@@ -211,9 +210,9 @@ TEST(GraphRun, MessageCountersTrackTraffic) {
 }
 
 TEST(GroupNode, LeaderOwnsEdgesMembersCompute) {
-  // A 3-replica group node: the leader receives ints, broadcasts them to the
-  // group, every member contributes rank+value, and the allreduced sum is
-  // emitted. Verifies group collectives and edge ownership coexist.
+  // A 3-replica group node: the leader receives ints and sends each one to
+  // the other members, every rank contributes rank+value, and the leader
+  // emits the sum. Verifies group traffic and edge ownership coexist.
   constexpr int replicas = 3;
   std::vector<int> received;
   Graph g;
@@ -223,17 +222,22 @@ TEST(GroupNode, LeaderOwnsEdgesMembersCompute) {
   const int grp = g.add_group_node(
       "group",
       [](Context* ctx, mpi::Comm& group) {
+        constexpr int kValue = 1;
+        constexpr int kPart = 2;
         while (true) {
-          int value = -1;
-          if (group.rank() == 0) {
-            auto msg = ctx->recv();
-            value = msg ? unpack_int(msg->bytes) : -1;
+          if (group.rank() != 0) {
+            const int value = group.recv_value<int>(0, kValue);
+            if (value < 0) return;
+            group.send_value<int>(0, kPart, value + group.rank());
+            continue;
           }
-          value = mpi::bcast_value(group, value, 0);
+          auto msg = ctx->recv();
+          const int value = msg ? unpack_int(msg->bytes) : -1;
+          for (int r = 1; r < group.size(); ++r) group.send_value<int>(r, kValue, value);
           if (value < 0) return;
-          const int sum =
-              mpi::allreduce_value(group, value + group.rank(), mpi::Sum{});
-          if (group.rank() == 0) ctx->emit(0, pack_int(sum));
+          int sum = value;
+          for (int r = 1; r < group.size(); ++r) sum += group.recv_value<int>(r, kPart);
+          ctx->emit(0, pack_int(sum));
         }
       },
       replicas);

@@ -62,8 +62,8 @@ TEST(Experiment, ParallelKeepsLevelDetailIdentical) {
   for (std::size_t c = 0; c < 3; ++c)
     for (std::size_t l = 0; l < 14; ++l)
       for (std::size_t p = 0; p < serial.pair_count; ++p)
-        ASSERT_DOUBLE_EQ(parallel.level_monthly_return_plus1[c][l][p],
-                         serial.level_monthly_return_plus1[c][l][p]);
+        ASSERT_EQ(parallel.level_monthly_return_plus1[c][l][p],
+                  serial.level_monthly_return_plus1[c][l][p]);
 }
 
 TEST(Optimizer, RanksAllLevelsSortedByScore) {

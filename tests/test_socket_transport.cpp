@@ -153,10 +153,7 @@ TEST(SocketTransport, PointToPointSemanticsSurviveTheWire) {
       // Tag selectivity: drain tag 9 first even though 7 arrived first.
       auto b = comm.recv(0, 9);
       CHILD_CHECK(b.size() == 2);
-      // Probe reports the tag-7 stream head without consuming it.
-      const RecvStatus head = comm.probe(0, 7);
-      CHILD_CHECK(head.byte_count == 1);
-      const auto first = comm.recv(head.source, head.tag);
+      const auto first = comm.recv(0, 7);
       CHILD_CHECK(first.size() == 1 && first[0] == 1);
       const auto second = comm.recv(0, 7);
       CHILD_CHECK(second.size() == 1 && second[0] == 3);
@@ -168,48 +165,6 @@ TEST(SocketTransport, PointToPointSemanticsSurviveTheWire) {
       CHILD_CHECK(none.error().code == Errc::timeout);
       comm.send(0, 21, std::move(b));
     }
-  });
-  EXPECT_TRUE(ok);
-}
-
-TEST(SocketTransport, CollectivesAgreeAcrossProcesses) {
-  const bool ok = fork_world(3, [](Comm& comm) {
-    comm.barrier();
-
-    // bcast: root 1's bytes arrive everywhere.
-    std::vector<std::uint8_t> buf;
-    if (comm.rank() == 1) buf = {42, 43, 44};
-    comm.bcast_bytes(buf, 1);
-    CHILD_CHECK(buf.size() == 3 && buf[0] == 42 && buf[2] == 44);
-
-    // gather at root 0 in rank order.
-    const auto mine = std::vector<std::uint8_t>{
-        static_cast<std::uint8_t>(10 + comm.rank())};
-    const auto rows = comm.gather_bytes(mine, 0);
-    if (comm.rank() == 0) {
-      CHILD_CHECK(rows.size() == 3);
-      for (int r = 0; r < 3; ++r)
-        CHILD_CHECK(rows[static_cast<std::size_t>(r)][0] == 10 + r);
-    } else {
-      CHILD_CHECK(rows.empty());
-    }
-
-    // allgather: everyone sees everyone.
-    const auto all = comm.allgather_bytes(mine);
-    CHILD_CHECK(all.size() == 3);
-    for (int r = 0; r < 3; ++r)
-      CHILD_CHECK(all[static_cast<std::size_t>(r)][0] == 10 + r);
-
-    // subgroup: {0,1} vs {2}; every process derives the same comm ids
-    // locally, with no traffic.
-    Comm half = comm.rank() < 2 ? comm.subgroup(0, 0, 2) : comm.subgroup(1, 2, 1);
-    CHILD_CHECK(half.size() == (comm.rank() < 2 ? 2 : 1));
-    if (comm.rank() < 2) {
-      std::vector<std::uint8_t> probe{static_cast<std::uint8_t>(comm.rank())};
-      half.bcast_bytes(probe, 0);
-      CHILD_CHECK(probe[0] == 0);  // world rank 0 is group 0's root
-    }
-    comm.barrier();
   });
   EXPECT_TRUE(ok);
 }
