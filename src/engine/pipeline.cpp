@@ -6,7 +6,6 @@
 #include "dagflow/context.hpp"
 #include "dagflow/graph.hpp"
 #include "marketdata/generator.hpp"
-#include "marketdata/tickdb.hpp"
 #include "mpmini/socket_transport.hpp"
 
 namespace mm::engine {
@@ -28,8 +27,8 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   for (const auto& s : config.strategies)
     if (s.ctype != stats::Ctype::pearson) need_maronna = true;
 
-  // The day the collector streams: the caller's shared day, else a tickdb
-  // day, else the quotes argument. The collector is the graph's first node,
+  // The day the collector streams: the caller's shared day, else the quotes
+  // argument. The collector is the graph's first node,
   // so world rank 0 runs it; in multi-process mode every other process
   // streams nothing and reads no day.
   constexpr int kCollectorRank = 0;
@@ -38,12 +37,6 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   std::shared_ptr<const std::vector<md::Quote>> day = config.day;
   if (!hosts_collector) {
     day = std::make_shared<const std::vector<md::Quote>>();
-  } else if (day == nullptr && !config.tickdb_root.empty()) {
-    auto db = md::TickDb::open(config.tickdb_root);
-    MM_ASSERT_MSG(db.has_value(), "db collector: cannot open tickdb");
-    auto read = db->read_day(config.date);
-    MM_ASSERT_MSG(read.has_value(), "db collector: cannot read day");
-    day = std::make_shared<const std::vector<md::Quote>>(std::move(*read));
   } else if (day == nullptr) {
     day = std::make_shared<const std::vector<md::Quote>>(std::move(quotes));
   }

@@ -47,12 +47,10 @@ struct PipelineConfig {
   // co-movement groups every `cluster_every` intervals.
   std::int64_t cluster_every = 0;
   int cluster_count = 4;
-  // Optional tickdb source; when empty the in-memory quote vector is used.
-  std::string tickdb_root;
-  md::Date date{2008, 3, 3};
-  // Optional shared day (takes precedence over both tickdb_root and the
-  // quotes argument): N concurrent runs over one day replay one immutable
-  // quote vector owned by the caller's DayCache instead of copying it.
+  // Optional shared day (takes precedence over the quotes argument): N
+  // concurrent runs over one day replay one immutable quote vector owned by
+  // the caller's DayCache (md::DayCache::from_tickdb reads tickdb days)
+  // instead of copying it.
   std::shared_ptr<const std::vector<md::Quote>> day;
 
   // --- correlation memoization --------------------------------------------
@@ -106,8 +104,7 @@ struct PipelineConfig {
   // their own ranks (see dag::RunOptions::rendezvous). The PipelineResult
   // reflects local ranks only — run the master rank's process to get the
   // report. Only the process running rank 0 (the collector) reads the day:
-  // the others ignore `day`, `tickdb_root` and the quotes argument. Must
-  // outlive the run.
+  // the others ignore `day` and the quotes argument. Must outlive the run.
   const mpi::Rendezvous* rendezvous = nullptr;
 };
 

@@ -16,72 +16,19 @@ std::size_t day_bytes(const std::vector<Quote>& quotes) {
 }  // namespace
 
 DayCache::DayCache(Loader loader, std::size_t byte_budget, obs::Registry* registry)
-    : loader_(std::move(loader)), byte_budget_(byte_budget), registry_(registry) {
+    : OnceCache("day_cache", day_bytes, byte_budget, registry),
+      loader_(std::move(loader)) {
   MM_ASSERT_MSG(loader_ != nullptr, "DayCache needs a loader");
 }
 
 Expected<DayCache::Day> DayCache::get(const std::string& key) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      // First caller through: become the loading owner.
-      Entry& entry = entries_[key];
-      entry.loading = true;
-      ++stats_.misses;
-      if (registry_ != nullptr) registry_->counter("day_cache.misses").add();
-      lock.unlock();
-      auto loaded = loader_(key);
-      lock.lock();
-      // The entry cannot have been evicted or replaced meanwhile: only the
-      // owner publishes/erases it, and eviction skips loading entries.
-      auto self = entries_.find(key);
-      MM_ASSERT(self != entries_.end() && self->second.loading);
-      ++self->second.generation;
-      if (!loaded.has_value()) {
-        // Do not cache failures; one waiter (if any) inherits ownership by
-        // re-finding the key absent and retrying the loader.
-        entries_.erase(self);
-        ++stats_.load_errors;
-        if (registry_ != nullptr)
-          registry_->counter("day_cache.load_errors").add();
-        ready_cv_.notify_all();
-        return loaded.error();
-      }
-      auto day = std::make_shared<const std::vector<Quote>>(
-          std::move(loaded.value()));
-      self->second.day = day;
-      self->second.loading = false;
-      bytes_ += day_bytes(*day);
-      lru_.push_front(key);
-      self->second.lru = lru_.begin();
-      evict_locked();
-      sync_gauges_locked();
-      ready_cv_.notify_all();
-      return day;
-    }
-    if (it->second.day != nullptr) {
-      ++stats_.hits;
-      if (registry_ != nullptr) registry_->counter("day_cache.hits").add();
-      touch_locked(it->second, key);
-      return it->second.day;
-    }
-    // A load is in flight; block until it publishes or fails.
-    ++stats_.waits;
-    if (registry_ != nullptr) registry_->counter("day_cache.waits").add();
-    const std::uint64_t seen = it->second.generation;
-    ready_cv_.wait(lock, [&] {
-      auto cur = entries_.find(key);
-      return cur == entries_.end() || cur->second.day != nullptr ||
-             cur->second.generation != seen;
-    });
-  }
-}
-
-DayCache::Day DayCache::peek(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  return it != entries_.end() ? it->second.day : nullptr;
+  auto lease = acquire(key);
+  if (lease.hit()) return lease.data();
+  auto loaded = loader_(key);
+  // On failure the lease abandons on return: nothing is cached and one
+  // waiter, if any, becomes the owner and retries the loader.
+  if (!loaded.has_value()) return loaded.error();
+  return lease.publish(std::move(loaded.value()));
 }
 
 DayCache DayCache::from_tickdb(std::string root, std::size_t byte_budget,
@@ -99,49 +46,6 @@ DayCache DayCache::from_tickdb(std::string root, std::size_t byte_budget,
         return db.value().read_day(date);
       },
       byte_budget, registry);
-}
-
-DayCache::Stats DayCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t DayCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-std::size_t DayCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void DayCache::evict_locked() {
-  if (byte_budget_ == 0) return;
-  // Never evict the most recent day — the caller that just loaded it holds a
-  // reference anyway, so dropping it would only thrash the budget.
-  while (bytes_ > byte_budget_ && lru_.size() > 1) {
-    const std::string victim = lru_.back();
-    auto it = entries_.find(victim);
-    MM_ASSERT(it != entries_.end() && it->second.day != nullptr);
-    bytes_ -= day_bytes(*it->second.day);
-    lru_.pop_back();
-    entries_.erase(it);
-    ++stats_.evictions;
-    if (registry_ != nullptr) registry_->counter("day_cache.evictions").add();
-  }
-}
-
-void DayCache::touch_locked(Entry& entry, const std::string& key) {
-  lru_.erase(entry.lru);
-  lru_.push_front(key);
-  entry.lru = lru_.begin();
-}
-
-void DayCache::sync_gauges_locked() {
-  if (registry_ == nullptr) return;
-  registry_->gauge("day_cache.bytes").set(static_cast<std::int64_t>(bytes_));
-  registry_->gauge("day_cache.days").set(static_cast<std::int64_t>(entries_.size()));
 }
 
 }  // namespace mm::md

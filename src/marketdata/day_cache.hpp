@@ -7,94 +7,53 @@
 // ONE std::vector<Quote> (PipelineConfig::day) and the collector replays it
 // in place.
 //
-// Concurrency contract mirrors stats::CorrStore's once-flag: the first caller
-// through a missing key runs the loader (outside the lock); concurrent
-// callers on a loading key block until it resolves. A failed load is not
-// cached — the error goes to the owning caller and ownership hands off to one
-// blocked waiter, which retries the loader. Published days are immutable;
-// LRU eviction (bounded by byte_budget) only drops the cache's reference,
-// never a caller's.
+// DayCache is a typed front over obs::OnceCache (see obs/once_cache.hpp for
+// the once-flag contract): get() acquires the key and, on a miss, runs the
+// loader outside the cache lock and publishes the day. A failed load is not
+// cached: the error goes to the owning caller, its lease is dropped (counted
+// as day_cache.abandons) and one blocked waiter inherits ownership and
+// retries the loader. Budgeted bytes are each day's quote capacity.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "marketdata/types.hpp"
+#include "obs/once_cache.hpp"
 #include "obs/registry.hpp"
 
 namespace mm::md {
 
-class DayCache {
+class DayCache : private obs::OnceCache<std::vector<Quote>> {
  public:
-  using Day = std::shared_ptr<const std::vector<Quote>>;
+  using Day = Ptr;
   // Resolves a cache key to a time-sorted day of quotes. Runs outside the
   // cache lock; may block on IO. Must be safe to call from any thread.
   using Loader = std::function<Expected<std::vector<Quote>>(const std::string& key)>;
 
-  struct Stats {
-    std::uint64_t hits = 0;       // get() served a resident day
-    std::uint64_t misses = 0;     // get() ran (or inherited) the loader
-    std::uint64_t waits = 0;      // get() blocked behind a loading caller
-    std::uint64_t load_errors = 0;  // loader invocations that failed
-    std::uint64_t evictions = 0;  // days dropped by the byte budget
-  };
-
   // byte_budget 0 = unbounded. `registry` mirrors the stats as day_cache.*
-  // counters/gauges when observability is compiled in.
+  // counters and gauges.
   explicit DayCache(Loader loader, std::size_t byte_budget = 0,
                     obs::Registry* registry = nullptr);
 
   // The shared day for `key`, loading it exactly once under concurrency.
   Expected<Day> get(const std::string& key);
 
-  // Non-blocking lookup; null when absent or still loading.
-  Day peek(const std::string& key) const;
-
   // Cache over a tickdb store at `root`; keys are ISO dates ("2008-03-03").
   static DayCache from_tickdb(std::string root, std::size_t byte_budget = 0,
                               obs::Registry* registry = nullptr);
 
-  Stats stats() const;
-  std::size_t bytes() const;    // resident quote bytes
-  std::size_t entries() const;  // resident days
-
-  // Non-copyable, non-movable (mutex member); from_tickdb returns a prvalue,
-  // which C++17 constructs in place.
-  DayCache(const DayCache&) = delete;
-  DayCache& operator=(const DayCache&) = delete;
+  using OnceCache::Stats;
+  using OnceCache::bytes;
+  using OnceCache::entries;
+  using OnceCache::peek;
+  using OnceCache::stats;
 
  private:
-  struct Entry {
-    Day day;  // null while a caller is loading
-    bool loading = false;
-    // Bumped on publish/failure so waiters can tell progress from spurious
-    // wakeups even across ownership handoffs.
-    std::uint64_t generation = 0;
-    std::list<std::string>::iterator lru;  // valid only when day != nullptr
-  };
-
-  void evict_locked();
-  void touch_locked(Entry& entry, const std::string& key);
-  void sync_gauges_locked();
-
   Loader loader_;
-  std::size_t byte_budget_ = 0;
-  obs::Registry* registry_ = nullptr;
-
-  mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;
-  std::map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::size_t bytes_ = 0;
-  Stats stats_;
 };
 
 }  // namespace mm::md

@@ -54,9 +54,6 @@ void Environment::run(int world_size, const std::function<void(Comm&)>& rank_mai
   for (int rank = 0; rank < world_size; ++rank) {
     threads.emplace_back([&, rank] {
       log::set_thread_label(format("rank %d", rank));
-      // Optional affinity (MM_MPMINI_PIN=1): rank threads round-robin over
-      // cores, so a spinning rank stops migrating between its polls.
-      if (pin_requested()) (void)pin_current_thread(rank);
       obs::PulseGuard pulse(heartbeat, rank, heartbeat_interval);
       Comm comm(&world, world_comm_id, rank, members);
       try {
@@ -106,7 +103,6 @@ void Environment::run_rendezvous(const Rendezvous& rz, int world_size,
   std::exception_ptr error;
   {
     log::set_thread_label(format("rank %d", rz.rank));
-    if (pin_requested()) (void)pin_current_thread(rz.rank);
     obs::PulseGuard pulse(heartbeat, rz.rank, heartbeat_interval);
     Comm comm(&world, world_comm_id, rz.rank, members);
     try {

@@ -38,7 +38,7 @@ Lane& Mailbox::lane_for_sender(int source_world_rank) {
   // the draining side.
   Lane* lane = slot.load(std::memory_order_relaxed);
   if (lane == nullptr) {
-    lane = new Lane(static_cast<std::size_t>(ring_capacity()), ring_peak_);
+    lane = new Lane(lane_capacity, ring_peak_);
 #ifndef NDEBUG
     lane->producer = std::this_thread::get_id();
 #endif
@@ -212,7 +212,7 @@ void Mailbox::notify_ring_push() noexcept {
 bool Mailbox::block_on(RecvTicket& t, Clock::time_point deadline) {
   obs::Pulse& pulse = obs::pulse_this_thread();
   const SpinPolicy& sp = spin_policy();
-  if (lane_count_ > 0 && sp.enabled()) {
+  if (lane_count_ > 0) {
     for (std::uint32_t i = 0; i < sp.iterations; ++i) {
       if (t.done.load(std::memory_order_acquire)) return true;
       if (lanes_nonempty()) {

@@ -8,7 +8,7 @@
 //     with per-lane FIFO delivery preserves per-(source, comm) non-overtaking;
 //   * among posted receives, the earliest-posted match wins.
 //
-// Transport layout (ring mode, the default — see wait.hpp for the knobs):
+// Transport layout (ring mode, the default — see wait.hpp for the selector):
 //
 //   sender rank S ──SpscRing<Message>──▶ lane (S → R) ──drain──▶ Mailbox R
 //
@@ -46,6 +46,9 @@
 #include "obs/registry.hpp"
 
 namespace mm::mpi {
+
+// Messages one lane holds before the sender overflows to the locked path.
+inline constexpr std::size_t lane_capacity = 256;
 
 // One sender's inbound ring plus its producer-side depth watermark. Created
 // by the sending thread on first use (its slot in the mailbox lane table is

@@ -30,7 +30,7 @@ inline std::size_t round_up_pow2(std::size_t n) {
   constexpr std::size_t top = std::size_t{1} << (sizeof(std::size_t) * 8 - 1);
   std::size_t p = 1;
   // Saturate at the top bit: shifting past it would wrap p to zero and loop
-  // forever (callers clamp to sane capacities anyway, see ring_capacity()).
+  // forever (the lanes use a fixed capacity anyway, see lane_capacity).
   while (p < n && p < top) p <<= 1;
   return p;
 }

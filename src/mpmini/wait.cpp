@@ -1,16 +1,10 @@
 #include "mpmini/wait.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <thread>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -19,31 +13,15 @@
 namespace mm::mpi {
 namespace {
 
-// Strict u64 parse: the whole string must be digits. Garbage ("256k",
-// "fast", "-1") is a parse failure, never a silent partial read.
-bool parse_u64(const char* raw, std::uint64_t* out) {
-  if (raw == nullptr || *raw == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0' || raw[0] == '-') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 const TransportEnv& env_values() {
   static const TransportEnv parsed = parse_transport_env(
-      std::getenv("MM_MPMINI_TRANSPORT"), std::getenv("MM_MPMINI_SPIN"),
-      std::getenv("MM_MPMINI_RING_CAP"), std::getenv("MM_MPMINI_PIN"),
-      std::thread::hardware_concurrency());
+      std::getenv("MM_MPMINI_TRANSPORT"), std::thread::hardware_concurrency());
   return parsed;
 }
 
 }  // namespace
 
-TransportEnv parse_transport_env(const char* transport, const char* spin,
-                                 const char* ring_cap, const char* pin,
-                                 unsigned hardware_threads) {
+TransportEnv parse_transport_env(const char* transport, unsigned hardware_threads) {
   TransportEnv env;
 
   if (hardware_threads <= 1) {
@@ -69,62 +47,12 @@ TransportEnv parse_transport_env(const char* transport, const char* spin,
     }
   }
 
-  if (spin != nullptr && *spin != '\0') {
-    std::uint64_t v = 0;
-    if (!parse_u64(spin, &v) || v > (std::uint64_t{1} << 31)) {
-      env.warnings.push_back(
-          format("MM_MPMINI_SPIN='%s' is not a spin count; using %u", spin,
-                 env.spin.iterations));
-    } else {
-      env.spin.iterations = static_cast<std::uint32_t>(v);
-    }
-  }
-  if (env.spin.pause_share > env.spin.iterations)
-    env.spin.pause_share = env.spin.iterations;
-
-  if (ring_cap != nullptr && *ring_cap != '\0') {
-    std::uint64_t v = 0;
-    if (!parse_u64(ring_cap, &v)) {
-      env.warnings.push_back(
-          format("MM_MPMINI_RING_CAP='%s' is not a capacity; using %llu", ring_cap,
-                 static_cast<unsigned long long>(env.ring_capacity)));
-    } else if (v < 2) {
-      env.warnings.push_back(
-          format("MM_MPMINI_RING_CAP=%llu is below the minimum; clamping to 2",
-                 static_cast<unsigned long long>(v)));
-      env.ring_capacity = 2;
-    } else if (v > (std::uint64_t{1} << 20)) {
-      // A bogus value must not hang round_up_pow2 or bad_alloc at startup;
-      // 2^20 message slots per lane is beyond any sane configuration.
-      env.warnings.push_back(
-          format("MM_MPMINI_RING_CAP=%llu is beyond 2^20; clamping to 2^20",
-                 static_cast<unsigned long long>(v)));
-      env.ring_capacity = std::uint64_t{1} << 20;
-    } else {
-      env.ring_capacity = v;
-    }
-  }
-
-  if (pin != nullptr && *pin != '\0') {
-    const std::string value(pin);
-    if (value == "1") {
-      env.pin = true;
-    } else if (value != "0") {
-      env.warnings.push_back(
-          format("MM_MPMINI_PIN='%s' is not 0|1; pinning stays off", pin));
-    }
-  }
-
   return env;
 }
 
 TransportMode transport_mode() { return env_values().transport; }
 
 const SpinPolicy& spin_policy() { return env_values().spin; }
-
-std::uint64_t ring_capacity() { return env_values().ring_capacity; }
-
-bool pin_requested() { return env_values().pin; }
 
 void validate_transport_env() {
   static const bool logged = [] {
@@ -148,20 +76,6 @@ void spin_relax(const SpinPolicy& policy, std::uint32_t step) {
   // single-CPU host this is what makes spinning a win at all: the handoff
   // costs one scheduler pass instead of a futex sleep/wake pair.
   std::this_thread::yield();
-}
-
-bool pin_current_thread(int cpu) {
-#if defined(__linux__)
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu) % cores, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace mm::mpi

@@ -1,25 +1,19 @@
-// Spin-then-park wait strategy and transport tuning knobs.
+// Spin-then-park wait strategy and the transport selector.
 //
 // The mpmini hot path never parks while traffic is flowing: a waiter polls
 // its inbound rings through a bounded spin (cheap pause instructions first,
 // then sched yields, with the yield share sized for core-oversubscribed
 // hosts), and only after the budget is spent does it fall back to the
 // mailbox's condition variable — the park side of the eventcount protocol in
-// mailbox.cpp. All knobs are environment variables read once per process and
-// validated at Environment startup (unknown or garbage values warn once and
-// fall back to the default):
+// mailbox.cpp. The spin budget follows from the host's core count; the one
+// knob is an environment variable read once per process and validated at
+// Environment startup (a garbage value warns once and falls back to ring):
 //
 //   MM_MPMINI_TRANSPORT  "ring" (default) | "locked" | "socket" — lane rings,
 //                        the legacy mutex/condvar-only delivery path, or the
 //                        multi-process TCP transport (one process per rank,
 //                        see socket_transport.hpp; requires MM_MPMINI_RANK
 //                        and MM_MPMINI_RENDEZVOUS)
-//   MM_MPMINI_SPIN       total spin iterations before parking (default 512;
-//                        0 parks immediately, reproducing legacy waits)
-//   MM_MPMINI_RING_CAP   per-lane ring capacity, rounded up to a power of
-//                        two and clamped to [2, 2^20] (default 256 messages)
-//   MM_MPMINI_PIN        "1" pins rank thread r to CPU (r mod cores) at
-//                        Environment::run startup (default off)
 #pragma once
 
 #include <cstdint>
@@ -35,32 +29,24 @@ struct SpinPolicy {
   // CPU pause/relax; the rest yield the core so a same-core peer can run.
   std::uint32_t iterations = 512;
   std::uint32_t pause_share = 64;
-
-  bool enabled() const { return iterations > 0; }
 };
 
-// Everything the transport env knobs control, parsed and validated in one
-// place. `warnings` holds one line per rejected value (the corresponding
+// The transport selection and the host-derived spin policy, parsed and
+// validated in one place. `warnings` holds one line per rejected value (the
 // field carries the default instead).
 struct TransportEnv {
   TransportMode transport = TransportMode::ring;
   SpinPolicy spin{};
-  std::uint64_t ring_capacity = 256;
-  bool pin = false;
   std::vector<std::string> warnings;
 };
 
-// Pure parser over raw getenv values (null = unset), exposed for tests.
-// `hardware_threads` sizes the single-core spin default.
-TransportEnv parse_transport_env(const char* transport, const char* spin,
-                                 const char* ring_cap, const char* pin,
-                                 unsigned hardware_threads);
+// Pure parser over the raw MM_MPMINI_TRANSPORT value (null = unset), exposed
+// for tests. `hardware_threads` sizes the spin policy.
+TransportEnv parse_transport_env(const char* transport, unsigned hardware_threads);
 
-// Process-wide knob values (parsed from the environment on first use).
+// Process-wide values (parsed from the environment on first use).
 TransportMode transport_mode();
 const SpinPolicy& spin_policy();
-std::uint64_t ring_capacity();
-bool pin_requested();
 
 // Log each env-validation warning exactly once per process. Called at
 // Environment startup so misconfigurations surface before traffic starts.
@@ -69,8 +55,5 @@ void validate_transport_env();
 // One spin step: pause for low `step`, yield once past the policy's pause
 // share. Callers loop `for (step = 0; step < policy.iterations; ++step)`.
 void spin_relax(const SpinPolicy& policy, std::uint32_t step);
-
-// Best-effort thread pinning; false when unsupported or the mask is denied.
-bool pin_current_thread(int cpu);
 
 }  // namespace mm::mpi

@@ -1,6 +1,5 @@
 #include "stats/corr_store.hpp"
 
-#include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace mm::stats {
@@ -9,141 +8,6 @@ std::string CorrKey::cache_key() const {
   return format("u=%s|d=%d|s=%lld|w=%lld|e=%s", universe.c_str(), date,
                 static_cast<long long>(delta_s), static_cast<long long>(window),
                 estimator.c_str());
-}
-
-CorrStore::CorrStore(std::size_t byte_budget, obs::Registry* registry)
-    : byte_budget_(byte_budget), registry_(registry) {}
-
-CorrStore::Lease::Lease(Lease&& other) noexcept
-    : store_(other.store_), key_(std::move(other.key_)),
-      data_(std::move(other.data_)), owner_(other.owner_) {
-  other.store_ = nullptr;
-  other.owner_ = false;
-}
-
-CorrStore::Lease::~Lease() {
-  if (store_ != nullptr && owner_) store_->abandon(key_);
-}
-
-void CorrStore::Lease::publish(CorrDay day) {
-  MM_ASSERT_MSG(owner_, "publish() on a non-owning lease");
-  store_->publish_day(key_, std::move(day));
-  owner_ = false;
-  // The published copy is now the store's; a hit for this lease's own caller
-  // is one peek away, but owners already hold the frames they computed.
-}
-
-CorrStore::Lease CorrStore::acquire(const CorrKey& key) {
-  const std::string k = key.cache_key();
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    auto it = entries_.find(k);
-    if (it == entries_.end()) {
-      Entry entry;
-      entry.computing = true;
-      entries_.emplace(k, std::move(entry));
-      ++stats_.misses;
-      if (registry_ != nullptr) registry_->counter("corr_store.misses").add();
-      return Lease(this, k, nullptr, /*owner=*/true);
-    }
-    if (it->second.data != nullptr) {
-      touch_locked(it->second, k);
-      ++stats_.hits;
-      if (registry_ != nullptr) registry_->counter("corr_store.hits").add();
-      return Lease(this, k, it->second.data, /*owner=*/false);
-    }
-    // Someone else is computing: wait for publish or abandon. On abandon the
-    // entry disappears, so the loop re-runs and ONE waiter re-creates it as
-    // the new owner; the rest queue up behind the fresh compute.
-    ++stats_.waits;
-    if (registry_ != nullptr) registry_->counter("corr_store.waits").add();
-    const std::uint64_t seen = it->second.generation;
-    ready_cv_.wait(lock, [&] {
-      auto e = entries_.find(k);
-      return e == entries_.end() || e->second.data != nullptr ||
-             e->second.generation != seen;
-    });
-  }
-}
-
-std::shared_ptr<const CorrDay> CorrStore::peek(const CorrKey& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key.cache_key());
-  return it != entries_.end() ? it->second.data : nullptr;
-}
-
-void CorrStore::publish_day(const std::string& key, CorrDay day) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  MM_ASSERT_MSG(it != entries_.end() && it->second.computing,
-                "publish without a computing entry");
-  auto shared = std::make_shared<const CorrDay>(std::move(day));
-  bytes_ += shared->bytes();
-  it->second.data = std::move(shared);
-  it->second.computing = false;
-  ++it->second.generation;
-  lru_.push_front(key);
-  it->second.lru = lru_.begin();
-  ++stats_.computes;
-  if (registry_ != nullptr) {
-    registry_->counter("corr_store.computes").add();
-    registry_->gauge("corr_store.bytes").set(static_cast<std::int64_t>(bytes_));
-    registry_->gauge("corr_store.days").set(
-        static_cast<std::int64_t>(lru_.size()));
-  }
-  evict_locked();
-  ready_cv_.notify_all();
-}
-
-void CorrStore::abandon(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end() || !it->second.computing) return;
-  entries_.erase(it);
-  ++stats_.abandons;
-  if (registry_ != nullptr) registry_->counter("corr_store.abandons").add();
-  ready_cv_.notify_all();
-}
-
-void CorrStore::touch_locked(Entry& entry, const std::string& key) {
-  lru_.erase(entry.lru);
-  lru_.push_front(key);
-  entry.lru = lru_.begin();
-}
-
-void CorrStore::evict_locked() {
-  if (byte_budget_ == 0) return;
-  while (bytes_ > byte_budget_ && lru_.size() > 1) {
-    // Never evict the newest entry — the day just published must survive its
-    // own publication even when it alone exceeds the budget.
-    const std::string victim = lru_.back();
-    auto it = entries_.find(victim);
-    bytes_ -= it->second.data->bytes();
-    entries_.erase(it);
-    lru_.pop_back();
-    ++stats_.evictions;
-    if (registry_ != nullptr) {
-      registry_->counter("corr_store.evictions").add();
-      registry_->gauge("corr_store.bytes").set(static_cast<std::int64_t>(bytes_));
-      registry_->gauge("corr_store.days").set(
-          static_cast<std::int64_t>(lru_.size()));
-    }
-  }
-}
-
-CorrStore::Stats CorrStore::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t CorrStore::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-std::size_t CorrStore::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
 }
 
 }  // namespace mm::stats

@@ -1,4 +1,4 @@
-// A md::QuoteFeed backed by a TCP wire-format session.
+// A quote source backed by a TCP wire-format session.
 //
 // WireQuoteSource subscribes to a day on a TcpFeedServer (hello with the
 // day's key), then pulls quotes out of the socket incrementally through the
@@ -12,14 +12,14 @@
 #include <optional>
 #include <string>
 
-#include "marketdata/feed.hpp"
+#include "marketdata/types.hpp"
 #include "wire/feed.hpp"
 #include "wire/parser.hpp"
 #include "wire/socket.hpp"
 
 namespace mm::wire {
 
-class WireQuoteSource final : public md::QuoteFeed {
+class WireQuoteSource {
  public:
   // Connect and subscribe. Non-movable (the parser holds views into the
   // receive buffer), hence the unique_ptr return.
@@ -29,7 +29,7 @@ class WireQuoteSource final : public md::QuoteFeed {
 
   // Next quote in stream order; nullopt at end_of_day — and on transport or
   // parse failure, which failed()/error() disambiguate from a clean end.
-  std::optional<md::Quote> next() override;
+  std::optional<md::Quote> next();
 
   bool done() const { return done_; }
   bool failed() const { return failed_; }

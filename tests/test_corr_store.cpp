@@ -1,12 +1,11 @@
 // CorrStore: the memoized correlation plane under src/svc.
 //
-// Three properties carry the backtest service's correctness:
-//   1. compute-once — N concurrent acquirers of one key produce exactly one
-//      compute (counter-asserted, including across an owner abandon);
-//   2. bit-identity — a pipeline served from the store produces a master
-//      report identical to a cold run (orders, PnL bits, trade returns);
-//   3. bounded residency — eviction respects the byte budget in LRU order
-//      without invalidating in-flight replays.
+// The once-flag contract (compute-once, abandon hand-off, LRU byte budget)
+// belongs to obs::OnceCache and is tested in test_once_cache.cpp. Here: the
+// key CorrStore files days under, compute-once and LRU eviction through the
+// typed front, and bit-identity — a pipeline served from the store produces
+// a master report identical to a cold run (orders, PnL bits, trade returns),
+// at any replica count and under concurrent runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,32 +50,22 @@ TEST(CorrKey, CacheKeyIsCanonicalAndDiscriminates) {
   EXPECT_EQ(a.cache_key(), key_of("synthetic/6/0", 20080303).cache_key());
 }
 
-TEST(CorrStore, MissThenPublishThenHit) {
-  CorrStore store;
-  const CorrKey key = key_of("u", 1);
+TEST(CorrStore, FilesDaysByCacheKeyAndChargesCorrDayBytes) {
+  obs::Registry registry;
+  CorrStore store(/*byte_budget=*/0, &registry);
+  CorrDay day;
+  day.frames.assign(4, std::vector<std::uint8_t>(100, 7));
+  const std::size_t bytes = day.bytes();
 
-  {
-    auto lease = store.acquire(key);
-    EXPECT_TRUE(lease.owner());
-    EXPECT_FALSE(lease.hit());
-    lease.publish(day_of(4, 100, 7));
-  }
-  EXPECT_EQ(store.entries(), 1u);
-  EXPECT_GT(store.bytes(), 4u * 100u);
-
-  auto lease = store.acquire(key);
-  EXPECT_FALSE(lease.owner());
-  ASSERT_TRUE(lease.hit());
-  ASSERT_EQ(lease.data()->frames.size(), 4u);
-  EXPECT_EQ(lease.data()->frames[0][0], 7);
-
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.computes, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.waits, 0u);
-  EXPECT_NE(store.peek(key), nullptr);
+  store.acquire(key_of("u", 1)).publish(std::move(day));
+  EXPECT_NE(store.peek(key_of("u", 1)), nullptr);
   EXPECT_EQ(store.peek(key_of("u", 2)), nullptr);
+  EXPECT_TRUE(store.acquire(key_of("u", 1)).hit());
+  EXPECT_EQ(store.bytes(), bytes);
+  EXPECT_EQ(registry.counter("corr_store.computes").value(), 1u);
+  EXPECT_EQ(registry.counter("corr_store.hits").value(), 1u);
+  EXPECT_EQ(registry.gauge("corr_store.bytes").value(),
+            static_cast<std::int64_t>(bytes));
 }
 
 TEST(CorrStore, ConcurrentSameKeyComputesExactlyOnce) {
@@ -119,35 +108,6 @@ TEST(CorrStore, ConcurrentSameKeyComputesExactlyOnce) {
     ASSERT_NE(seen[t], nullptr) << "thread " << t;
     EXPECT_EQ(seen[t], seen[0]);
   }
-}
-
-TEST(CorrStore, AbandonHandsOwnershipToAWaiter) {
-  CorrStore store;
-  const CorrKey key = key_of("flaky", 1);
-
-  std::atomic<bool> first_owner_holding{false};
-  std::thread flaky([&] {
-    auto lease = store.acquire(key);
-    ASSERT_TRUE(lease.owner());
-    first_owner_holding.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds{20});
-    // Destroyed without publish: the aborted run must not publish a
-    // truncated day — ownership hands off to the blocked waiter below.
-  });
-  while (!first_owner_holding.load()) std::this_thread::yield();
-
-  auto lease = store.acquire(key);  // blocks until the abandon
-  flaky.join();
-  ASSERT_TRUE(lease.owner());
-  lease.publish(day_of(2, 16, 9));
-
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.abandons, 1u);
-  EXPECT_EQ(stats.computes, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // both owners took the miss path
-  EXPECT_GE(stats.waits, 1u);
-  ASSERT_NE(store.peek(key), nullptr);
-  EXPECT_EQ(store.peek(key)->frames.size(), 2u);
 }
 
 TEST(CorrStore, EvictionRespectsByteBudgetInLruOrder) {

@@ -1,5 +1,8 @@
-// DayCache: once-flag loading, LRU byte budget, tickdb-backed factory.
+// DayCache: the loader front over obs::OnceCache (whose once-flag and LRU
+// contract test_once_cache.cpp covers) — one load under concurrent getters,
+// LRU eviction of quote bytes — and its tickdb-backed factory.
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -107,7 +110,34 @@ TEST(DayCache, FailedLoadIsNotCachedAndHandsOffToWaiters) {
   auto second = cache.get("k");
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(loads.load(), 2);
-  EXPECT_EQ(cache.stats().load_errors, 1u);
+  EXPECT_EQ(cache.stats().abandons, 1u);
+}
+
+TEST(DayCache, ChargesQuoteCapacityAndReportsDayCacheMetrics) {
+  mm::obs::Registry registry;
+  DayCache cache(
+      [](const std::string& key) -> Expected<std::vector<Quote>> {
+        if (key == "bad") return Error(Errc::io_error, "no such day");
+        auto day = make_day(64, 100.0);
+        day.reserve(100);
+        return day;
+      },
+      0, &registry);
+
+  auto day = cache.get("a");
+  ASSERT_TRUE(day.has_value());
+  EXPECT_FALSE(cache.get("bad").has_value());
+  const std::size_t bytes =
+      sizeof(std::vector<Quote>) + day.value()->capacity() * sizeof(Quote);
+  EXPECT_GE(day.value()->capacity(), 100u);
+  EXPECT_EQ(cache.bytes(), bytes);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(registry.counter("day_cache.misses").value(), 2u);
+  EXPECT_EQ(registry.counter("day_cache.computes").value(), 1u);
+  EXPECT_EQ(registry.counter("day_cache.abandons").value(), 1u);
+  EXPECT_EQ(registry.gauge("day_cache.bytes").value(),
+            static_cast<std::int64_t>(bytes));
+  EXPECT_EQ(registry.gauge("day_cache.days").value(), 1);
 }
 
 TEST(DayCache, EvictionRespectsByteBudgetInLruOrder) {

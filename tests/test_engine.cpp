@@ -11,6 +11,7 @@
 #include "engine/pipeline.hpp"
 #include "marketdata/bars.hpp"
 #include "marketdata/cleaner.hpp"
+#include "marketdata/day_cache.hpp"
 #include "marketdata/tickdb.hpp"
 
 namespace mm::engine {
@@ -179,8 +180,9 @@ TEST(Pipeline, DbCollectorPathEquivalent) {
   const auto from_memory = run_pipeline(mem_cfg, scenario.universe, scenario.quotes);
 
   PipelineConfig db_cfg = mem_cfg;
-  db_cfg.tickdb_root = root;
-  db_cfg.date = md::Date{2008, 3, 3};
+  auto loaded = md::DayCache::from_tickdb(root).get("2008-03-03");
+  ASSERT_TRUE(loaded.has_value());
+  db_cfg.day = std::move(loaded.value());
   const auto from_db = run_pipeline(db_cfg, scenario.universe, {});
 
   EXPECT_EQ(from_db.master.trades, from_memory.master.trades);

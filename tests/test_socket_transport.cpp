@@ -17,12 +17,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "engine/pipeline.hpp"
+#include "marketdata/day_cache.hpp"
 #include "marketdata/generator.hpp"
 #include "marketdata/symbols.hpp"
 #include "marketdata/tickdb.hpp"
@@ -291,10 +291,10 @@ TEST(SocketTransportPipeline, MultiProcessRunIsBitIdenticalToInProcess) {
   EXPECT_EQ(got, expect);
 }
 
-// Multi-process mode reads the tickdb day only in the collector's process:
-// every other child gets a tickdb_root under a regular file, which can be
-// neither opened nor created, and the run must still match the in-process
-// tickdb run bit for bit.
+// Multi-process mode reads the day only in the collector's process: rank 0's
+// child loads the tickdb day through a DayCache, every other child gets no
+// day and no quotes, and the run must still match the in-process tickdb run
+// bit for bit.
 TEST(SocketTransportPipeline, OnlyTheCollectorProcessReadsTheTickdbDay) {
   constexpr std::size_t kSymbols = 5;
   const md::Universe universe = md::make_universe(kSymbols);
@@ -302,30 +302,30 @@ TEST(SocketTransportPipeline, OnlyTheCollectorProcessReadsTheTickdbDay) {
   generator.quote_rate = 0.15;
   const md::SyntheticDay day(universe, generator, 0);
 
-  const std::filesystem::path base =
-      std::filesystem::temp_directory_path() /
-      ("mm_socket_tickdb_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(base);
-  const std::string root = (base / "db").string();
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("mm_socket_tickdb_" + std::to_string(::getpid())))
+          .string();
   {
     auto db = md::TickDb::open(root);
     ASSERT_TRUE(db.has_value());
     ASSERT_TRUE(db->put_symbols(universe.table).has_value());
     ASSERT_TRUE(db->write_day(md::Date{2008, 3, 3}, day.quotes()).has_value());
   }
-  const std::filesystem::path blocker = base / "regular-file";
-  std::ofstream(blocker) << "not a directory\n";
-  const std::string unopenable = (blocker / "db").string();
-  ASSERT_FALSE(md::TickDb::open(unopenable).has_value());
+  const auto load_day = [&root] {
+    auto loaded = md::DayCache::from_tickdb(root).get("2008-03-03");
+    MM_ASSERT_MSG(loaded.has_value(), "cannot read the tickdb day");
+    return std::move(loaded.value());
+  };
 
   PipelineConfig config;
   config.symbols = kSymbols;
   config.strategies = {demo_params()};
-  config.tickdb_root = root;
-  config.date = md::Date{2008, 3, 3};
   constexpr int kRanks = 6;  // collector, cleaner, snapshot, correlation,
   constexpr int kMasterRank = kRanks - 1;  // strategy-0, master
-  const PipelineResult reference = run_pipeline(config, universe, {});
+  PipelineConfig in_process = config;
+  in_process.day = load_day();
+  const PipelineResult reference = run_pipeline(in_process, universe, {});
   ASSERT_GT(reference.master.orders, 0u);
 
   std::string got;
@@ -334,11 +334,11 @@ TEST(SocketTransportPipeline, OnlyTheCollectorProcessReadsTheTickdbDay) {
       [&](const mpi::Rendezvous& rz) {
         PipelineConfig local = config;
         local.rendezvous = &rz;
-        if (rz.rank != 0) local.tickdb_root = unopenable;
+        if (rz.rank == 0) local.day = load_day();
         return summarize(run_pipeline(local, universe, {}));
       },
       &got);
-  std::filesystem::remove_all(base);
+  std::filesystem::remove_all(root);
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, summarize(reference));
 }
@@ -395,91 +395,30 @@ TEST(SocketEnvelope, OversizedPayloadLengthIsRejectedWithoutAllocating) {
 // --- env-knob validation ----------------------------------------------------
 
 TEST(TransportEnv, DefaultsWhenUnset) {
-  const TransportEnv env =
-      parse_transport_env(nullptr, nullptr, nullptr, nullptr, 8);
+  const TransportEnv env = parse_transport_env(nullptr, 8);
   EXPECT_EQ(env.transport, TransportMode::ring);
   EXPECT_EQ(env.spin.iterations, 512u);
-  EXPECT_EQ(env.ring_capacity, 256u);
-  EXPECT_FALSE(env.pin);
+  EXPECT_EQ(env.spin.pause_share, 64u);
   EXPECT_TRUE(env.warnings.empty());
 }
 
 TEST(TransportEnv, ValidValuesParse) {
-  const TransportEnv env = parse_transport_env("socket", "1024", "64", "1", 8);
+  const TransportEnv env = parse_transport_env("socket", 8);
   EXPECT_EQ(env.transport, TransportMode::socket);
-  EXPECT_EQ(env.spin.iterations, 1024u);
-  EXPECT_EQ(env.ring_capacity, 64u);
-  EXPECT_TRUE(env.pin);
   EXPECT_TRUE(env.warnings.empty());
 }
 
 TEST(TransportEnv, GarbageTransportWarnsAndFallsBackToRing) {
-  const TransportEnv env =
-      parse_transport_env("shared-memory", nullptr, nullptr, nullptr, 8);
+  const TransportEnv env = parse_transport_env("shared-memory", 8);
   EXPECT_EQ(env.transport, TransportMode::ring);
   ASSERT_EQ(env.warnings.size(), 1u);
   EXPECT_NE(env.warnings[0].find("MM_MPMINI_TRANSPORT"), std::string::npos);
 }
 
-TEST(TransportEnv, GarbageSpinWarnsAndKeepsDefault) {
-  for (const char* bad : {"fast", "-1", "512k", "4294967296000"}) {
-    const TransportEnv env =
-        parse_transport_env(nullptr, bad, nullptr, nullptr, 8);
-    EXPECT_EQ(env.spin.iterations, 512u) << bad;
-    ASSERT_EQ(env.warnings.size(), 1u) << bad;
-    EXPECT_NE(env.warnings[0].find("MM_MPMINI_SPIN"), std::string::npos) << bad;
-  }
-  // Zero is a legal value (park immediately), not garbage.
-  const TransportEnv zero =
-      parse_transport_env(nullptr, "0", nullptr, nullptr, 8);
-  EXPECT_EQ(zero.spin.iterations, 0u);
-  EXPECT_TRUE(zero.warnings.empty());
-}
-
-TEST(TransportEnv, RingCapGarbageAndClamping) {
-  const TransportEnv garbage =
-      parse_transport_env(nullptr, nullptr, "lots", nullptr, 8);
-  EXPECT_EQ(garbage.ring_capacity, 256u);
-  ASSERT_EQ(garbage.warnings.size(), 1u);
-
-  const TransportEnv low =
-      parse_transport_env(nullptr, nullptr, "1", nullptr, 8);
-  EXPECT_EQ(low.ring_capacity, 2u);
-  EXPECT_EQ(low.warnings.size(), 1u);
-
-  const TransportEnv high =
-      parse_transport_env(nullptr, nullptr, "99999999999", nullptr, 8);
-  EXPECT_EQ(high.ring_capacity, std::uint64_t{1} << 20);
-  EXPECT_EQ(high.warnings.size(), 1u);
-
-  const TransportEnv fine =
-      parse_transport_env(nullptr, nullptr, "1024", nullptr, 8);
-  EXPECT_EQ(fine.ring_capacity, 1024u);
-  EXPECT_TRUE(fine.warnings.empty());
-}
-
-TEST(TransportEnv, BadPinWarnsAndStaysOff) {
-  const TransportEnv env =
-      parse_transport_env(nullptr, nullptr, nullptr, "yes", 8);
-  EXPECT_FALSE(env.pin);
-  ASSERT_EQ(env.warnings.size(), 1u);
-  EXPECT_NE(env.warnings[0].find("MM_MPMINI_PIN"), std::string::npos);
-}
-
 TEST(TransportEnv, SingleCoreHostGetsShortYieldOnlySpin) {
-  const TransportEnv env =
-      parse_transport_env(nullptr, nullptr, nullptr, nullptr, 1);
+  const TransportEnv env = parse_transport_env(nullptr, 1);
   EXPECT_EQ(env.spin.iterations, 16u);
   EXPECT_EQ(env.spin.pause_share, 0u);
-}
-
-TEST(TransportEnv, MultipleBadKnobsAccumulateWarnings) {
-  const TransportEnv env = parse_transport_env("tcp", "soon", "zero", "y", 8);
-  EXPECT_EQ(env.warnings.size(), 4u);
-  EXPECT_EQ(env.transport, TransportMode::ring);
-  EXPECT_EQ(env.spin.iterations, 512u);
-  EXPECT_EQ(env.ring_capacity, 256u);
-  EXPECT_FALSE(env.pin);
 }
 
 TEST(RendezvousEnv, ParsesAndRejects) {

@@ -353,7 +353,9 @@ TEST(FaultPlan, DelaySleepsOutsideTheMailboxCriticalSection) {
   FaultPlan plan;
   plan.seed = 3;
   plan.delay_prob = 1.0;
-  plan.delay = std::chrono::microseconds{60000};
+  // Wide enough that a receiver descheduled for a while under a parallel
+  // test load still sees its 2 ms deadlines expire inside the delay.
+  plan.delay = std::chrono::microseconds{500000};
   Environment::run(
       2,
       [](Comm& comm) {
@@ -368,7 +370,7 @@ TEST(FaultPlan, DelaySleepsOutsideTheMailboxCriticalSection) {
             ++timeouts;
             ASSERT_LT(timeouts, 100000) << "delayed message never arrived";
           }
-          // The 60 ms delay spans many 2 ms deadlines; if the sleeping sender
+          // The 500 ms delay spans many 2 ms deadlines; if the sleeping sender
           // held the mailbox lock, the first recv_for would have blocked for
           // the full delay and no timeout could have been observed.
           EXPECT_GE(timeouts, 2);
