@@ -120,15 +120,16 @@ std::vector<Trade> run_day_impl(const StrategyParams& params,
                                 std::int64_t first_valid, CorrLookup&& corr_at) {
   MM_ASSERT_MSG(prices_i.size() == prices_j.size(), "price series length mismatch");
   const auto smax = static_cast<std::int64_t>(prices_i.size());
-  PairStrategy strategy(params, smax);
+  PairBank bank(params, smax, 2, {{0, 1}});
   for (std::int64_t s = 0; s < smax; ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    const double prices[2] = {prices_i[si], prices_j[si]};
     const bool valid = s >= first_valid;
     const double c = valid ? corr_at(s) : 0.0;
-    strategy.step(s, prices_i[static_cast<std::size_t>(s)],
-                  prices_j[static_cast<std::size_t>(s)], c, valid);
+    bank.step(s, prices, &c, valid);
   }
-  strategy.finish();
-  return strategy.take_trades();
+  bank.finish();
+  return bank.take_trades(0);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 //     shares (∆s, M) reuses them. This is the amortization that makes the
 //     brute-force parameter sweep feasible.
 //
-// run_pair_day() then drives the PairStrategy state machine over the series.
+// run_pair_day() then drives a PairBank of one pair over the series.
 #pragma once
 
 #include <cstdint>

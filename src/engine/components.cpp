@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
+#include "common/strings.hpp"
 #include "core/strategy.hpp"
 #include "dagflow/context.hpp"
 #include "engine/messages.hpp"
@@ -456,9 +458,6 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
   return [params, pairs = std::move(pairs), strategy_id, smax](dag::Context& ctx) {
     const ItemCounters items(ctx);
     obs::Histogram* step_ns = step_histogram(ctx, "engine.strategy.step_ns");
-    std::vector<core::PairStrategy> machines;
-    machines.reserve(pairs.size());
-    for (std::size_t k = 0; k < pairs.size(); ++k) machines.emplace_back(params, smax);
 
     const auto emit_order = [&](std::int64_t s, const stats::PairIndex& pr, double di,
                                 double dj, double pi, double pj, bool entry) {
@@ -475,8 +474,17 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       ctx.emit(0, order.pack());
       count(items.out, 1);
     };
-
-    std::vector<std::size_t> frame_index;  // built on the first frame
+    // Built on the first frame, which fixes the universe: the bank, and each
+    // of my pairs' slot in the canonical all-pairs order of the frame vectors.
+    std::optional<core::PairBank> bank;
+    const auto emit_exit = [&](std::int64_t s, std::size_t k) {
+      const auto& t = bank->trades(k).back();
+      emit_order(s, pairs[k], -t.shares_i, -t.shares_j, t.exit_price_i, t.exit_price_j,
+                 false);
+    };
+    std::size_t universe = 0;
+    std::vector<std::size_t> frame_index;
+    std::vector<double> corr(pairs.size());
     std::int64_t last_interval = -1;
 
     while (auto msg = ctx.recv()) {
@@ -487,93 +495,98 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       count(items.in, 1);
       last_interval = frame.interval;
 
-      if (frame_index.size() != pairs.size()) {
-        // Each of my pairs' slot in the canonical all-pairs order the
-        // CorrFrame vectors use.
-        const std::size_t n = frame.prices.size();
+      const std::size_t n = frame.prices.size();
+      if (!bank) {
         for (const auto& pr : pairs) {
           MM_ASSERT_MSG(pr.i < pr.j && pr.j < n, "pair not in universe");
           frame_index.push_back(stats::pair_slot(n, pr.i, pr.j));
         }
+        bank.emplace(params, smax, n, pairs);
+        universe = n;
       }
-
-      obs::ObsSpan step(ctx.ring(), "strategy-step", step_ns);
-      for (std::size_t k = 0; k < pairs.size(); ++k) {
-        auto& machine = machines[k];
-        const double pi = frame.prices[pairs[k].i];
-        const double pj = frame.prices[pairs[k].j];
-
-        double corr = 0.0;
-        if (frame.valid) {
-          const double pearson_r = frame.pearson[frame_index[k]];
+      // Frames may come from another process: a malformed one fails this
+      // node instead of being indexed out of bounds.
+      const std::size_t slots = n * (n - 1) / 2;
+      if (n != universe ||
+          (frame.valid && (frame.pearson.size() != slots ||
+                           (params.ctype != stats::Ctype::pearson &&
+                            frame.maronna.size() != slots))))
+        throw std::runtime_error(
+            format("strategy: corr frame at interval %lld does not cover the %zu-symbol "
+                   "universe",
+                   static_cast<long long>(frame.interval), universe));
+      if (frame.valid) {
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const std::size_t slot = frame_index[k];
           switch (params.ctype) {
             case stats::Ctype::pearson:
-              corr = pearson_r;
+              corr[k] = frame.pearson[slot];
               break;
             case stats::Ctype::maronna:
-              corr = frame.maronna[frame_index[k]];
+              corr[k] = frame.maronna[slot];
               break;
             case stats::Ctype::combined:
-              corr = stats::combine(pearson_r, frame.maronna[frame_index[k]]);
+              corr[k] = stats::combine(frame.pearson[slot], frame.maronna[slot]);
               break;
           }
         }
+      }
 
-        const bool was_open = machine.in_position();
-        const std::size_t trades_before = machine.trades().size();
-        machine.step(frame.interval, pi, pj, corr, frame.valid);
-
-        if (!was_open && machine.in_position()) {
-          emit_order(frame.interval, pairs[k], machine.position_shares_i(),
-                     machine.position_shares_j(), machine.position_entry_price_i(),
-                     machine.position_entry_price_j(), true);
-        }
-        if (machine.trades().size() > trades_before) {
-          const auto& t = machine.trades().back();
-          emit_order(frame.interval, pairs[k], -t.shares_i, -t.shares_j,
-                     t.exit_price_i, t.exit_price_j, false);
-        }
+      obs::ObsSpan step(ctx.ring(), "strategy-step", step_ns);
+      for (const auto& event : bank->step(frame.interval, frame.prices.data(), corr.data(),
+                                          frame.valid)) {
+        const std::size_t k = event.pair;
+        if (event.entry)
+          emit_order(frame.interval, pairs[k], bank->position_shares_i(k),
+                     bank->position_shares_j(k), bank->position_entry_price_i(k),
+                     bank->position_entry_price_j(k), true);
+        else
+          emit_exit(frame.interval, k);
       }
     }
 
-    // End of day: flatten and summarize.
+    // End of day: flatten and summarize, pair by pair and trade by trade.
     StrategySummary summary;
     summary.strategy_id = strategy_id;
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      auto& machine = machines[k];
-      const std::size_t trades_before = machine.trades().size();
-      machine.finish();
-      if (machine.trades().size() > trades_before) {
-        const auto& t = machine.trades().back();
-        emit_order(last_interval, pairs[k], -t.shares_i, -t.shares_j, t.exit_price_i,
-                   t.exit_price_j, false);
-      }
-      for (const auto& t : machine.trades()) {
-        ++summary.trades;
-        summary.total_pnl += t.pnl;
-        summary.trade_returns.push_back(t.trade_return);
+    if (bank) {
+      for (const auto& event : bank->finish()) emit_exit(last_interval, event.pair);
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        for (const auto& t : bank->trades(k)) {
+          ++summary.trades;
+          summary.total_pnl += t.pnl;
+          summary.trade_returns.push_back(t.trade_return);
+        }
       }
     }
     ctx.emit(0, summary.pack());
   };
 }
 
-dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
+dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig risk) {
   MM_ASSERT(report != nullptr);
-  return [report, risk](dag::Context& ctx) {
-    // Per-(interval, symbol) signed share flow for netting accounting; every
-    // order adds its interval, so the map's size is the basket count.
-    std::map<std::int64_t, std::map<std::uint32_t, double>> basket_flow;
-    std::map<std::uint32_t, double> last_price;
+  return [report, symbols, risk](dag::Context& ctx) {
+    // Dense per-symbol books sized by the universe. A symbol with no leg yet
+    // holds net 0 at price 0 and adds +0.0 to the gross notional, so the sum
+    // over every symbol in ascending order equals the sum over the symbols
+    // seen so far.
+    std::vector<double> net(symbols, 0.0);
+    std::vector<double> last_price(symbols, 0.0);
+    std::vector<std::uint8_t> seen(symbols, 0);
 
-    const auto apply_leg = [&](const Order& order, std::uint32_t symbol,
-                               double shares, double price) {
-      report->net_shares[symbol] += shares;
+    // Orders may come from other processes: a symbol outside the universe
+    // fails this node (the run comes back degraded) instead of indexing out
+    // of the books.
+    const auto check_symbol = [symbols](std::uint32_t symbol) {
+      if (symbol >= symbols)
+        throw std::runtime_error(format(
+            "master: order symbol %u outside the %zu-symbol universe", symbol, symbols));
+    };
+    const auto apply_leg = [&](std::uint32_t symbol, double shares, double price) {
+      seen[symbol] = 1;
+      net[symbol] += shares;
       last_price[symbol] = price;
       report->raw_order_shares += std::abs(shares);
-      basket_flow[order.interval][symbol] += shares;
-      if (risk.max_symbol_shares > 0.0 &&
-          std::abs(report->net_shares[symbol]) > risk.max_symbol_shares)
+      if (risk.max_symbol_shares > 0.0 && std::abs(net[symbol]) > risk.max_symbol_shares)
         ++report->symbol_limit_breaches;
     };
 
@@ -582,16 +595,18 @@ dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
       const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
       if (type == RecordType::order) {
         const auto order = Order::unpack(u);
+        check_symbol(order.symbol_i);
+        check_symbol(order.symbol_j);
         ++report->orders;
         report->order_log.push_back(order);
         if (order.is_entry) ++report->entries;
         else ++report->exits;
-        apply_leg(order, order.symbol_i, order.shares_i, order.price_i);
-        apply_leg(order, order.symbol_j, order.shares_j, order.price_j);
+        apply_leg(order.symbol_i, order.shares_i, order.price_i);
+        apply_leg(order.symbol_j, order.shares_j, order.price_j);
 
         double gross = 0.0;
-        for (const auto& [symbol, net] : report->net_shares)
-          gross += std::abs(net) * last_price[symbol];
+        for (std::size_t symbol = 0; symbol < symbols; ++symbol)
+          gross += std::abs(net[symbol]) * last_price[symbol];
         report->peak_gross_notional = std::max(report->peak_gross_notional, gross);
         if (risk.max_gross_notional > 0.0 && gross > risk.max_gross_notional)
           ++report->gross_limit_breaches;
@@ -607,15 +622,51 @@ dag::NodeFn make_master(MasterReport* report, RiskConfig risk) {
         MM_ASSERT_MSG(false, "master: unexpected record type");
       }
     }
-    report->basket_count = basket_flow.size();
+    for (std::uint32_t symbol = 0; symbol < symbols; ++symbol)
+      if (seen[symbol] != 0) report->net_shares[symbol] = net[symbol];
     // Arrival order across workers is a race; sort for deterministic reports.
     std::sort(report->strategy_summaries.begin(), report->strategy_summaries.end(),
               [](const StrategySummary& a, const StrategySummary& b) {
                 return a.strategy_id < b.strategy_id;
               });
-    for (const auto& [interval, flows] : basket_flow)
-      for (const auto& [symbol, net] : flows)
-        report->netted_order_shares += std::abs(net);
+
+    // Basket netting: each (interval, symbol) basket sums its legs in arrival
+    // order; the netted total adds the baskets by interval, then symbol.
+    const auto& log = report->order_log;
+    std::vector<std::size_t> by_interval(log.size());
+    for (std::size_t i = 0; i < by_interval.size(); ++i) by_interval[i] = i;
+    std::stable_sort(by_interval.begin(), by_interval.end(),
+                     [&log](std::size_t a, std::size_t b) {
+                       return log[a].interval < log[b].interval;
+                     });
+    std::vector<double> flow(symbols, 0.0);
+    std::vector<std::uint8_t> in_basket(symbols, 0);
+    std::vector<std::uint32_t> basket;  // symbols with a leg in this basket
+    const auto add_leg = [&](std::uint32_t symbol, double shares) {
+      if (in_basket[symbol] == 0) {
+        in_basket[symbol] = 1;
+        basket.push_back(symbol);
+      }
+      flow[symbol] += shares;
+    };
+    for (std::size_t begin = 0; begin < by_interval.size();) {
+      const std::int64_t interval = log[by_interval[begin]].interval;
+      std::size_t end = begin;
+      for (; end < by_interval.size() && log[by_interval[end]].interval == interval; ++end) {
+        const Order& order = log[by_interval[end]];
+        add_leg(order.symbol_i, order.shares_i);
+        add_leg(order.symbol_j, order.shares_j);
+      }
+      std::sort(basket.begin(), basket.end());
+      for (const std::uint32_t symbol : basket) {
+        report->netted_order_shares += std::abs(flow[symbol]);
+        flow[symbol] = 0.0;
+        in_basket[symbol] = 0;
+      }
+      basket.clear();
+      ++report->basket_count;
+      begin = end;
+    }
 
     // Degradation section: which strategy streams ended in a failure marker
     // (or silence) rather than a clean end-of-day.

@@ -173,6 +173,8 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
                                 std::int32_t strategy_id, std::int64_t smax);
 
 // --- master ------------------------------------------------------------------
-dag::NodeFn make_master(MasterReport* report, RiskConfig risk = {});
+// Keeps its per-symbol books in dense arrays over the `symbols`-wide
+// universe; an order naming a symbol outside it fails the node.
+dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig risk = {});
 
 }  // namespace mm::engine

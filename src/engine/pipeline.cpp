@@ -88,7 +88,8 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
         make_strategy_stage(config.strategies[static_cast<std::size_t>(w)], pairs, w,
                             smax)));
   }
-  const int master_node = graph.add_node("master", make_master(&master, config.risk));
+  const int master_node =
+      graph.add_node("master", make_master(&master, config.symbols, config.risk));
 
   graph.connect(collector, 0, cleaner, 0, config.channel_capacity);
   graph.connect(cleaner, 0, snapshot, 0, config.channel_capacity);

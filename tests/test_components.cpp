@@ -266,6 +266,37 @@ TEST(StrategyNode, EmitsPairedEntryExitOrdersAndSummary) {
   EXPECT_EQ(summaries, 1u);
 }
 
+TEST(StrategyNode, RejectsFrameNotCoveringUniverse) {
+  // Frames can come from another process: one whose coefficient vector does
+  // not cover the universe fails the node instead of being indexed.
+  core::StrategyParams params = core::ParamGrid::base();
+  std::vector<std::vector<std::uint8_t>> input;
+  for (int s = 0; s < 2; ++s) {
+    CorrFrame frame;
+    frame.interval = s;
+    frame.valid = s == 1;
+    frame.prices = {100.0, 50.0, 25.0};
+    if (frame.valid) frame.pearson = {0.9};  // 3 symbols need 3 pairs
+    input.push_back(frame.pack());
+  }
+  dag::Graph g;
+  const int src = g.add_node("src", [&input](dag::Context& ctx) {
+    for (auto& payload : input) ctx.emit(0, std::move(payload));
+  });
+  const int uut = g.add_node("uut", make_strategy_stage(params, {{0, 1}}, 0, 780));
+  const int sink = g.add_node("sink", [](dag::Context& ctx) {
+    while (ctx.recv()) {
+    }
+  });
+  g.connect(src, 0, uut, 0);
+  g.connect(uut, 0, sink, 0);
+  const auto result = g.run();
+
+  const auto& status = result.nodes[static_cast<std::size_t>(uut)];
+  EXPECT_TRUE(status.failed);
+  EXPECT_NE(status.error.find("interval 1"), std::string::npos) << status.error;
+}
+
 TEST(ClusterStage, EmitsGroupingsAtCadence) {
   // 4 symbols, pairs (canonical): 01 02 03 12 13 23. Frames carry a
   // two-block structure: {0,1} and {2,3} tight, cross weak.
@@ -322,7 +353,7 @@ TEST(MasterNode, AggregatesAcrossInputs) {
   };
   const int a = g.add_node("a", emit_orders(3, 1));
   const int b = g.add_node("b", emit_orders(2, 2));
-  const int master = g.add_node("master", make_master(&report));
+  const int master = g.add_node("master", make_master(&report, /*symbols=*/2));
   g.connect(a, 0, master, 0);
   g.connect(b, 0, master, 1);
   g.run();
@@ -337,6 +368,35 @@ TEST(MasterNode, AggregatesAcrossInputs) {
   // Netting: intervals 0 and 1 carry orders from both strategies, same side,
   // so raw == netted there; no reduction anywhere (all same-signed).
   EXPECT_DOUBLE_EQ(report.raw_order_shares, report.netted_order_shares);
+}
+
+TEST(MasterNode, RejectsSymbolOutsideUniverse) {
+  // Orders can come from other processes: a symbol past the universe the
+  // master's books are sized for fails the node instead of indexing them.
+  MasterReport report;
+  dag::Graph g;
+  const int src = g.add_node("src", [](dag::Context& ctx) {
+    Order order;
+    order.symbol_i = 0;
+    order.symbol_j = 1;
+    order.shares_i = 1.0;
+    order.shares_j = -1.0;
+    order.price_i = 10.0;
+    order.price_j = 10.0;
+    ctx.emit(0, order.pack());
+    order.interval = 1;
+    order.symbol_j = 7;
+    ctx.emit(0, order.pack());
+  });
+  const int master = g.add_node("master", make_master(&report, /*symbols=*/4));
+  g.connect(src, 0, master, 0);
+  const auto result = g.run();
+
+  EXPECT_FALSE(result.ok());
+  const auto& status = result.nodes[static_cast<std::size_t>(master)];
+  EXPECT_TRUE(status.failed);
+  EXPECT_NE(status.error.find("symbol 7"), std::string::npos) << status.error;
+  EXPECT_EQ(report.orders, 1u);  // the bad order was not booked
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "core/strategy.hpp"
 #include "marketdata/bars.hpp"
 #include "mpmini/serde.hpp"
-#include "stats/rolling.hpp"
 #include "stats/sym_matrix.hpp"
 #include "stats/windows.hpp"
 
@@ -16,37 +15,37 @@ namespace {
 
 using DeathTest = ::testing::Test;
 
+// A PairBank of one pair (legs 0 and 1), stepped with one price row.
+void step_pair(core::PairBank& bank, std::int64_t s, double price_i, double price_j) {
+  const double prices[2] = {price_i, price_j};
+  const double corr = 0.9;
+  bank.step(s, prices, &corr, true);
+}
+
 TEST(ContractStrategy, NonIncreasingIntervalAborts) {
   core::StrategyParams p = core::ParamGrid::base();
-  core::PairStrategy s(p, 780);
-  s.step(5, 100.0, 50.0, 0.9, true);
-  EXPECT_DEATH(s.step(5, 100.0, 50.0, 0.9, true), "strictly increasing");
-  EXPECT_DEATH(s.step(4, 100.0, 50.0, 0.9, true), "strictly increasing");
+  core::PairBank s(p, 780, 2, {{0, 1}});
+  step_pair(s, 5, 100.0, 50.0);
+  EXPECT_DEATH(step_pair(s, 5, 100.0, 50.0), "strictly increasing");
+  EXPECT_DEATH(step_pair(s, 4, 100.0, 50.0), "strictly increasing");
 }
 
 TEST(ContractStrategy, NonPositivePriceAborts) {
   core::StrategyParams p = core::ParamGrid::base();
-  core::PairStrategy s(p, 780);
-  EXPECT_DEATH(s.step(0, 0.0, 50.0, 0.9, true), "non-positive price");
-  EXPECT_DEATH(s.step(0, 100.0, -1.0, 0.9, true), "non-positive price");
+  core::PairBank s(p, 780, 2, {{0, 1}});
+  EXPECT_DEATH(step_pair(s, 0, 0.0, 50.0), "non-positive price");
+  EXPECT_DEATH(step_pair(s, 0, 100.0, -1.0), "non-positive price");
 }
 
 TEST(ContractStrategy, InvalidParamsAbortAtConstruction) {
   core::StrategyParams p = core::ParamGrid::base();
   p.retracement = 1.5;
-  EXPECT_DEATH(core::PairStrategy(p, 780), "invalid StrategyParams");
+  EXPECT_DEATH(core::PairBank(p, 780, 2, {{0, 1}}), "invalid StrategyParams");
 }
 
 TEST(ContractMetrics, TotalLossAborts) {
   EXPECT_DEATH(core::cumulative_return({-1.0}), "compounding");
   EXPECT_DEATH(core::cumulative_return({-1.5}), "compounding");
-}
-
-TEST(ContractRolling, EmptyWindowQueriesAbort) {
-  stats::RollingWindow<int> w(4);
-  EXPECT_DEATH((void)w.newest(), "");
-  stats::RollingMinMax mm(4);
-  EXPECT_DEATH((void)mm.min(), "");
 }
 
 TEST(ContractWindows, WrongReturnCountAborts) {

@@ -1,5 +1,5 @@
-// Tests for the canonical pair trading strategy state machine (§III),
-// including the paper's worked sizing and return examples.
+// Tests for the canonical pair trading strategy state machine (§III), one
+// pair at a time, including the paper's worked sizing and return examples.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +27,28 @@ StrategyParams test_params() {
 }
 
 constexpr std::int64_t kSmax = 60;
+
+// One pair (legs 0 and 1) through a PairBank of one.
+class OnePair {
+ public:
+  OnePair(const StrategyParams& params, std::int64_t smax)
+      : bank_(params, smax, 2, {{0, 1}}) {}
+
+  void step(std::int64_t s, double price_i, double price_j, double corr, bool corr_valid) {
+    const double prices[2] = {price_i, price_j};
+    bank_.step(s, prices, &corr, corr_valid);
+  }
+  void finish() { bank_.finish(); }
+
+  bool in_position() const { return bank_.in_position(0); }
+  const std::vector<Trade>& trades() const { return bank_.trades(0); }
+  bool correlation_ready() const { return bank_.correlation_ready(); }
+  double position_shares_i() const { return bank_.position_shares_i(0); }
+  double position_shares_j() const { return bank_.position_shares_j(0); }
+
+ private:
+  PairBank bank_;
+};
 
 TEST(SizePosition, PaperExampleLongCheapLeg) {
   // "if we short i [IBM $130], and long j [MSFT $30], then x = ceil(Pi/Pj)" —
@@ -73,14 +95,14 @@ TEST(SizePosition, LongSideAlwaysAtLeastShortSide) {
 }
 
 TEST(PairStrategy, NoTradeWithoutDivergence) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   for (std::int64_t t = 0; t < kSmax; ++t) s.step(t, 100.0, 50.0, 0.9, true);
   s.finish();
   EXPECT_TRUE(s.trades().empty());
 }
 
 TEST(PairStrategy, NoTradeWhenAverageBelowThreshold) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   // Average correlation 0.05 < A = 0.1; a divergence occurs but must not fire.
   for (std::int64_t t = 0; t < 20; ++t) s.step(t, 100.0, 50.0, 0.05, true);
   s.step(20, 100.0, 50.0, 0.01, true);
@@ -90,7 +112,7 @@ TEST(PairStrategy, NoTradeWhenAverageBelowThreshold) {
 }
 
 TEST(PairStrategy, FreshDivergenceOpensPosition) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, 50.0, 0.9, true);
   EXPECT_FALSE(s.in_position());
   s.step(10, 100.0, 50.0, 0.5, true);  // 44% below C-bar
@@ -98,7 +120,7 @@ TEST(PairStrategy, FreshDivergenceOpensPosition) {
 }
 
 TEST(PairStrategy, DirectionShortsTheOverPerformer) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   // Leg i rallies into the divergence; leg j flat -> short i, long j.
   for (std::int64_t t = 0; t < 10; ++t)
     s.step(t, 100.0 + static_cast<double>(t), 50.0, 0.9, true);
@@ -113,7 +135,7 @@ TEST(PairStrategy, StaleDivergenceNeverFires) {
   // time everything is warm the streak exceeds Y, so no entry all day.
   StrategyParams p = test_params();
   p.spread_window = 20;  // warm at s=19
-  PairStrategy s(p, kSmax);
+  OnePair s(p, kSmax);
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, 50.0, 0.9, true);
   for (std::int64_t t = 10; t < kSmax; ++t) s.step(t, 100.0, 50.0, 0.5, true);
   s.finish();
@@ -123,7 +145,7 @@ TEST(PairStrategy, StaleDivergenceNeverFires) {
 TEST(PairStrategy, StRuleBlocksLateEntries) {
   StrategyParams p = test_params();
   p.no_entry_before_close = 30;
-  PairStrategy s(p, kSmax);
+  OnePair s(p, kSmax);
   for (std::int64_t t = 0; t < 35; ++t) s.step(t, 100.0, 50.0, 0.9, true);
   // Divergence at s=35 >= smax - ST = 30: must not open.
   s.step(35, 100.0, 50.0, 0.5, true);
@@ -131,7 +153,7 @@ TEST(PairStrategy, StRuleBlocksLateEntries) {
 }
 
 TEST(PairStrategy, MaxHoldingPeriodForcesExit) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   // Spread falls steadily, so the retracement level (above) is never reached.
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
@@ -147,7 +169,7 @@ TEST(PairStrategy, MaxHoldingPeriodForcesExit) {
 TEST(PairStrategy, RetracementExitAndPaperReturnExample) {
   // Engineer the paper's §III step-6 example: short 1 IBM @130, long 5 MSFT
   // @30; exit at 120/29 -> pnl $5 on a $280 basis.
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   // IBM (leg i) rallies into the divergence so it is the over-performer.
   for (std::int64_t t = 0; t < 10; ++t)
     s.step(t, 120.0 + static_cast<double>(t), 30.0, 0.9, true);
@@ -168,7 +190,7 @@ TEST(PairStrategy, RetracementExitAndPaperReturnExample) {
 }
 
 TEST(PairStrategy, EndOfDayFlattensOpenPosition) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
   s.step(10, 100.0, pj(10), 0.5, true);
@@ -180,7 +202,7 @@ TEST(PairStrategy, EndOfDayFlattensOpenPosition) {
 }
 
 TEST(PairStrategy, FinishWithoutPositionIsNoOp) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   s.step(0, 100.0, 50.0, 0.9, true);
   s.finish();
   EXPECT_TRUE(s.trades().empty());
@@ -189,7 +211,7 @@ TEST(PairStrategy, FinishWithoutPositionIsNoOp) {
 TEST(PairStrategy, StopLossExtensionExits) {
   StrategyParams p = test_params();
   p.stop_loss = 0.02;  // 2%
-  PairStrategy s(p, kSmax);
+  OnePair s(p, kSmax);
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
   s.step(10, 100.0, pj(10), 0.5, true);  // short i / long j? i flat, j rallying
@@ -206,7 +228,7 @@ TEST(PairStrategy, StopLossExtensionExits) {
 TEST(PairStrategy, CorrelationReversionExtensionExits) {
   StrategyParams p = test_params();
   p.correlation_reversion_exit = true;
-  PairStrategy s(p, kSmax);
+  OnePair s(p, kSmax);
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
   s.step(10, 100.0, pj(10), 0.5, true);
@@ -219,7 +241,7 @@ TEST(PairStrategy, CorrelationReversionExtensionExits) {
 }
 
 TEST(PairStrategy, NoInstantReentryAfterExit) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
   s.step(10, 100.0, pj(10), 0.5, true);
@@ -238,7 +260,7 @@ TEST(PairStrategy, TransactionCostsReducePnl) {
   auto run_with_cost = [](double cost) {
     StrategyParams p = test_params();
     p.cost_per_share = cost;
-    PairStrategy s(p, kSmax);
+    OnePair s(p, kSmax);
     for (std::int64_t t = 0; t < 10; ++t)
       s.step(t, 120.0 + static_cast<double>(t), 30.0, 0.9, true);
     s.step(10, 130.0, 30.0, 0.5, true);
@@ -255,7 +277,7 @@ TEST(PairStrategy, SlippageWorsensBothLegs) {
   auto run_with_slippage = [](double slip) {
     StrategyParams p = test_params();
     p.slippage_frac = slip;
-    PairStrategy s(p, kSmax);
+    OnePair s(p, kSmax);
     for (std::int64_t t = 0; t < 10; ++t)
       s.step(t, 120.0 + static_cast<double>(t), 30.0, 0.9, true);
     s.step(10, 130.0, 30.0, 0.5, true);
@@ -273,7 +295,7 @@ TEST(PairStrategy, SlippageWorsensBothLegs) {
 TEST(PairStrategy, RetracementBeatsMaxHoldingOnSameInterval) {
   // Both conditions fire at s = entry + HP; the retracement exit is checked
   // first and must win (it is the strategy's intended exit).
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   // Falling spread into entry -> exit_when_spread_above with L above entry.
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
@@ -288,7 +310,7 @@ TEST(PairStrategy, RetracementBeatsMaxHoldingOnSameInterval) {
 }
 
 TEST(PairStrategy, SecondTradePossibleAfterFreshDivergence) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   const auto pj = [](std::int64_t t) { return 50.0 + 0.5 * static_cast<double>(t); };
   // First cycle.
   for (std::int64_t t = 0; t < 10; ++t) s.step(t, 100.0, pj(t), 0.9, true);
@@ -312,7 +334,7 @@ TEST(PairStrategy, LotSizeScalesSharesNotReturns) {
   auto run_with_lot = [](double lot) {
     StrategyParams p = test_params();
     p.lot_size = lot;
-    PairStrategy s(p, kSmax);
+    OnePair s(p, kSmax);
     for (std::int64_t t = 0; t < 10; ++t)
       s.step(t, 120.0 + static_cast<double>(t), 30.0, 0.9, true);
     s.step(10, 130.0, 30.0, 0.5, true);
@@ -328,7 +350,7 @@ TEST(PairStrategy, LotSizeScalesSharesNotReturns) {
 }
 
 TEST(PairStrategy, InvalidCorrelationDelaysSignals) {
-  PairStrategy s(test_params(), kSmax);
+  OnePair s(test_params(), kSmax);
   // corr_valid=false for a long stretch: no averages build, no trades.
   for (std::int64_t t = 0; t < 30; ++t) s.step(t, 100.0, 50.0, 0.0, false);
   EXPECT_FALSE(s.correlation_ready());
