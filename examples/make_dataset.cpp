@@ -4,9 +4,9 @@
 //
 //   $ ./make_dataset --out /tmp/mm_march2008 --symbols 10 --days 5
 //
-// Writes per business day: quotes.bin + trades.bin; plus symbols.txt, and a
-// sample day exported as Table-II-style CSV. Then reads everything back and
-// prints an inventory with integrity checks.
+// Writes per business day: quotes.bin and its time index quotes.idx; plus
+// symbols.txt, and a sample day exported as Table-II-style CSV. Then reads
+// everything back and prints an inventory with integrity checks.
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -41,23 +41,17 @@ int main(int argc, char** argv) {
   gen.seed = static_cast<std::uint64_t>(seed);
   const auto dates = md::business_days(md::Date{2008, 3, 3}, static_cast<int>(days));
 
-  std::size_t total_quotes = 0, total_trades = 0;
+  std::size_t total_quotes = 0;
   for (int d = 0; d < static_cast<int>(dates.size()); ++d) {
     const md::SyntheticDay day(universe, gen, d);
     if (auto st = db->write_day(dates[static_cast<std::size_t>(d)], day.quotes()); !st) {
       std::fprintf(stderr, "%s\n", st.error().message.c_str());
       return 1;
     }
-    if (auto st = db->write_trades(dates[static_cast<std::size_t>(d)], day.trades());
-        !st) {
-      std::fprintf(stderr, "%s\n", st.error().message.c_str());
-      return 1;
-    }
     total_quotes += day.quotes().size();
-    total_trades += day.trades().size();
-    std::printf("  %s: %8zu quotes, %7zu trades (%zu corrupted at source)\n",
+    std::printf("  %s: %8zu quotes (%zu corrupted at source)\n",
                 dates[static_cast<std::size_t>(d)].iso().c_str(), day.quotes().size(),
-                day.trades().size(), day.corrupted_count());
+                day.corrupted_count());
     if (csv && d == 0) {
       const std::string csv_path = out + "/day1.csv";
       if (md::write_taq_csv(csv_path, day.quotes(), universe.table))
@@ -69,20 +63,17 @@ int main(int argc, char** argv) {
   std::printf("\nstore %s:\n", out.c_str());
   auto loaded_symbols = db->get_symbols();
   std::printf("  symbols: %zu\n", loaded_symbols ? loaded_symbols->size() : 0);
-  std::size_t verify_quotes = 0, verify_trades = 0;
+  std::size_t verify_quotes = 0;
   for (const auto& date : db->days()) {
     const auto quotes = db->read_day(date);
-    const auto trades = db->read_trades(date);
-    if (!quotes || !trades) {
+    if (!quotes) {
       std::fprintf(stderr, "  %s: read-back FAILED\n", date.iso().c_str());
       return 1;
     }
     verify_quotes += quotes->size();
-    verify_trades += trades->size();
   }
-  std::printf("  days: %zu, quotes: %zu, trades: %zu\n", db->days().size(),
-              verify_quotes, verify_trades);
-  if (verify_quotes != total_quotes || verify_trades != total_trades) {
+  std::printf("  days: %zu, quotes: %zu\n", db->days().size(), verify_quotes);
+  if (verify_quotes != total_quotes) {
     std::fprintf(stderr, "integrity check FAILED\n");
     return 1;
   }

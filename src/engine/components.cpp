@@ -120,8 +120,15 @@ dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config) {
 
       QuoteBatch out;
       out.quotes.reserve(batch.quotes.size());
-      for (const auto& q : batch.quotes)
+      for (const auto& q : batch.quotes) {
+        // Quotes may come from another process (a wire feed): a symbol
+        // outside the universe fails the node instead of the process.
+        if (q.symbol >= symbols)
+          throw std::runtime_error(format(
+              "cleaner: quote symbol %u outside the %zu-symbol universe", q.symbol,
+              symbols));
         if (cleaner.accept(q)) out.quotes.push_back(q);
+      }
       if (!out.quotes.empty()) {
         count(items.out, out.quotes.size());
         ctx.emit(0, out.pack());

@@ -2,13 +2,26 @@
 
 #include <memory>
 
+#include "common/strings.hpp"
 #include "common/timer.hpp"
 #include "dagflow/context.hpp"
 #include "dagflow/graph.hpp"
-#include "marketdata/generator.hpp"
 #include "mpmini/socket_transport.hpp"
 
 namespace mm::engine {
+
+stats::CorrKey stamped_corr_key(const PipelineConfig& config) {
+  // The bindings name every field, so a field added to either config stops
+  // this compiling until it joins the fingerprint. %a prints doubles exactly.
+  const auto& [mean_gain, dev_gain, band_k, warmup_ticks, min_dev_frac,
+               level_shift_ticks] = config.cleaner;
+  const auto& [huber_k2, tolerance, max_iterations] = config.maronna;
+  stats::CorrKey key = config.corr_key;
+  key.frames_config =
+      format("%a,%a,%a,%d,%a,%d;%a,%a,%d", mean_gain, dev_gain, band_k, warmup_ticks,
+             min_dev_frac, level_shift_ticks, huber_k2, tolerance, max_iterations);
+  return key;
+}
 
 PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& universe,
                             std::vector<md::Quote> quotes) {
@@ -61,7 +74,7 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
       "correlation",
       make_correlation_stage(config.symbols, base.corr_window, need_maronna,
                              config.maronna, corr_fan_out, config.replica_deadline,
-                             config.corr_store, config.corr_key, smax),
+                             config.corr_store, stamped_corr_key(config), smax),
       need_maronna ? config.correlation_replicas : 1);
 
   // Optional clustering branch: corr port k -> cluster stage -> snapshot sink.
@@ -180,27 +193,6 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
                              counter(engine + ".reshards")});
   }
   return result;
-}
-
-SessionResult run_pipeline_session(const PipelineConfig& config,
-                                   const md::Universe& universe,
-                                   const md::GeneratorConfig& generator,
-                                   int day_count) {
-  MM_ASSERT_MSG(day_count >= 1, "session needs at least one day");
-  Stopwatch watch;
-  SessionResult session;
-  session.days.reserve(static_cast<std::size_t>(day_count));
-  for (int d = 0; d < day_count; ++d) {
-    const md::SyntheticDay day(universe, generator, d);
-    auto result = run_pipeline(config, universe, day.quotes());
-    session.total_trades += result.master.trades;
-    session.total_orders += result.master.orders;
-    session.total_pnl += result.master.total_pnl;
-    session.daily_pnl.push_back(result.master.total_pnl);
-    session.days.push_back(std::move(result));
-  }
-  session.wall_seconds = watch.elapsed_seconds();
-  return session;
 }
 
 }  // namespace mm::engine

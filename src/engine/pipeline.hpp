@@ -2,7 +2,7 @@
 //
 // Wires the component library into the published topology:
 //
-//   collector --> cleaner --> snapshot (OHLC bars + 1-interval returns)
+//   collector --> cleaner --> snapshot (BAM prices + 1-interval returns)
 //        --> correlation engine --> strategy worker x K --> master
 //
 // Each box runs on its own mpmini rank; edges are bounded dagflow channels.
@@ -18,7 +18,7 @@
 #include "core/params.hpp"
 #include "dagflow/graph.hpp"
 #include "engine/components.hpp"
-#include "marketdata/generator.hpp"
+#include "marketdata/symbols.hpp"
 #include "mpmini/fault.hpp"
 #include "obs/live.hpp"
 #include "obs/registry.hpp"
@@ -55,11 +55,12 @@ struct PipelineConfig {
 
   // --- correlation memoization --------------------------------------------
   // When set, the correlation stage memoizes whole days of packed CorrFrames
-  // in `corr_store` under `corr_key`: the first run over a key computes and
-  // publishes, every later run replays bit-identical frames without
-  // re-estimating, at any correlation_replicas (frames are bit-identical
-  // across replica counts). The caller owns the key's correctness — it must
-  // uniquely identify (data, ∆s, M, estimator).
+  // in `corr_store` under stamped_corr_key(*this): the first run over a key
+  // computes and publishes, every later run replays bit-identical frames
+  // without re-estimating, at any correlation_replicas (frames are
+  // bit-identical across replica counts). The caller owns the rest of the
+  // key's correctness — `corr_key` must uniquely identify (data, ∆s, M,
+  // estimator); the run adds the cleaner and Maronna configs.
   stats::CorrStore* corr_store = nullptr;
   stats::CorrKey corr_key{};
 
@@ -79,7 +80,7 @@ struct PipelineConfig {
   // Metrics registry shared by the transport, the dagflow runtime and the
   // stage components. Null = a private per-run registry whose aggregate is
   // returned in PipelineResult::metrics; pass your own to accumulate across
-  // days (run_pipeline_session does not reset it between days).
+  // days (run_pipeline never resets it).
   obs::Registry* metrics = nullptr;
   // Root causal context for the run: with a valid context (and a trace sink)
   // every frame the collector emits carries it, spans link across ranks via
@@ -147,26 +148,14 @@ struct PipelineResult {
   obs::LiveReport live;
 };
 
+// `config.corr_key` with a fingerprint of `config.cleaner` and
+// `config.maronna` stamped in: the key run_pipeline memoizes frames under, so
+// runs that differ in a config that shapes the frames never share a day.
+stats::CorrKey stamped_corr_key(const PipelineConfig& config);
+
 // Stream `quotes` (one day, time-sorted) through the Fig. 1 graph.
 PipelineResult run_pipeline(const PipelineConfig& config,
                             const md::Universe& universe,
                             std::vector<md::Quote> quotes);
-
-// Multi-day session: generate and stream `day_count` consecutive synthetic
-// trading days through fresh pipeline instances (state resets at the close,
-// as the strategy's EOD-flatten mandates) and aggregate the master reports.
-struct SessionResult {
-  std::vector<PipelineResult> days;
-  std::uint64_t total_trades = 0;
-  std::uint64_t total_orders = 0;
-  double total_pnl = 0.0;
-  std::vector<double> daily_pnl;
-  double wall_seconds = 0.0;
-};
-
-SessionResult run_pipeline_session(const PipelineConfig& config,
-                                   const md::Universe& universe,
-                                   const md::GeneratorConfig& generator,
-                                   int day_count);
 
 }  // namespace mm::engine

@@ -4,35 +4,6 @@
 
 namespace mm::md {
 
-BamSampler::BamSampler(std::size_t symbol_count, const Session& session,
-                       std::int64_t delta_s)
-    : session_(session),
-      delta_s_(delta_s),
-      smax_(session.interval_count(delta_s)),
-      last_bam_(symbol_count, 0.0),
-      have_(symbol_count, false) {
-  MM_ASSERT(delta_s > 0);
-}
-
-void BamSampler::observe(const Quote& quote) {
-  MM_ASSERT_MSG(quote.symbol < last_bam_.size(), "BamSampler: unknown symbol");
-  if (!session_.contains(quote.ts_ms)) return;
-  last_bam_[quote.symbol] = quote.bam();
-  have_[quote.symbol] = true;
-}
-
-std::optional<double> BamSampler::sample(SymbolId symbol, std::int64_t) const {
-  MM_ASSERT(symbol < last_bam_.size());
-  if (!have_[symbol]) return std::nullopt;
-  return last_bam_[symbol];
-}
-
-std::vector<std::optional<double>> BamSampler::sample_all(std::int64_t s) const {
-  std::vector<std::optional<double>> out(last_bam_.size());
-  for (SymbolId i = 0; i < last_bam_.size(); ++i) out[i] = sample(i, s);
-  return out;
-}
-
 std::vector<std::vector<double>> sample_bam_series(const std::vector<Quote>& quotes,
                                                    std::size_t symbol_count,
                                                    const Session& session,
@@ -68,108 +39,6 @@ std::vector<std::vector<double>> sample_bam_series(const std::vector<Quote>& quo
     for (std::size_t s = 0; s < first; ++s) series[i][s] = series[i][first];
   }
   return series;
-}
-
-BarAccumulator::BarAccumulator(std::size_t symbol_count, const Session& session,
-                               std::int64_t delta_s)
-    : session_(session), delta_s_(delta_s), working_(symbol_count) {
-  MM_ASSERT(delta_s > 0);
-}
-
-std::optional<Bar> BarAccumulator::roll(Working& w, std::int64_t new_interval,
-                                        SymbolId symbol) {
-  std::optional<Bar> finished;
-  if (w.active && w.interval != new_interval) {
-    finished = w.bar;
-    w.active = false;
-  }
-  if (!w.active) {
-    w.interval = new_interval;
-    w.bar = Bar{};
-    w.bar.symbol = symbol;
-    w.bar.start_ms = session_.interval_start(new_interval, delta_s_);
-    w.bar.end_ms = session_.interval_end(new_interval, delta_s_);
-  }
-  return finished;
-}
-
-std::optional<Bar> BarAccumulator::observe(const Quote& quote) {
-  MM_ASSERT_MSG(quote.symbol < working_.size(), "BarAccumulator: unknown symbol");
-  const std::int64_t s = session_.interval_of(quote.ts_ms, delta_s_);
-  if (s < 0) return std::nullopt;
-
-  Working& w = working_[quote.symbol];
-  auto finished = roll(w, s, quote.symbol);
-
-  const double price = quote.bam();
-  Bar& bar = w.bar;
-  if (bar.tick_count == 0) {
-    bar.open = bar.high = bar.low = bar.close = price;
-  } else {
-    bar.high = std::max(bar.high, price);
-    bar.low = std::min(bar.low, price);
-    bar.close = price;
-  }
-  bar.tick_count += 1;
-  w.active = true;
-  return finished;
-}
-
-std::vector<Bar> BarAccumulator::flush() {
-  std::vector<Bar> out;
-  for (auto& w : working_) {
-    if (w.active && w.bar.tick_count > 0) out.push_back(w.bar);
-    w.active = false;
-  }
-  return out;
-}
-
-TradeBarAccumulator::TradeBarAccumulator(std::size_t symbol_count,
-                                         const Session& session, std::int64_t delta_s)
-    : session_(session), delta_s_(delta_s), working_(symbol_count) {
-  MM_ASSERT(delta_s > 0);
-}
-
-std::optional<Bar> TradeBarAccumulator::observe(const Trade& trade) {
-  MM_ASSERT_MSG(trade.symbol < working_.size(), "TradeBarAccumulator: unknown symbol");
-  const std::int64_t s = session_.interval_of(trade.ts_ms, delta_s_);
-  if (s < 0) return std::nullopt;
-
-  Working& w = working_[trade.symbol];
-  std::optional<Bar> finished;
-  if (w.active && w.interval != s) {
-    finished = w.bar;
-    w.active = false;
-  }
-  if (!w.active) {
-    w.interval = s;
-    w.bar = Bar{};
-    w.bar.symbol = trade.symbol;
-    w.bar.start_ms = session_.interval_start(s, delta_s_);
-    w.bar.end_ms = session_.interval_end(s, delta_s_);
-  }
-
-  Bar& bar = w.bar;
-  if (bar.tick_count == 0) {
-    bar.open = bar.high = bar.low = bar.close = trade.price;
-  } else {
-    bar.high = std::max(bar.high, trade.price);
-    bar.low = std::min(bar.low, trade.price);
-    bar.close = trade.price;
-  }
-  bar.tick_count += 1;
-  bar.volume += trade.size;
-  w.active = true;
-  return finished;
-}
-
-std::vector<Bar> TradeBarAccumulator::flush() {
-  std::vector<Bar> out;
-  for (auto& w : working_) {
-    if (w.active && w.bar.tick_count > 0) out.push_back(w.bar);
-    w.active = false;
-  }
-  return out;
 }
 
 std::vector<double> log_returns(const std::vector<double>& prices) {

@@ -1,13 +1,13 @@
-// Interval sampling: BAM price series and OHLC bars on the ∆s grid.
+// Interval sampling: BAM price series on the ∆s grid.
 //
-// The strategy works on a discretized clock (interval index s). BamSampler
-// produces, per symbol, the bid-ask-midpoint price at the end of every ∆s
-// interval (carrying the last observation forward through quiet intervals,
-// as the paper's use of BAM for thinly traded stocks implies). BarAccumulator
-// builds classic OHLC bars, the "OHLC Bar Accumulator" component of Fig. 1.
+// The strategy works on a discretized clock (interval index s).
+// sample_bam_series produces, per symbol, the bid-ask-midpoint price at the
+// end of every ∆s interval (carrying the last observation forward through
+// quiet intervals, as the paper's use of BAM for thinly traded stocks
+// implies). It is the batch form of the pipeline's snapshot stage
+// (engine::make_snapshot_stage), which samples the same grid from a stream.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -16,37 +16,6 @@
 
 namespace mm::md {
 
-// Streaming per-symbol end-of-interval BAM sampler.
-//
-// Feed quotes in time order via observe(); on_interval_end(s) returns the
-// price for interval s (last BAM seen at or before the interval's end,
-// carried forward if no quote arrived), or nullopt while the symbol has never
-// quoted.
-class BamSampler {
- public:
-  BamSampler(std::size_t symbol_count, const Session& session, std::int64_t delta_s);
-
-  std::int64_t interval_count() const { return smax_; }
-
-  // Observe a (cleaned) quote. Quotes must arrive in non-decreasing time
-  // order; out-of-session quotes are ignored.
-  void observe(const Quote& quote);
-
-  // Price of `symbol` at the close of interval `s`. Must be called with s
-  // non-decreasing and only after all quotes with ts < end(s) were observed.
-  std::optional<double> sample(SymbolId symbol, std::int64_t s) const;
-
-  // Sample the whole universe at the close of interval s.
-  std::vector<std::optional<double>> sample_all(std::int64_t s) const;
-
- private:
-  Session session_;
-  std::int64_t delta_s_;
-  std::int64_t smax_;
-  std::vector<double> last_bam_;
-  std::vector<bool> have_;
-};
-
 // Batch helper used by the backtester: a [symbol][interval] matrix of BAM
 // prices. Intervals before a symbol's first quote hold its first observed
 // price (backfill), so return series start flat rather than with a fake jump.
@@ -54,60 +23,6 @@ std::vector<std::vector<double>> sample_bam_series(const std::vector<Quote>& quo
                                                    std::size_t symbol_count,
                                                    const Session& session,
                                                    std::int64_t delta_s);
-
-// Streaming OHLC accumulator over ∆s intervals (per symbol). Emits a bar when
-// an interval rolls over.
-class BarAccumulator {
- public:
-  BarAccumulator(std::size_t symbol_count, const Session& session, std::int64_t delta_s);
-
-  // Observe a quote; if this quote starts a new interval for the symbol, the
-  // finished bar is returned.
-  std::optional<Bar> observe(const Quote& quote);
-
-  // Flush the in-progress bar for every symbol (end of day).
-  std::vector<Bar> flush();
-
- private:
-  struct Working {
-    bool active = false;
-    std::int64_t interval = -1;
-    Bar bar;
-  };
-
-  std::optional<Bar> roll(Working& w, std::int64_t new_interval, SymbolId symbol);
-
-  Session session_;
-  std::int64_t delta_s_;
-  std::vector<Working> working_;
-};
-
-// Streaming OHLC + volume accumulator over ∆s intervals from trade prints —
-// the classical bar source (the quote-driven BarAccumulator above is what the
-// high-frequency strategy uses; this one serves the "OHLC Bars" output of
-// Fig. 1's bar stage).
-class TradeBarAccumulator {
- public:
-  TradeBarAccumulator(std::size_t symbol_count, const Session& session,
-                      std::int64_t delta_s);
-
-  // Observe a trade; returns the finished bar when the trade opens a new
-  // interval for its symbol.
-  std::optional<Bar> observe(const Trade& trade);
-
-  std::vector<Bar> flush();
-
- private:
-  struct Working {
-    bool active = false;
-    std::int64_t interval = -1;
-    Bar bar;
-  };
-
-  Session session_;
-  std::int64_t delta_s_;
-  std::vector<Working> working_;
-};
 
 // Log-return series from a price series: r[t] = log(p[t] / p[t-1]); output
 // has size one less than input. The paper's correlation inputs are the last M

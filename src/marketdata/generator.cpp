@@ -4,6 +4,73 @@
 #include <cmath>
 
 namespace mm::md {
+namespace {
+
+// Calibration of the factor model. Per-second return volatilities (log
+// scale): a daily vol of ~2% over 23400 s corresponds to ~1.3e-4 per second.
+// The sector vol is GeneratorConfig::sector_vol.
+constexpr double kMarketVol = 6e-5;
+constexpr double kIdioVol = 8e-5;
+// Student-t degrees of freedom for idiosyncratic shocks (fat tails).
+constexpr double kIdioTailDf = 5.0;
+
+// Half-spread as a fraction of price.
+constexpr double kHalfSpreadFrac = 4e-4;
+// Microstructure noise: each quote's mid is displaced from the true path by
+// N(0, kQuoteNoiseFrac) (bid-ask bounce, quote flicker). This is what keeps
+// the cleaning filter's adaptive band realistically wide.
+constexpr double kQuoteNoiseFrac = 3e-4;
+
+// Divergence episode length bounds.
+constexpr double kEpisodeMinMinutes = 4.0;
+constexpr double kEpisodeMaxMinutes = 15.0;
+// Fraction of the episode drift that reverts afterwards (1 = full
+// mean-reversion; the strategy profits from the reverting part).
+constexpr double kEpisodeReversion = 0.85;
+// Per-symbol episode-intensity multiplier: lognormal, exp(N(0, sigma)),
+// scaled by the median, clamped to [min, max]. Deterministic in seed+symbol
+// and constant across days, so a few symbols are persistently
+// divergence-rich: their pairs compound outsized monthly returns, producing
+// the heavy right tail of the paper's cross-pair distributions (Fig. 2).
+constexpr double kEpisodeMultSigma = 0.8;
+constexpr double kEpisodeMultMedian = 0.9;
+constexpr double kEpisodeMultMin = 0.1;
+constexpr double kEpisodeMultMax = 6.0;
+// Per-symbol episode drift-magnitude multiplier (same lognormal mechanism).
+// Intensity x magnitude — a product of lognormals — is what produces the
+// strongly right-skewed, leptokurtic cross-pair return distribution of
+// Tables III/IV.
+constexpr double kEpisodeDriftSigma = 0.5;
+constexpr double kEpisodeDriftMultMin = 0.3;
+constexpr double kEpisodeDriftMultMax = 4.0;
+
+// Magnitude ranges of bad prints, as a fraction of price: far-out ticks the
+// band filter catches, and minor ones that slip through it.
+constexpr double kBadTickMinJump = 0.05;
+constexpr double kBadTickMaxJump = 0.6;
+constexpr double kMinorTickMinJump = 0.0005;
+constexpr double kMinorTickMaxJump = 0.0025;
+
+// Symbol i's episode-intensity and drift-magnitude multipliers, drawn from a
+// stream seeded by (seed, i) alone: constant across days, and shared by both
+// generators, so the same symbols are divergence-rich in each.
+struct EpisodeMultipliers {
+  double intensity;
+  double drift;
+};
+
+EpisodeMultipliers episode_multipliers(std::uint64_t seed, std::size_t i) {
+  std::uint64_t sm = seed ^ (0xa24baed4963ee407ULL * (i + 1));
+  Rng symbol_rng(splitmix64(sm));
+  const double intensity =
+      std::clamp(kEpisodeMultMedian * std::exp(kEpisodeMultSigma * symbol_rng.normal()),
+                 kEpisodeMultMin, kEpisodeMultMax);
+  const double drift = std::clamp(std::exp(kEpisodeDriftSigma * symbol_rng.normal()),
+                                  kEpisodeDriftMultMin, kEpisodeDriftMultMax);
+  return {intensity, drift};
+}
+
+}  // namespace
 
 double u_shape(double x) {
   // Quadratic smile normalized to integrate to ~1 on [0,1]:
@@ -16,74 +83,15 @@ double u_shape(double x) {
 
 SyntheticDay::SyntheticDay(const Universe& universe, const GeneratorConfig& config,
                            int day_index)
-    : session_(config.session) {
-  build(universe, config, day_index, universe.base_price);
-}
-
-SyntheticDay::SyntheticDay(const Universe& universe, const GeneratorConfig& config,
-                           int day_index, const std::vector<double>& open_prices)
-    : session_(config.session) {
-  MM_ASSERT_MSG(open_prices.size() == universe.table.size(),
-                "one open price per symbol required");
-  build(universe, config, day_index, open_prices);
-}
-
-void SyntheticDay::build(const Universe& universe, const GeneratorConfig& config,
-                         int day_index, const std::vector<double>& open_prices) {
-  seconds_ = session_.duration_seconds();
+    : seconds_(config.session.duration_seconds()), session_(config.session) {
   // Independent stream per (seed, day): expand via splitmix64.
   std::uint64_t sm = config.seed;
   (void)splitmix64(sm);
   sm ^= 0x51ed2700b1a3c492ULL * static_cast<std::uint64_t>(day_index + 1);
   Rng rng(splitmix64(sm));
 
-  open_prices_ = open_prices;
   build_paths(universe, config, rng);
   emit_quotes(universe, config, rng);
-  emit_trades(universe, config, rng);
-}
-
-std::vector<double> SyntheticDay::closing_prices() const {
-  std::vector<double> out;
-  out.reserve(paths_.size());
-  for (const auto& path : paths_) out.push_back(path.back());
-  return out;
-}
-
-void SyntheticDay::emit_trades(const Universe& universe, const GeneratorConfig& config,
-                               Rng& rng) {
-  const auto n = universe.table.size();
-  const auto steps = static_cast<std::size_t>(seconds_);
-  trades_.clear();
-  if (config.trade_rate <= 0.0) return;
-  trades_.reserve(static_cast<std::size_t>(static_cast<double>(n * steps) *
-                                           config.trade_rate * 1.1) + 64);
-
-  for (SymbolId i = 0; i < n; ++i) {
-    const double u_max = std::max(u_shape(0.0), 1.0);
-    const double peak_rate = config.trade_rate * u_max;
-    double t = rng.exponential(peak_rate);
-    while (t < static_cast<double>(seconds_)) {
-      const double x = t / static_cast<double>(seconds_);
-      if (rng.uniform() < u_shape(x) / u_max) {
-        const auto sec = std::min(static_cast<std::size_t>(t), steps - 1);
-        const double mid = paths_[i][sec];
-        const double half_spread = std::max(0.005, mid * config.half_spread_frac);
-        Trade trade;
-        trade.ts_ms = session_.open_ms() + static_cast<TimeMs>(t * 1000.0);
-        trade.symbol = i;
-        // Executions lift the ask or hit the bid with equal probability.
-        trade.price = mid + (rng.bernoulli(0.5) ? half_spread : -half_spread);
-        trade.price = std::max(0.01, std::round(trade.price * 100.0) / 100.0);
-        // Round lots, geometric-ish size distribution.
-        trade.size = 100 * (1 + static_cast<std::int32_t>(rng.exponential(0.7)));
-        trades_.push_back(trade);
-      }
-      t += rng.exponential(peak_rate);
-    }
-  }
-  std::stable_sort(trades_.begin(), trades_.end(),
-                   [](const Trade& a, const Trade& b) { return a.ts_ms < b.ts_ms; });
 }
 
 void SyntheticDay::build_paths(const Universe& universe, const GeneratorConfig& config,
@@ -104,25 +112,12 @@ void SyntheticDay::build_paths(const Universe& universe, const GeneratorConfig& 
   }
 
   // Divergence episodes: piecewise drift per symbol per second. Episode
-  // intensity is heterogeneous across symbols but constant across days
-  // (multiplier derived from seed+symbol only), so the same pairs stay
-  // divergence-rich all month.
-  std::vector<double> episode_mult(n), drift_mult(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sm = config.seed ^ (0xa24baed4963ee407ULL * (i + 1));
-    Rng symbol_rng(splitmix64(sm));
-    episode_mult[i] = std::clamp(
-        config.episode_mult_median * std::exp(config.episode_mult_sigma *
-                                              symbol_rng.normal()),
-        config.episode_mult_min, config.episode_mult_max);
-    drift_mult[i] =
-        std::clamp(std::exp(config.episode_drift_sigma * symbol_rng.normal()),
-                   config.episode_drift_mult_min, config.episode_drift_mult_max);
-  }
-
+  // intensity is heterogeneous across symbols but constant across days, so
+  // the same pairs stay divergence-rich all month.
   std::vector<std::vector<double>> drift(n, std::vector<double>(steps, 0.0));
   for (std::size_t i = 0; i < n; ++i) {
-    const double expected = config.episodes_per_day * episode_mult[i];
+    const EpisodeMultipliers mult = episode_multipliers(config.seed, i);
+    const double expected = config.episodes_per_day * mult.intensity;
     // Poisson count via sequential Bernoulli thinning over minutes.
     int episodes = 0;
     {
@@ -136,16 +131,15 @@ void SyntheticDay::build_paths(const Universe& universe, const GeneratorConfig& 
       }
     }
     for (int e = 0; e < episodes; ++e) {
-      const double minutes = rng.uniform(config.episode_min_minutes,
-                                         config.episode_max_minutes);
+      const double minutes = rng.uniform(kEpisodeMinMinutes, kEpisodeMaxMinutes);
       const auto len = static_cast<std::size_t>(minutes * 60.0);
       if (len == 0 || 2 * len >= steps) continue;
       const auto start = static_cast<std::size_t>(rng.uniform_int(steps - 2 * len));
       const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
       const double per_second =
-          sign * config.episode_drift * drift_mult[i] / static_cast<double>(len);
+          sign * config.episode_drift * mult.drift / static_cast<double>(len);
       const double reversion =
-          -per_second * config.episode_reversion;  // opposite drift afterwards
+          -per_second * kEpisodeReversion;  // opposite drift afterwards
       for (std::size_t t = 0; t < len; ++t) drift[i][start + t] += per_second;
       for (std::size_t t = 0; t < len; ++t) drift[i][start + len + t] += reversion;
     }
@@ -153,21 +147,20 @@ void SyntheticDay::build_paths(const Universe& universe, const GeneratorConfig& 
 
   std::vector<double> log_price(n);
   for (std::size_t i = 0; i < n; ++i) {
-    MM_ASSERT_MSG(open_prices_[i] > 0.0, "open price must be positive");
-    log_price[i] = std::log(open_prices_[i]);
+    MM_ASSERT_MSG(universe.base_price[i] > 0.0, "base price must be positive");
+    log_price[i] = std::log(universe.base_price[i]);
   }
 
   std::vector<double> sector_shock(n_sectors);
   for (std::size_t t = 0; t < steps; ++t) {
     const double u = u_shape(static_cast<double>(t) / static_cast<double>(steps));
     const double scale = std::sqrt(u);
-    const double market = config.market_vol * scale * rng.normal();
+    const double market = kMarketVol * scale * rng.normal();
     for (std::size_t g = 0; g < n_sectors; ++g)
       sector_shock[g] = config.sector_vol * scale * rng.normal();
     for (std::size_t i = 0; i < n; ++i) {
-      const double idio = config.idio_vol * sigma[i] * scale *
-                          rng.student_t(config.idio_tail_df) /
-                          std::sqrt(config.idio_tail_df / (config.idio_tail_df - 2.0));
+      const double idio = kIdioVol * sigma[i] * scale * rng.student_t(kIdioTailDf) /
+                          std::sqrt(kIdioTailDf / (kIdioTailDf - 2.0));
       log_price[i] += beta[i] * market +
                       gamma[i] * sector_shock[static_cast<std::size_t>(
                                      universe.sector[i])] +
@@ -197,9 +190,9 @@ void SyntheticDay::emit_quotes(const Universe& universe, const GeneratorConfig& 
       if (rng.uniform() < u_shape(x) / u_max) {
         const auto sec = std::min(static_cast<std::size_t>(t), steps - 1);
         const double mid =
-            paths_[i][sec] * (1.0 + config.quote_noise_frac * rng.normal());
+            paths_[i][sec] * (1.0 + kQuoteNoiseFrac * rng.normal());
         const double half_spread =
-            std::max(0.01 / 2.0, mid * config.half_spread_frac);  // >= 1 cent wide
+            std::max(0.01 / 2.0, mid * kHalfSpreadFrac);  // >= 1 cent wide
 
         Quote q;
         q.ts_ms = session_.open_ms() + static_cast<TimeMs>(t * 1000.0);
@@ -211,8 +204,7 @@ void SyntheticDay::emit_quotes(const Universe& universe, const GeneratorConfig& 
 
         // Dirty data injection.
         if (rng.bernoulli(config.bad_tick_rate)) {
-          const double jump =
-              rng.uniform(config.bad_tick_min_jump, config.bad_tick_max_jump);
+          const double jump = rng.uniform(kBadTickMinJump, kBadTickMaxJump);
           const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
           if (rng.bernoulli(0.5)) {
             // Fat-finger: both sides displaced.
@@ -232,8 +224,7 @@ void SyntheticDay::emit_quotes(const Universe& universe, const GeneratorConfig& 
         } else if (rng.bernoulli(config.minor_tick_rate)) {
           // Small displacement that typically survives the band filter; the
           // robust correlation is what defends against these.
-          const double jump =
-              rng.uniform(config.minor_tick_min_jump, config.minor_tick_max_jump);
+          const double jump = rng.uniform(kMinorTickMinJump, kMinorTickMaxJump);
           const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
           q.bid *= 1.0 + sign * jump;
           q.ask *= 1.0 + sign * jump;
@@ -285,17 +276,9 @@ ReturnStream::ReturnStream(const Universe& universe, const GeneratorConfig& conf
     beta_[i] = 0.8 + 0.4 * loading_rng.uniform();
     gamma_[i] = 0.8 + 0.4 * loading_rng.uniform();
     sigma_[i] = 0.75 + 0.5 * loading_rng.uniform();
-    // Episode multipliers use SyntheticDay's exact derivation so the same
-    // symbols are divergence-rich under both generators.
-    std::uint64_t sm2 = config.seed ^ (0xa24baed4963ee407ULL * (i + 1));
-    Rng symbol_rng(splitmix64(sm2));
-    episode_mult_[i] = std::clamp(
-        config.episode_mult_median *
-            std::exp(config.episode_mult_sigma * symbol_rng.normal()),
-        config.episode_mult_min, config.episode_mult_max);
-    drift_mult_[i] =
-        std::clamp(std::exp(config.episode_drift_sigma * symbol_rng.normal()),
-                   config.episode_drift_mult_min, config.episode_drift_mult_max);
+    const EpisodeMultipliers mult = episode_multipliers(config.seed, i);
+    episode_mult_[i] = mult.intensity;
+    drift_mult_[i] = mult.drift;
   }
 
   div_left_.assign(symbols_, 0);
@@ -329,27 +312,25 @@ void ReturnStream::next(std::vector<double>& out) {
   const double x = (static_cast<double>(step_in_day_) + 0.5) /
                    static_cast<double>(steps_per_day_);
   const double scale = std::sqrt(u_shape(x) * interval_seconds_);
-  const double t_norm =
-      std::sqrt(config_.idio_tail_df / (config_.idio_tail_df - 2.0));
+  const double t_norm = std::sqrt(kIdioTailDf / (kIdioTailDf - 2.0));
   const double start_p =
       std::min(1.0, config_.episodes_per_day /
                         static_cast<double>(steps_per_day_));
 
-  const double market = config_.market_vol * scale * rng_.normal();
+  const double market = kMarketVol * scale * rng_.normal();
   for (std::size_t g = 0; g < sectors_; ++g)
     sector_shock_[g] = config_.sector_vol * scale * rng_.normal();
 
   for (std::size_t i = 0; i < symbols_; ++i) {
-    const double idio = config_.idio_vol * sigma_[i] * scale *
-                        rng_.student_t(config_.idio_tail_df) / t_norm;
+    const double idio =
+        kIdioVol * sigma_[i] * scale * rng_.student_t(kIdioTailDf) / t_norm;
 
     // Divergence episodes: a transient per-step drift followed by a
     // reversion drift of the opposite sign over the same length (the same
     // diverge-then-recover shape SyntheticDay injects into its paths).
     if (div_left_[i] == 0 && rev_left_[i] == 0 &&
         rng_.bernoulli(std::min(1.0, start_p * episode_mult_[i]))) {
-      const double minutes = rng_.uniform(config_.episode_min_minutes,
-                                          config_.episode_max_minutes);
+      const double minutes = rng_.uniform(kEpisodeMinMinutes, kEpisodeMaxMinutes);
       const auto len = std::max<std::int32_t>(
           1, static_cast<std::int32_t>(minutes * 60.0 / interval_seconds_));
       const double sign = rng_.bernoulli(0.5) ? 1.0 : -1.0;
@@ -361,7 +342,7 @@ void ReturnStream::next(std::vector<double>& out) {
     double drift = 0.0;
     if (div_left_[i] > 0) {
       drift = step_drift_[i];
-      if (--div_left_[i] == 0) step_drift_[i] *= -config_.episode_reversion;
+      if (--div_left_[i] == 0) step_drift_[i] *= -kEpisodeReversion;
     } else if (rev_left_[i] > 0) {
       drift = step_drift_[i];
       --rev_left_[i];
@@ -375,14 +356,12 @@ void ReturnStream::next(std::vector<double>& out) {
     // Residual dirty data at the return level: a bad price print is a return
     // spike undone on the following interval.
     if (rng_.bernoulli(config_.bad_tick_rate)) {
-      const double jump =
-          rng_.uniform(config_.bad_tick_min_jump, config_.bad_tick_max_jump);
+      const double jump = rng_.uniform(kBadTickMinJump, kBadTickMaxJump);
       const double spike = (rng_.bernoulli(0.5) ? 1.0 : -1.0) * jump;
       r += spike;
       pending_[i] = -spike;
     } else if (rng_.bernoulli(config_.minor_tick_rate)) {
-      const double jump = rng_.uniform(config_.minor_tick_min_jump,
-                                       config_.minor_tick_max_jump);
+      const double jump = rng_.uniform(kMinorTickMinJump, kMinorTickMaxJump);
       const double spike = (rng_.bernoulli(0.5) ? 1.0 : -1.0) * jump;
       r += spike;
       pending_[i] = -spike;

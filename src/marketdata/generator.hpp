@@ -35,70 +35,27 @@ namespace mm::md {
 struct GeneratorConfig {
   std::uint64_t seed = 20080303;
 
-  // Per-second return volatilities (log scale). Daily vol of ~2% over 23400 s
-  // corresponds to per-second ~1.3e-4.
-  double market_vol = 6e-5;
+  // Per-second sector-factor return volatility (log scale). The market and
+  // idiosyncratic vols and the rest of the calibration are fixed in
+  // generator.cpp.
   double sector_vol = 7e-5;
-  double idio_vol = 8e-5;
-
-  // Student-t degrees of freedom for idiosyncratic shocks (fat tails).
-  double idio_tail_df = 5.0;
 
   // Mean quote arrivals per symbol per second (scaled by the U-shape).
   double quote_rate = 0.8;
 
-  // Mean trade prints per symbol per second (scaled by the U-shape). Trade
-  // data is lower-frequency than quote data (§III notes quotes dominate);
-  // trades execute at the prevailing bid or ask.
-  double trade_rate = 0.15;
-
-  // Half-spread as a fraction of price (scaled up with instantaneous vol).
-  double half_spread_frac = 4e-4;
-
-  // Microstructure noise: each quote's mid is displaced from the true path by
-  // N(0, quote_noise_frac) (bid-ask bounce, quote flicker). This is what
-  // keeps the cleaning filter's adaptive band realistically wide.
-  double quote_noise_frac = 3e-4;
-
-  // Divergence episodes: expected episodes per symbol per day, length bounds,
-  // and the total drift magnitude (log scale) accumulated over an episode.
+  // Divergence episodes: expected episodes per symbol per day, and the total
+  // drift magnitude (log scale) accumulated over an episode.
   double episodes_per_day = 3.0;
-  double episode_min_minutes = 4.0;
-  double episode_max_minutes = 15.0;
   double episode_drift = 0.012;
-  // Fraction of the episode drift that reverts afterwards (1 = full
-  // mean-reversion; the strategy profits from the reverting part).
-  double episode_reversion = 0.85;
-  // Per-symbol episode-intensity multiplier: lognormal, exp(N(0, sigma)),
-  // scaled by `median`, clamped to [min, max]. Deterministic in seed+symbol
-  // and constant across days, so a few symbols are persistently
-  // divergence-rich: their pairs compound outsized monthly returns, producing
-  // the heavy right tail of the paper's cross-pair distributions (Fig. 2).
-  double episode_mult_sigma = 0.8;
-  double episode_mult_median = 0.9;
-  double episode_mult_min = 0.1;
-  double episode_mult_max = 6.0;
-  // Per-symbol episode drift-magnitude multiplier (same lognormal mechanism).
-  // Intensity x magnitude — a product of lognormals — is what produces the
-  // strongly right-skewed, leptokurtic cross-pair return distribution of
-  // Tables III/IV.
-  double episode_drift_sigma = 0.5;
-  double episode_drift_mult_min = 0.3;
-  double episode_drift_mult_max = 4.0;
 
   // Dirty-data rates (fraction of emitted quotes).
   double bad_tick_rate = 0.002;    // fat-finger / far-out quotes
   double crossed_rate = 0.0005;    // bid > ask
-  // Magnitude range for bad prints, as a fraction of price.
-  double bad_tick_min_jump = 0.05;
-  double bad_tick_max_jump = 0.6;
   // "Minor" bad ticks: displacements small enough to slip through the
   // band filter (the residual dirt §III says the robust correlation must
   // gracefully downweight). These are what separate the three Ctype
   // treatments after cleaning.
   double minor_tick_rate = 0.01;
-  double minor_tick_min_jump = 0.0005;
-  double minor_tick_max_jump = 0.0025;
 
   Session session{};
 };
@@ -110,22 +67,9 @@ class SyntheticDay {
   // Prices open at the universe base prices.
   SyntheticDay(const Universe& universe, const GeneratorConfig& config, int day_index);
 
-  // Chained variant: the day opens at `open_prices` (e.g. the previous day's
-  // closing_prices(), plus any overnight gap the caller applies), giving a
-  // continuous multi-day price history.
-  SyntheticDay(const Universe& universe, const GeneratorConfig& config, int day_index,
-               const std::vector<double>& open_prices);
-
-  // Final true mid per symbol — feed into the next day's chained constructor.
-  std::vector<double> closing_prices() const;
-
   // All quotes of the day, time-sorted across symbols. Bad ticks are included
   // (flagged internally only through their values — consumers must clean).
   const std::vector<Quote>& quotes() const { return quotes_; }
-
-  // All trade prints of the day, time-sorted. Trades are clean (executions,
-  // unlike quotes, are real) and hit the true path's bid or ask.
-  const std::vector<Trade>& trades() const { return trades_; }
 
   // The true (uncorrupted) second-resolution mid-price path for a symbol —
   // ground truth for tests and for validating the cleaning stage.
@@ -135,18 +79,13 @@ class SyntheticDay {
   std::size_t corrupted_count() const { return corrupted_; }
 
  private:
-  void build(const Universe& universe, const GeneratorConfig& config, int day_index,
-             const std::vector<double>& open_prices);
   void build_paths(const Universe& universe, const GeneratorConfig& config, Rng& rng);
   void emit_quotes(const Universe& universe, const GeneratorConfig& config, Rng& rng);
-  void emit_trades(const Universe& universe, const GeneratorConfig& config, Rng& rng);
 
   std::int64_t seconds_ = 0;
   Session session_;
-  std::vector<double> open_prices_;
   std::vector<std::vector<double>> paths_;  // [symbol][second] mid price
   std::vector<Quote> quotes_;
-  std::vector<Trade> trades_;
   std::size_t corrupted_ = 0;
 };
 

@@ -10,18 +10,10 @@ namespace mm::md {
 namespace {
 
 constexpr char kCsvHeader[] = "Timestamp,Symbol,BidPrice,AskPrice,BidSize,AskSize";
-constexpr char kTradeCsvHeader[] = "Timestamp,Symbol,Price,Size";
 
 // Binary header: magic, version, record count.
 struct BinaryHeader {
   char magic[8] = {'M', 'M', 'Q', 'U', 'O', 'T', 'E', 'S'};
-  std::uint32_t version = 1;
-  std::uint32_t reserved = 0;
-  std::uint64_t count = 0;
-};
-
-struct TradeBinaryHeader {
-  char magic[8] = {'M', 'M', 'T', 'R', 'A', 'D', 'E', 'S'};
   std::uint32_t version = 1;
   std::uint32_t reserved = 0;
   std::uint64_t count = 0;
@@ -143,89 +135,6 @@ Status write_quotes_binary(const std::string& path, const std::vector<Quote>& qu
   out.flush();
   if (!out) return Error(Errc::io_error, "write failed: " + path);
   return {};
-}
-
-Status write_trades_csv(const std::string& path, const std::vector<Trade>& trades,
-                        const SymbolTable& symbols) {
-  std::ofstream out(path);
-  if (!out) return Error(Errc::io_error, "cannot open for write: " + path);
-  out << kTradeCsvHeader << '\n';
-  for (const auto& t : trades) {
-    out << format("%s,%s,%.2f,%d", format_time_of_day(t.ts_ms).c_str(),
-                  symbols.name(t.symbol).c_str(), t.price, t.size)
-        << '\n';
-  }
-  out.flush();
-  if (!out) return Error(Errc::io_error, "write failed: " + path);
-  return {};
-}
-
-Expected<std::vector<Trade>> read_trades_csv(const std::string& path,
-                                             SymbolTable& symbols) {
-  std::ifstream in(path);
-  if (!in) return Error(Errc::io_error, "cannot open: " + path);
-
-  std::vector<Trade> trades;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    if (line_no == 1 && starts_with(trimmed, "Timestamp")) continue;
-
-    const auto fields = split(trimmed, ',');
-    if (fields.size() != 4)
-      return Error(Errc::parse_error,
-                   format("%s:%zu: expected 4 fields, got %zu", path.c_str(), line_no,
-                          fields.size()));
-    auto ts = parse_time_of_day(fields[0]);
-    auto price = parse_double(fields[2]);
-    auto size = parse_int(fields[3]);
-    if (!ts || !price || !size)
-      return Error(Errc::parse_error, format("%s:%zu: bad field", path.c_str(), line_no));
-
-    const auto ticker = trim(fields[1]);
-    if (ticker.empty())
-      return Error(Errc::parse_error, format("%s:%zu: empty symbol", path.c_str(), line_no));
-
-    Trade t;
-    t.ts_ms = *ts;
-    t.symbol = symbols.intern(std::string(ticker));
-    t.price = *price;
-    t.size = static_cast<std::int32_t>(*size);
-    trades.push_back(t);
-  }
-  return trades;
-}
-
-Status write_trades_binary(const std::string& path, const std::vector<Trade>& trades) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Error(Errc::io_error, "cannot open for write: " + path);
-  TradeBinaryHeader header;
-  header.count = trades.size();
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(trades.data()),
-            static_cast<std::streamsize>(trades.size() * sizeof(Trade)));
-  out.flush();
-  if (!out) return Error(Errc::io_error, "write failed: " + path);
-  return {};
-}
-
-Expected<std::vector<Trade>> read_trades_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error(Errc::io_error, "cannot open: " + path);
-  TradeBinaryHeader header;
-  in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  if (!in || std::memcmp(header.magic, "MMTRADES", 8) != 0)
-    return Error(Errc::parse_error, "not a trade file: " + path);
-  if (header.version != 1)
-    return Error(Errc::parse_error, format("unsupported version %u", header.version));
-  std::vector<Trade> trades(header.count);
-  in.read(reinterpret_cast<char*>(trades.data()),
-          static_cast<std::streamsize>(header.count * sizeof(Trade)));
-  if (!in) return Error(Errc::io_error, "truncated trade file: " + path);
-  return trades;
 }
 
 Expected<std::vector<Quote>> read_quotes_binary(const std::string& path) {

@@ -37,12 +37,4 @@ std::string format_taq_row(const Quote& quote, const SymbolTable& symbols);
 Status write_quotes_binary(const std::string& path, const std::vector<Quote>& quotes);
 Expected<std::vector<Quote>> read_quotes_binary(const std::string& path);
 
-// Trade prints: CSV (Timestamp,Symbol,Price,Size) and binary block formats.
-Status write_trades_csv(const std::string& path, const std::vector<Trade>& trades,
-                        const SymbolTable& symbols);
-Expected<std::vector<Trade>> read_trades_csv(const std::string& path,
-                                             SymbolTable& symbols);
-Status write_trades_binary(const std::string& path, const std::vector<Trade>& trades);
-Expected<std::vector<Trade>> read_trades_binary(const std::string& path);
-
 }  // namespace mm::md

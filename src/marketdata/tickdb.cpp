@@ -124,26 +124,6 @@ Expected<std::vector<Quote>> TickDb::read_day(const Date& date) const {
   return read_quotes_binary(day_dir(date) + "/quotes.bin");
 }
 
-Status TickDb::write_trades(const Date& date, const std::vector<Trade>& trades) {
-  MM_ASSERT_MSG(std::is_sorted(trades.begin(), trades.end(),
-                               [](const Trade& a, const Trade& b) {
-                                 return a.ts_ms < b.ts_ms;
-                               }),
-                "tickdb: trades must be time-sorted");
-  std::error_code ec;
-  fs::create_directories(day_dir(date), ec);
-  if (ec) return Error(Errc::io_error, "cannot create day dir: " + day_dir(date));
-  return write_trades_binary(day_dir(date) + "/trades.bin", trades);
-}
-
-Expected<std::vector<Trade>> TickDb::read_trades(const Date& date) const {
-  return read_trades_binary(day_dir(date) + "/trades.bin");
-}
-
-bool TickDb::has_trades(const Date& date) const {
-  return fs::exists(day_dir(date) + "/trades.bin");
-}
-
 Expected<std::vector<Quote>> TickDb::read_range(const Date& date,
                                                 const std::vector<SymbolId>& symbols,
                                                 std::optional<TimeMs> from,

@@ -6,6 +6,7 @@
 //   <root>/symbols.txt            one ticker per line, line number = SymbolId
 //   <root>/<DATE>/quotes.bin      all quotes of that trading day, time-sorted,
 //                                 in the binary block format from taq.hpp
+//   <root>/<DATE>/quotes.idx      time index into quotes.bin (read_range seeks)
 //
 // The store supports whole-day writes and filtered range reads (by symbol set
 // and time window), which is all the backtesting collectors need.
@@ -37,11 +38,6 @@ class TickDb {
 
   // Read a full day.
   Expected<std::vector<Quote>> read_day(const Date& date) const;
-
-  // Trade prints for a day (optional per day; stored as trades.bin).
-  Status write_trades(const Date& date, const std::vector<Trade>& trades);
-  Expected<std::vector<Trade>> read_trades(const Date& date) const;
-  bool has_trades(const Date& date) const;
 
   // Read a day filtered to a symbol subset and/or a [from, to) time window.
   // Empty `symbols` means all symbols.

@@ -43,32 +43,6 @@ struct Quote {
   }
 };
 
-// A trade print (used by the OHLC accumulator's trade path and tickdb).
-// Field order keeps the struct tightly packed (24 bytes) for bulk storage.
-struct Trade {
-  TimeMs ts_ms = 0;
-  double price = 0.0;
-  SymbolId symbol = invalid_symbol;
-  std::int32_t size = 0;
-};
-
-// One OHLC bar over a fixed interval. `volume` is the traded share count
-// when built from trades, 0 when built from quotes.
-struct Bar {
-  TimeMs start_ms = 0;
-  TimeMs end_ms = 0;
-  SymbolId symbol = invalid_symbol;
-  double open = 0.0;
-  double high = 0.0;
-  double low = 0.0;
-  double close = 0.0;
-  std::int64_t tick_count = 0;
-  std::int64_t volume = 0;
-
-  bool valid() const { return tick_count > 0 && low <= high; }
-};
-
 static_assert(sizeof(Quote) == 40, "Quote layout is part of the tickdb format");
-static_assert(sizeof(Trade) == 24, "Trade layout is part of the tickdb format");
 
 }  // namespace mm::md

@@ -34,15 +34,17 @@ Lane& Mailbox::lane_for_sender(int source_world_rank) {
   auto& slot = lanes_[static_cast<std::size_t>(source_world_rank)];
   // The slot is written only by `source_world_rank`'s single sending thread
   // (the ring-mode precondition, see the Comm docs), so a plain
-  // check-then-create needs no CAS; the release store publishes the lane to
-  // the draining side.
+  // check-then-create needs no CAS. The store publishes the lane to the
+  // draining side; it is seq_cst so that a waiter's post-park drain, whose
+  // slot loads are seq_cst too, sees a lane created before the first push it
+  // must not miss (see notify_ring_push).
   Lane* lane = slot.load(std::memory_order_relaxed);
   if (lane == nullptr) {
     lane = new Lane(lane_capacity, ring_peak_);
 #ifndef NDEBUG
     lane->producer = std::this_thread::get_id();
 #endif
-    slot.store(lane, std::memory_order_release);
+    slot.store(lane, std::memory_order_seq_cst);
   }
 #ifndef NDEBUG
   // A second sending thread on the same world rank would corrupt the SPSC
@@ -141,9 +143,12 @@ void Mailbox::absorb_locked(Message&& msg) {
 }
 
 bool Mailbox::drain_locked() {
+  // Every slot and, through try_pop, every existing lane's tail is read
+  // seq_cst: after a waiter's parked_ increment this drain is the re-check
+  // of the park handshake (see notify_ring_push).
   bool any = false;
   for (int s = 0; s < lane_count_; ++s) {
-    Lane* lane = lanes_[static_cast<std::size_t>(s)].load(std::memory_order_acquire);
+    Lane* lane = lanes_[static_cast<std::size_t>(s)].load(std::memory_order_seq_cst);
     if (lane == nullptr) continue;
     Message msg;
     while (lane->ring.try_pop(msg)) {
@@ -193,12 +198,15 @@ void Mailbox::deliver(Message msg) {
 }
 
 void Mailbox::notify_ring_push() noexcept {
-  // Eventcount publish side: the ring push (release store) happened before
-  // this fence; a waiter that raised `parked_` before our load will re-drain
-  // before sleeping, and one that parked already is woken here. The hot case
-  // (nobody parked) costs the fence and one load.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_relaxed) > 0) {
+  // Eventcount publish side, a Dekker handshake in the seq_cst total order:
+  // the push stored the ring tail seq_cst, this loads parked_ seq_cst; a
+  // waiter increments parked_ seq_cst and then re-drains, reading every lane
+  // slot and tail seq_cst. If this load misses the increment, it precedes it
+  // in the total order, so the tail store does too and the re-drain sees the
+  // message; if it sees it, the waiter is parked or about to re-drain under
+  // the mutex, and the wake below reaches it. The hot case (nobody parked)
+  // costs the tail store and this one load.
+  if (parked_.load(std::memory_order_seq_cst) > 0) {
     { std::lock_guard<std::mutex> lock(mutex_); }
     cv_.notify_all();
   }

@@ -14,7 +14,7 @@
 //
 // Each (sender, receiver) world-rank pair owns one bounded SPSC ring (a
 // "lane"), created lazily by the sender, who is its only producer. A send is
-// a payload move into a ring slot plus one release store: senders never take
+// a payload move into a ring slot plus one seq_cst store: senders never take
 // the receiving mailbox's mutex, so concurrent senders to one rank do not
 // contend with each other or with the receiver. The receiving side drains its
 // lanes into the matching structures under the mailbox mutex — uncontended in
@@ -26,8 +26,8 @@
 // Waits are spin-then-park: a blocked receiver polls its ticket flag and its
 // lanes through a bounded spin (pause, then yield), and only then parks on
 // the condition variable after raising `parked_` — the eventcount handshake
-// senders check (one fence + one load on the hot path) before paying for a
-// wake. The legacy locked path (deliver()) remains both the overflow route
+// senders check (the seq_cst tail store + one load on the hot path) before
+// paying for a wake. The legacy locked path (deliver()) remains both the overflow route
 // for full rings and the whole transport in "locked" mode, which the bench
 // uses as its before/after baseline.
 #pragma once
@@ -106,8 +106,8 @@ class Mailbox {
   Lane& lane_for_sender(int source_world_rank);
 
   // Producer side, after a ring push: wake this mailbox's parked waiters if
-  // there are any (eventcount check — one fence and one load when nobody is
-  // parked, which is the hot case).
+  // there are any (eventcount check — one load when nobody is parked, which
+  // is the hot case).
   void notify_ring_push() noexcept;
 
   // --- delivery ---------------------------------------------------------

@@ -2,7 +2,7 @@
 //
 // The intra-process transport's hot path: each (sender rank -> receiver rank)
 // pair owns one SpscRing<Message> (a "lane", see mailbox.hpp), so a send is a
-// move into a pre-sized slot plus one release store — no lock, no allocation,
+// move into a pre-sized slot plus one store — no lock, no allocation,
 // no contention with other senders. Slots are reused in place, which makes the
 // ring double as the envelope arena: a Message's payload vector moved into a
 // slot is moved out again by the consumer, so steady-state traffic recycles
@@ -15,7 +15,11 @@
 //     under its mutex; the mutex hand-off provides the ordering the SPSC
 //     protocol needs between alternating consumer threads);
 //   * capacity is rounded up to a power of two; a full ring rejects the push
-//     (the transport falls back to the locked mailbox path, see comm.cpp).
+//     (the transport falls back to the locked mailbox path, see comm.cpp);
+//   * the tail is published and read seq_cst: it is one half of the
+//     mailbox's park handshake (Mailbox::notify_ring_push), whose other half
+//     is a seq_cst counter. On x86 the loads stay plain moves and the publish
+//     is one xchg.
 #pragma once
 
 #include <atomic>
@@ -52,7 +56,7 @@ class SpscRing {
       if (tail - head_cache_ > mask_) return false;
     }
     slots_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
     return true;
   }
 
@@ -68,7 +72,7 @@ class SpscRing {
   bool try_pop(T& out) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
+      tail_cache_ = tail_.load(std::memory_order_seq_cst);
       if (head == tail_cache_) return false;
     }
     out = std::move(slots_[head & mask_]);
@@ -80,7 +84,7 @@ class SpscRing {
   // (a false "empty" is caught by the next poll or by the park protocol).
   bool empty() const noexcept {
     return head_.load(std::memory_order_relaxed) ==
-           tail_.load(std::memory_order_acquire);
+           tail_.load(std::memory_order_seq_cst);
   }
 
   SpscRing(const SpscRing&) = delete;

@@ -23,8 +23,9 @@ class Packer {
   void put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Packer::put requires a trivially copyable type");
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-    buffer_.insert(buffer_.end(), bytes, bytes + sizeof(T));
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + sizeof(T));
+    std::memcpy(buffer_.data() + at, &value, sizeof(T));
   }
 
   void put_string(const std::string& s) {

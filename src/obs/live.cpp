@@ -1,7 +1,6 @@
 #include "obs/live.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -29,10 +28,10 @@ void LivePlane::begin_run(int ranks, std::vector<std::string> rank_names) {
   monitor_ = std::make_unique<HeartbeatMonitor>(*board_, mc);
   monitor_->start();
 
+  // The snapshot ring depth and the step histogram keep the scheduler's
+  // defaults, as the bundle's frame count keeps the recorder's.
   SnapshotScheduler::Config sc;
   sc.period = config_.snapshot_period;
-  sc.ring_capacity = std::max<std::size_t>(config_.snapshot_ring, 2);
-  sc.step_histogram = config_.step_histogram;
   scheduler_ = std::make_unique<SnapshotScheduler>(registry_, sc);
   scheduler_->start();
 
@@ -101,24 +100,12 @@ LiveReport LivePlane::end_run(std::vector<CrashEntry> caller_crashes) {
     report.crashes.push_back(std::move(entry));
   }
 
-  const Snapshot final_snap = registry_.snapshot();
-  if (!config_.metrics_dump_path.empty()) {
-    std::string page = prom_render(final_snap);
-    page += prom_render_health(report.health, rank_nodes_, now_ns());
-    std::FILE* f = std::fopen(config_.metrics_dump_path.c_str(), "wb");
-    if (f != nullptr) {
-      std::fwrite(page.data(), 1, page.size(), f);
-      std::fclose(f);
-    } else {
-      MM_LOG_WARN("obs: cannot write metrics dump " << config_.metrics_dump_path);
-    }
-  }
-
   if (!report.crashes.empty()) {
-    FlightRecorder recorder(
-        FlightRecorder::Config{config_.flight_dir, config_.flight_frames});
+    FlightRecorder::Config flight;
+    flight.dir = config_.flight_dir;
+    FlightRecorder recorder(flight);
     auto bundle = recorder.dump(report.crashes, report.health, rank_nodes_,
-                                trace_, scheduler_->frames(), final_snap);
+                                trace_, scheduler_->frames(), registry_.snapshot());
     if (bundle) {
       report.flight_bundle = *bundle;
       MM_LOG_WARN("obs: flight bundle written to " << report.flight_bundle);

@@ -9,9 +9,8 @@
 //                      the bound port is published through `port_out`)
 //   board()            handed to mpmini so every rank thread arms a pulse
 //   end_run(crashes)   stop the listener, settle the monitor (guaranteeing a
-//                      silent rank is classified before anyone reads health),
-//                      write the metrics file-dump fallback, and — if anything
-//                      died — dump a flight-recorder bundle
+//                      silent rank is classified before anyone reads health)
+//                      and — if anything died — dump a flight-recorder bundle
 //
 // All HTTP handlers read through thread-safe paths only (registry snapshot,
 // monitor health copies, snapshot-ring copies), so the listener needs no
@@ -45,8 +44,6 @@ struct LiveConfig {
 
   // Periodic registry snapshots feeding live rates and the flight recorder.
   std::chrono::nanoseconds snapshot_period{std::chrono::milliseconds{250}};
-  std::size_t snapshot_ring = 32;
-  std::string step_histogram = "engine.strategy.step_ns";
 
   // HTTP exposition: port to bind on 127.0.0.1 (0 = ephemeral, negative = no
   // listener). The actually-bound port is stored to *port_out (if non-null)
@@ -54,13 +51,8 @@ struct LiveConfig {
   int http_port = -1;
   std::atomic<std::uint16_t>* port_out = nullptr;
 
-  // File-dump fallback: final Prometheus page written here at end_run when
-  // non-empty (for hosts where a listener is unwanted).
-  std::string metrics_dump_path;
-
-  // Flight-recorder bundle parent directory and snapshot depth.
+  // Flight-recorder bundle parent directory.
   std::string flight_dir = "flight";
-  std::size_t flight_frames = 8;
 };
 
 // What the run learned from the live plane, returned to callers.

@@ -30,12 +30,19 @@ namespace mm::stats {
 // Identity of one memoized correlation day. `universe` is any canonical
 // fingerprint of the symbol set + data source (the service uses
 // "synthetic/<n>/<seed>"); two keys with different fingerprints never share.
+// Callers aggregate-initialize the first five members, so later members keep
+// a default member initializer (which also spares them the
+// missing-initializer warning).
 struct CorrKey {
   std::string universe;
   std::int32_t date = 0;  // yyyymmdd
   std::int64_t delta_s = 0;
   std::int64_t window = 0;
   std::string estimator;  // "pearson" or "pearson+maronna"
+  // Fingerprint of the cleaner and Maronna configs that shaped the frames.
+  // engine::run_pipeline stamps it (engine::stamped_corr_key); callers leave
+  // it empty.
+  std::string frames_config{};
 
   // Canonical map key; also the human-readable identity in logs/metrics.
   std::string cache_key() const;

@@ -17,6 +17,10 @@ namespace mm::svc {
 
 namespace {
 
+// Per-rank event capacity of each job's trace rings (64 B/event): 256 KiB
+// per rank.
+constexpr std::size_t kJobTraceRingEvents = 1u << 12;
+
 // Split a spec's paramsets into pipeline units: groups sharing (∆s, M), in
 // first-appearance order, members in spec order. One unit = one run_pipeline
 // call whose correlation stream is memoized per (day, universe, ∆s, M,
@@ -161,7 +165,7 @@ Expected<std::string> BacktestService::submit(JobSpec spec) {
     // the job's units produce carries this id, and the sink is job-scoped so
     // GET /jobs/{id}/trace returns only this job's events.
     job->trace_id = obs::next_trace_id();
-    job->trace = std::make_shared<obs::TraceSink>(config_.trace_ring_events);
+    job->trace = std::make_shared<obs::TraceSink>(kJobTraceRingEvents);
     job->trace->set_meta("job", job->id);
     job->trace->set_meta("tenant", job->spec.tenant);
     job->trace->set_meta("trace_id", std::to_string(job->trace_id));
@@ -319,28 +323,24 @@ void BacktestService::run_job(const std::shared_ptr<Job>& job) {
     if (!day.has_value()) return fail("day load: " + day.error().message);
     const auto universe = universe_for(job->spec.symbols);
 
-    stats::CorrKey key;
-    key.universe = job->spec.universe_key();
-    key.date = job->spec.day;
-    key.delta_s = job->spec.paramsets[group.front()].delta_s;
-    key.window = job->spec.paramsets[group.front()].corr_window;
-    key.estimator = estimator_class(job->spec, group);
-    if (corr_store_.peek(key) != nullptr) ++result.units_from_cache;
-
     engine::PipelineConfig config;
     config.symbols = job->spec.symbols;
     for (const std::size_t i : group)
       config.strategies.push_back(job->spec.paramsets[i]);
-    config.batch_size = config_.batch_size;
-    config.channel_capacity = config_.channel_capacity;
     // One correlation rank per unit, so `workers` bounds peak rank count.
     config.correlation_replicas = 1;
     config.day = day.value();
     config.corr_store = &corr_store_;
-    config.corr_key = key;
+    config.corr_key.universe = job->spec.universe_key();
+    config.corr_key.date = job->spec.day;
+    config.corr_key.delta_s = job->spec.paramsets[group.front()].delta_s;
+    config.corr_key.window = job->spec.paramsets[group.front()].corr_window;
+    config.corr_key.estimator = estimator_class(job->spec, group);
     config.metrics = &registry_;
     config.trace = sink;
     config.trace_context = obs::make_trace_context(job->trace_id);
+    if (corr_store_.peek(engine::stamped_corr_key(config)) != nullptr)
+      ++result.units_from_cache;
 
     const std::int64_t compute_t0 = steady_now_ns();
     const engine::PipelineResult run =

@@ -4,8 +4,9 @@
 //
 //   DayCache    — each (universe, seed, day) quote vector loaded once,
 //                 replayed in place by every pipeline (PipelineConfig::day);
-//   CorrStore   — each (day, universe, ∆s, M, estimator) correlation stream
-//                 computed once, replayed bit-identically by later units;
+//   CorrStore   — each (day, universe, ∆s, M, estimator, frame configs)
+//                 correlation stream computed once, replayed
+//                 bit-identically by later units;
 //   JobQueue +  — per-tenant fair-share admission onto a bounded worker
 //   Scheduler     pool; each worker streams one unit (= one run_pipeline
 //                 with a one-rank correlation group) at a time, so
@@ -56,20 +57,16 @@ struct ServiceConfig {
   // Byte budgets for the shared caches (0 = unbounded).
   std::size_t day_cache_bytes = 0;
   std::size_t corr_store_bytes = 0;
-  // Pipeline channel capacity and collector batch size (test knobs).
-  int channel_capacity = 64;
-  std::size_t batch_size = 256;
   // Synthetic generator quote rate override (0 = GeneratorConfig default).
   // Service-global, so it never splits cache keys.
   double quote_rate = 0.0;
   // Job-scoped causal traces: every job gets a trace_id at submit and its own
   // TraceSink; units run with the job's context so cross-rank flow events
   // stitch the whole job, served from GET /jobs/{id}/trace once terminal.
+  // Each rank's ring is bounded (kJobTraceRingEvents in service.cpp); deep
+  // sweeps drop the newest events past it (TraceSink::total_dropped says how
+  // many).
   bool job_traces = true;
-  // Per-rank event capacity of each job's trace rings (64 B/event). The
-  // default bounds a job's trace at 256 KiB per rank; deep sweeps drop the
-  // newest events past that (TraceSink::total_dropped says how many).
-  std::size_t trace_ring_events = 1u << 12;
   // Per-tenant queue-depth bound (0 = unbounded): a POST /jobs that would
   // put a tenant past this many QUEUED jobs is rejected with 429 and counted
   // in svc.jobs_rejected{tenant}. Running jobs don't count — the worker pool

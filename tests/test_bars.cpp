@@ -1,4 +1,4 @@
-// Tests for BAM sampling, OHLC accumulation and log-return construction.
+// Tests for BAM sampling and log-return construction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -83,54 +83,6 @@ TEST(SampleBamSeries, MultiSymbolIndependence) {
   const auto series = sample_bam_series(quotes, 2, session, 30);
   EXPECT_DOUBLE_EQ(series[0][1], 10.0);  // symbol 0 carries forward
   EXPECT_DOUBLE_EQ(series[1][1], 55.0);  // symbol 1 updated
-}
-
-TEST(BamSampler, StreamingMatchesLastSeen) {
-  const Session session;
-  BamSampler sampler(2, session, 30);
-  EXPECT_FALSE(sampler.sample(0, 0).has_value());  // never quoted
-  sampler.observe(quote_at(session.open_ms() + 100, 0, 25.0));
-  ASSERT_TRUE(sampler.sample(0, 0).has_value());
-  EXPECT_DOUBLE_EQ(*sampler.sample(0, 0), 25.0);
-  EXPECT_FALSE(sampler.sample(1, 0).has_value());
-}
-
-TEST(BarAccumulator, BuildsOhlcWithinInterval) {
-  const Session session;
-  const TimeMs open = session.open_ms();
-  BarAccumulator acc(1, session, 30);
-  EXPECT_FALSE(acc.observe(quote_at(open + 1'000, 0, 10.0)).has_value());
-  EXPECT_FALSE(acc.observe(quote_at(open + 5'000, 0, 13.0)).has_value());
-  EXPECT_FALSE(acc.observe(quote_at(open + 9'000, 0, 9.0)).has_value());
-  EXPECT_FALSE(acc.observe(quote_at(open + 20'000, 0, 11.0)).has_value());
-
-  // First quote of interval 1 flushes interval 0's bar.
-  const auto bar = acc.observe(quote_at(open + 31'000, 0, 12.0));
-  ASSERT_TRUE(bar.has_value());
-  EXPECT_DOUBLE_EQ(bar->open, 10.0);
-  EXPECT_DOUBLE_EQ(bar->high, 13.0);
-  EXPECT_DOUBLE_EQ(bar->low, 9.0);
-  EXPECT_DOUBLE_EQ(bar->close, 11.0);
-  EXPECT_EQ(bar->tick_count, 4);
-  EXPECT_TRUE(bar->valid());
-  EXPECT_EQ(bar->start_ms, open);
-}
-
-TEST(BarAccumulator, FlushReturnsOpenBars) {
-  const Session session;
-  BarAccumulator acc(2, session, 30);
-  acc.observe(quote_at(session.open_ms() + 1'000, 0, 10.0));
-  acc.observe(quote_at(session.open_ms() + 2'000, 1, 20.0));
-  const auto bars = acc.flush();
-  ASSERT_EQ(bars.size(), 2u);
-  EXPECT_TRUE(acc.flush().empty());  // idempotent
-}
-
-TEST(BarAccumulator, IgnoresOutOfSessionQuotes) {
-  const Session session;
-  BarAccumulator acc(1, session, 30);
-  EXPECT_FALSE(acc.observe(quote_at(0, 0, 10.0)).has_value());
-  EXPECT_TRUE(acc.flush().empty());
 }
 
 }  // namespace

@@ -255,6 +255,33 @@ TEST(CorrStorePipeline, MemoizedReplayIsBitIdenticalToColdRun) {
   expect_identical_reports(reference.master, second.master);
 }
 
+TEST(CorrStorePipeline, CleanerConfigChangeComputesAgain) {
+  // The frames depend on the cleaner's band: a run with another band_k on
+  // the same store and caller key must compute its own day, not replay.
+  const auto scenario = make_scenario(6, 2);
+  CorrStore store;
+  auto cfg = pipeline_config(6);
+  cfg.corr_store = &store;
+  cfg.corr_key = key_of("synthetic/6/2", 20080303);
+  const auto first = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  const auto again = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  EXPECT_EQ(store.stats().computes, 1u);
+  EXPECT_EQ(store.stats().hits, 1u);
+  expect_identical_reports(first.master, again.master);
+
+  auto narrow = cfg;
+  narrow.cleaner.band_k = 2.0;
+  EXPECT_NE(engine::stamped_corr_key(narrow).cache_key(),
+            engine::stamped_corr_key(cfg).cache_key());
+  const auto computed = engine::run_pipeline(narrow, scenario.universe, scenario.quotes);
+  EXPECT_EQ(store.stats().computes, 2u);
+  EXPECT_EQ(store.stats().hits, 1u);
+
+  narrow.corr_store = nullptr;
+  const auto reference = engine::run_pipeline(narrow, scenario.universe, scenario.quotes);
+  expect_identical_reports(reference.master, computed.master);
+}
+
 TEST(CorrStorePipeline, ReplayIsBitIdenticalAcrossReplicaCounts) {
   // Frames are bit-identical at every correlation group size, so a day
   // memoized by one group size replays under any other.

@@ -3,6 +3,7 @@
 // check the master's books against the direct (non-streaming) backtest path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include "marketdata/bars.hpp"
 #include "marketdata/cleaner.hpp"
 #include "marketdata/day_cache.hpp"
+#include "marketdata/generator.hpp"
 #include "marketdata/tickdb.hpp"
 
 namespace mm::engine {
@@ -317,32 +319,27 @@ TEST(Pipeline, ClusteringBranchEmitsSnapshotsWithoutChangingTrades) {
   EXPECT_TRUE(plain.clusters.empty());
 }
 
-TEST(Pipeline, SessionAggregatesAcrossDays) {
-  const auto universe = md::make_universe(4);
-  md::GeneratorConfig gen;
-  gen.quote_rate = 0.15;
+TEST(Pipeline, OutOfUniverseQuoteFailsTheCleanerNotTheProcess) {
+  // Quotes can come from another process: one quote naming a symbol past the
+  // universe fails the cleaner node and the run comes back degraded.
+  auto scenario = make_scenario(4, 0);
+  md::Quote bad = scenario.quotes[scenario.quotes.size() / 2];
+  bad.symbol = 4;
+  scenario.quotes.insert(scenario.quotes.begin() +
+                             static_cast<std::ptrdiff_t>(scenario.quotes.size() / 2),
+                         bad);
   PipelineConfig cfg;
   cfg.symbols = 4;
   cfg.strategies = {pipeline_params(stats::Ctype::pearson)};
+  const auto result = run_pipeline(cfg, scenario.universe, scenario.quotes);
 
-  const auto session = run_pipeline_session(cfg, universe, gen, 3);
-  ASSERT_EQ(session.days.size(), 3u);
-  ASSERT_EQ(session.daily_pnl.size(), 3u);
-
-  std::uint64_t trades = 0;
-  double pnl = 0.0;
-  for (const auto& day : session.days) {
-    trades += day.master.trades;
-    pnl += day.master.total_pnl;
-  }
-  EXPECT_EQ(session.total_trades, trades);
-  EXPECT_NEAR(session.total_pnl, pnl, 1e-9);
-
-  // Day 0 must equal a standalone single-day run (state resets daily).
-  const md::SyntheticDay day0(universe, gen, 0);
-  const auto standalone = run_pipeline(cfg, universe, day0.quotes());
-  EXPECT_EQ(session.days[0].master.trades, standalone.master.trades);
-  EXPECT_NEAR(session.days[0].master.total_pnl, standalone.master.total_pnl, 1e-9);
+  EXPECT_TRUE(result.degraded);
+  const auto cleaner =
+      std::find_if(result.faults.begin(), result.faults.end(),
+                   [](const dag::NodeStatus& s) { return s.name == "cleaner"; });
+  ASSERT_NE(cleaner, result.faults.end());
+  EXPECT_TRUE(cleaner->failed);
+  EXPECT_NE(cleaner->error.find("symbol 4"), std::string::npos) << cleaner->error;
 }
 
 TEST(Pipeline, SmallChannelCapacityStillCorrect) {

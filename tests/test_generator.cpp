@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
 
 #include "marketdata/bars.hpp"
 #include "marketdata/generator.hpp"
@@ -147,39 +149,6 @@ TEST(SyntheticDay, EpisodeIntensityHeterogeneousButStableAcrossDays) {
   }
 }
 
-TEST(SyntheticDay, ChainedDaysFormContinuousHistory) {
-  const auto universe = make_universe(4);
-  const auto cfg = small_config();
-  const SyntheticDay day0(universe, cfg, 0);
-  const auto close0 = day0.closing_prices();
-  ASSERT_EQ(close0.size(), 4u);
-
-  const SyntheticDay day1(universe, cfg, 1, close0);
-  for (SymbolId i = 0; i < 4; ++i) {
-    // Day 1 opens within one second's move of day 0's close.
-    EXPECT_NEAR(day1.true_path(i).front(), close0[i], close0[i] * 0.01);
-  }
-  // And an unchained day 1 opens at base price instead.
-  const SyntheticDay fresh(universe, cfg, 1);
-  EXPECT_NEAR(fresh.true_path(0).front(), universe.base_price[0],
-              universe.base_price[0] * 0.01);
-}
-
-TEST(SyntheticDay, ChainedDayKeepsSameRandomness) {
-  // Chaining changes the level, not the shocks: log-returns of the chained
-  // and unchained day are identical.
-  const auto universe = make_universe(3);
-  const auto cfg = small_config();
-  const SyntheticDay base(universe, cfg, 2);
-  std::vector<double> opens = {50.0, 75.0, 100.0};
-  const SyntheticDay chained(universe, cfg, 2, opens);
-  const auto& pa = base.true_path(1);
-  const auto& pb = chained.true_path(1);
-  for (std::size_t t = 1; t < pa.size(); t += 1234) {
-    EXPECT_NEAR(std::log(pa[t] / pa[t - 1]), std::log(pb[t] / pb[t - 1]), 1e-12);
-  }
-}
-
 TEST(SyntheticDay, SameSectorPairsMoreCorrelatedThanCrossSector) {
   // The factor model must make same-sector pairs the high-correlation
   // candidates the strategy hunts for. Universe of 14: 12 tech + 2 financial.
@@ -222,6 +191,73 @@ TEST(SyntheticDay, UShapedQuoteArrivals) {
   }
   EXPECT_GT(open_count, mid_count * 3 / 2);
   EXPECT_GT(close_count, mid_count * 3 / 2);
+}
+
+// FNV-1a over every field's bytes, in declaration order.
+struct Digest {
+  std::uint64_t count = 0;
+  std::uint64_t hash = 1469598103934665603ULL;
+
+  template <typename T>
+  void add_bytes(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ULL;
+    }
+  }
+  void add(const Quote& q) {
+    ++count;
+    add_bytes(q.ts_ms);
+    add_bytes(q.symbol);
+    add_bytes(q.bid);
+    add_bytes(q.ask);
+    add_bytes(q.bid_size);
+    add_bytes(q.ask_size);
+  }
+  void add(double value) {
+    ++count;
+    add_bytes(value);
+  }
+  bool operator==(const Digest& o) const { return count == o.count && hash == o.hash; }
+};
+
+std::ostream& operator<<(std::ostream& os, const Digest& d) {
+  return os << "{" << d.count << ", 0x" << std::hex << d.hash << std::dec << "}";
+}
+
+Digest quote_digest(const SyntheticDay& day) {
+  Digest d;
+  for (const auto& q : day.quotes()) d.add(q);
+  d.add_bytes(day.corrupted_count());
+  return d;
+}
+
+// Goldens pin every generated quote and sampled return bit for bit: any
+// change to the calibration constants, the random draw order or the cent
+// rounding shows here.
+TEST(GeneratorGolden, DefaultDayIsBitIdentical) {
+  const SyntheticDay day(make_universe(61), GeneratorConfig{}, 0);
+  EXPECT_EQ(quote_digest(day), (Digest{1142899, 0xba7ec2f578566c32}));
+}
+
+TEST(GeneratorGolden, BadTickVariantIsBitIdentical) {
+  GeneratorConfig cfg;
+  cfg.bad_tick_rate = 0.01;
+  const SyntheticDay day(make_universe(61), cfg, 2);
+  EXPECT_EQ(quote_digest(day), (Digest{1141051, 0x8180978751510628}));
+}
+
+TEST(GeneratorGolden, ReturnStreamIsBitIdentical) {
+  ReturnStream stream(make_universe(61), GeneratorConfig{});
+  Digest d;
+  std::vector<double> r;
+  for (int t = 0; t < 500; ++t) {  // crosses a day boundary
+    stream.next(r);
+    for (const double x : r) d.add(x);
+  }
+  EXPECT_EQ(d, (Digest{30500, 0x4156706bebe9d43c}));
 }
 
 TEST(ReturnStream, DeterministicAndAllocationShapeStable) {
