@@ -466,9 +466,13 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
     const ItemCounters items(ctx);
     obs::Histogram* step_ns = step_histogram(ctx, "engine.strategy.step_ns");
 
-    const auto emit_order = [&](std::int64_t s, const stats::PairIndex& pr, double di,
-                                double dj, double pi, double pj, bool entry) {
-      Order order;
+    // A frame's orders collect in one reused batch, in the order the bank
+    // yields them, and travel as one message: the transport pays per frame
+    // that has orders, not per order.
+    OrderBatch batch;
+    const auto add_order = [&](std::int64_t s, const stats::PairIndex& pr, double di,
+                               double dj, double pi, double pj, bool entry) {
+      Order& order = batch.orders.emplace_back();
       order.interval = s;
       order.strategy_id = strategy_id;
       order.symbol_i = pr.i;
@@ -478,16 +482,20 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       order.price_i = pi;
       order.price_j = pj;
       order.is_entry = entry ? 1 : 0;
-      ctx.emit(0, order.pack());
-      count(items.out, 1);
+    };
+    const auto emit_batch = [&] {
+      if (batch.orders.empty()) return;
+      ctx.emit(0, batch.pack());
+      count(items.out, batch.orders.size());
+      batch.orders.clear();
     };
     // Built on the first frame, which fixes the universe: the bank, and each
     // of my pairs' slot in the canonical all-pairs order of the frame vectors.
     std::optional<core::PairBank> bank;
-    const auto emit_exit = [&](std::int64_t s, std::size_t k) {
+    const auto add_exit = [&](std::int64_t s, std::size_t k) {
       const auto& t = bank->trades(k).back();
-      emit_order(s, pairs[k], -t.shares_i, -t.shares_j, t.exit_price_i, t.exit_price_j,
-                 false);
+      add_order(s, pairs[k], -t.shares_i, -t.shares_j, t.exit_price_i, t.exit_price_j,
+                false);
     };
     std::size_t universe = 0;
     std::vector<std::size_t> frame_index;
@@ -544,19 +552,22 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
                                           frame.valid)) {
         const std::size_t k = event.pair;
         if (event.entry)
-          emit_order(frame.interval, pairs[k], bank->position_shares_i(k),
-                     bank->position_shares_j(k), bank->position_entry_price_i(k),
-                     bank->position_entry_price_j(k), true);
+          add_order(frame.interval, pairs[k], bank->position_shares_i(k),
+                    bank->position_shares_j(k), bank->position_entry_price_i(k),
+                    bank->position_entry_price_j(k), true);
         else
-          emit_exit(frame.interval, k);
+          add_exit(frame.interval, k);
       }
+      emit_batch();
     }
 
-    // End of day: flatten and summarize, pair by pair and trade by trade.
+    // End of day: flatten (one more batch, ahead of the summary) and
+    // summarize, pair by pair and trade by trade.
     StrategySummary summary;
     summary.strategy_id = strategy_id;
     if (bank) {
-      for (const auto& event : bank->finish()) emit_exit(last_interval, event.pair);
+      for (const auto& event : bank->finish()) add_exit(last_interval, event.pair);
+      emit_batch();
       for (std::size_t k = 0; k < pairs.size(); ++k) {
         for (const auto& t : bank->trades(k)) {
           ++summary.trades;
@@ -597,26 +608,42 @@ dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig ri
         ++report->symbol_limit_breaches;
     };
 
+    std::vector<Order> batch;  // reused across batches
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
       const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
-      if (type == RecordType::order) {
-        const auto order = Order::unpack(u);
-        check_symbol(order.symbol_i);
-        check_symbol(order.symbol_j);
-        ++report->orders;
-        report->order_log.push_back(order);
-        if (order.is_entry) ++report->entries;
-        else ++report->exits;
-        apply_leg(order.symbol_i, order.shares_i, order.price_i);
-        apply_leg(order.symbol_j, order.shares_j, order.price_j);
+      if (type == RecordType::order_batch) {
+        // A batch's element count must fill its payload exactly; a batch
+        // from another process that overruns it fails this node instead of
+        // tripping the decoder's assert.
+        const std::size_t bytes = u.remaining();
+        std::uint64_t n = 0;
+        if (bytes >= sizeof n) n = mpi::Unpacker(u).get<std::uint64_t>();  // peek
+        if (bytes < sizeof n || (bytes - sizeof n) % sizeof(Order) != 0 ||
+            n != (bytes - sizeof n) / sizeof(Order))
+          throw std::runtime_error(format(
+              "master: order batch of %llu orders does not fill its %zu-byte payload",
+              static_cast<unsigned long long>(n), bytes));
+        u.get_vector_into(batch);
+        // Applied one by one, as they were emitted: the books, the order log
+        // and the risk fields see each strategy's per-order sequence.
+        for (const Order& order : batch) {
+          check_symbol(order.symbol_i);
+          check_symbol(order.symbol_j);
+          ++report->orders;
+          report->order_log.push_back(order);
+          if (order.is_entry) ++report->entries;
+          else ++report->exits;
+          apply_leg(order.symbol_i, order.shares_i, order.price_i);
+          apply_leg(order.symbol_j, order.shares_j, order.price_j);
 
-        double gross = 0.0;
-        for (std::size_t symbol = 0; symbol < symbols; ++symbol)
-          gross += std::abs(net[symbol]) * last_price[symbol];
-        report->peak_gross_notional = std::max(report->peak_gross_notional, gross);
-        if (risk.max_gross_notional > 0.0 && gross > risk.max_gross_notional)
-          ++report->gross_limit_breaches;
+          double gross = 0.0;
+          for (std::size_t symbol = 0; symbol < symbols; ++symbol)
+            gross += std::abs(net[symbol]) * last_price[symbol];
+          report->peak_gross_notional = std::max(report->peak_gross_notional, gross);
+          if (risk.max_gross_notional > 0.0 && gross > risk.max_gross_notional)
+            ++report->gross_limit_breaches;
+        }
       } else if (type == RecordType::strategy_summary) {
         auto summary = StrategySummary::unpack(u);
         report->trades += summary.trades;
@@ -626,7 +653,8 @@ dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig ri
                                      summary.trade_returns.end());
         report->strategy_summaries.push_back(std::move(summary));
       } else {
-        MM_ASSERT_MSG(false, "master: unexpected record type");
+        throw std::runtime_error(
+            format("master: unexpected record type %u", static_cast<unsigned>(type)));
       }
     }
     for (std::uint32_t symbol = 0; symbol < symbols; ++symbol)

@@ -14,8 +14,9 @@
 //                 ranks: every pair estimated by stats::CorrelationCalculator
 //                 (incremental Pearson plus optional cold Maronna over the
 //                 sliding M-window), fanned out to every strategy node;
-//   strategy    — one parameter set across a set of pairs, emitting Order
-//                 records and an end-of-day StrategySummary;
+//   strategy    — one parameter set across a set of pairs, emitting one
+//                 OrderBatch per frame that has orders (in pair order), a
+//                 flatten batch and an end-of-day StrategySummary;
 //   master      — order aggregation (netting into baskets), risk accounting,
 //                 and the run report.
 //
@@ -173,8 +174,10 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
                                 std::int32_t strategy_id, std::int64_t smax);
 
 // --- master ------------------------------------------------------------------
-// Keeps its per-symbol books in dense arrays over the `symbols`-wide
-// universe; an order naming a symbol outside it fails the node.
+// Applies each batch's orders one by one and keeps its per-symbol books in
+// dense arrays over the `symbols`-wide universe; a batch whose count does not
+// fill its payload, or an order naming a symbol outside the universe, fails
+// the node.
 dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig risk = {});
 
 }  // namespace mm::engine

@@ -1,8 +1,8 @@
 // Wire records exchanged between the Fig. 1 pipeline components.
 //
 // Every payload starts with a one-byte record type so a port can carry more
-// than one record kind (e.g. strategy -> master carries both orders and the
-// end-of-day summary).
+// than one record kind (e.g. strategy -> master carries both order batches
+// and the end-of-day summary).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@ enum class RecordType : std::uint8_t {
   quote_batch = 1,
   snapshot = 2,
   corr_frame = 3,
-  order = 4,
+  order_batch = 4,
   strategy_summary = 5,
   cluster_snapshot = 6,
 };
@@ -127,14 +127,25 @@ struct Order {
   double price_i = 0.0;
   double price_j = 0.0;
   std::uint8_t is_entry = 0;
+};
+
+// Every order one strategy emits for one frame (or for its end-of-day
+// flatten), in pair order: the master applies them one by one, so a batch
+// carries the same per-strategy order sequence as one message per order.
+struct OrderBatch {
+  std::vector<Order> orders;
 
   std::vector<std::uint8_t> pack() const {
     mpi::Packer p;
-    p.put<std::uint8_t>(static_cast<std::uint8_t>(RecordType::order));
-    p.put(*this);
+    p.put<std::uint8_t>(static_cast<std::uint8_t>(RecordType::order_batch));
+    p.put_vector(orders);
     return p.take();
   }
-  static Order unpack(mpi::Unpacker& u) { return u.get<Order>(); }
+  static OrderBatch unpack(mpi::Unpacker& u) {
+    OrderBatch b;
+    b.orders = u.get_vector<Order>();
+    return b;
+  }
 };
 
 // End-of-day totals from one strategy node.

@@ -155,6 +155,7 @@ bool Mailbox::drain_locked() {
       absorb_locked(std::move(msg));
       any = true;
     }
+    lane->note_depth();
   }
   return any;
 }

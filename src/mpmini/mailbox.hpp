@@ -50,12 +50,12 @@ namespace mm::mpi {
 // Messages one lane holds before the sender overflows to the locked path.
 inline constexpr std::size_t lane_capacity = 256;
 
-// One sender's inbound ring plus its producer-side depth watermark. Created
+// One sender's inbound ring plus its consumer-side depth watermark. Created
 // by the sending thread on first use (its slot in the mailbox lane table is
 // single-writer) and destroyed with the mailbox.
 struct Lane {
   SpscRing<Message> ring;
-  std::size_t depth_watermark = 0;   // producer-owned
+  std::size_t depth_watermark = 0;   // consumer-owned (mailbox mutex)
   obs::Gauge* depth_peak = nullptr;  // shared high watermark (see set_obs)
 #ifndef NDEBUG
   std::thread::id producer{};  // first sending thread; enforced per send
@@ -64,11 +64,11 @@ struct Lane {
   explicit Lane(std::size_t capacity, obs::Gauge* gauge)
       : ring(capacity), depth_peak(gauge) {}
 
-  // Producer side, after a successful push: ring depth high-watermark. The
-  // shared gauge is only touched when this lane's own maximum grows, so the
-  // steady-state cost is one local compare.
+  // Consumer side, after a drain: publish the ring's depth peak (sampled
+  // exactly by try_pop) when it grew. The shared gauge is only touched when
+  // this lane's own maximum grows, and the send path pays nothing.
   void note_depth() {
-    const std::size_t d = ring.size_from_producer();
+    const std::size_t d = ring.depth_peak();
     if (d > depth_watermark) {
       depth_watermark = d;
       if (depth_peak != nullptr) depth_peak->max_of(static_cast<std::int64_t>(d));

@@ -9,11 +9,11 @@
 // buffers instead of allocating.
 //
 // Contract:
-//   * exactly one producer thread calls try_push / size_from_producer;
-//   * consumers call try_pop / empty — multiple threads may consume, but only
-//     if their pops are serialized externally (the mailbox serializes drains
-//     under its mutex; the mutex hand-off provides the ordering the SPSC
-//     protocol needs between alternating consumer threads);
+//   * exactly one producer thread calls try_push;
+//   * consumers call try_pop / empty / depth_peak — multiple threads may
+//     consume, but only if their pops are serialized externally (the mailbox
+//     serializes drains under its mutex; the mutex hand-off provides the
+//     ordering the SPSC protocol needs between alternating consumer threads);
 //   * capacity is rounded up to a power of two; a full ring rejects the push
 //     (the transport falls back to the locked mailbox path, see comm.cpp);
 //   * the tail is published and read seq_cst: it is one half of the
@@ -60,20 +60,14 @@ class SpscRing {
     return true;
   }
 
-  // Producer-side occupancy after the last push (approximate: the consumer
-  // may have drained since head_cache_ was refreshed). Used for the ring
-  // depth watermark, where an over-estimate is the conservative direction.
-  std::size_t size_from_producer() const noexcept {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_relaxed) -
-                                    head_cache_);
-  }
-
   // Consumer side. Returns false when the ring is empty.
   bool try_pop(T& out) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_seq_cst);
       if (head == tail_cache_) return false;
+      // The depth at this refresh is exact (head is the consumer's own).
+      if (tail_cache_ - head > depth_peak_) depth_peak_ = tail_cache_ - head;
     }
     out = std::move(slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
@@ -87,6 +81,14 @@ class SpscRing {
            tail_.load(std::memory_order_seq_cst);
   }
 
+  // Consumer side: the deepest the ring was at any try_pop that refreshed
+  // its view of the tail. Each sample is exact and costs the producer
+  // nothing; depth reached between two samples and popped before the second
+  // is not seen, so the peak never over-states.
+  std::size_t depth_peak() const noexcept {
+    return static_cast<std::size_t>(depth_peak_);
+  }
+
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
@@ -95,6 +97,7 @@ class SpscRing {
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // next slot to fill
   alignas(64) std::uint64_t head_cache_ = 0;        // producer's view of head
   alignas(64) std::uint64_t tail_cache_ = 0;        // consumer's view of tail
+  std::uint64_t depth_peak_ = 0;                    // consumer-owned
   const std::size_t mask_;
   std::unique_ptr<T[]> slots_;
 };

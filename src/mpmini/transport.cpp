@@ -23,7 +23,6 @@ void InProcessTransport::transmit(int src_world, int dest_world, Message&& msg) 
   if (mode_ == TransportMode::ring) {
     Lane& lane = box.lane_for_sender(src_world);
     if (lane.ring.try_push(std::move(msg))) {
-      lane.note_depth();
       box.notify_ring_push();
       return;
     }

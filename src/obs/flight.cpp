@@ -12,6 +12,9 @@
 namespace mm::obs {
 namespace {
 
+// Snapshot frames a bundle keeps: the newest, the minutes before the failure.
+constexpr std::size_t kBundleFrames = 8;
+
 Status write_text(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr)
@@ -99,9 +102,8 @@ Expected<std::string> FlightRecorder::dump(
       trace != nullptr ? trace->chrome_json() : std::string{"{\"traceEvents\":[]}"};
   if (Status s = write_text(bundle + "/trace.json", trace_json); !s) return s.error();
 
-  const std::size_t keep = config_.snapshot_frames;
   const std::size_t skip =
-      keep > 0 && frames.size() > keep ? frames.size() - keep : 0;
+      frames.size() > kBundleFrames ? frames.size() - kBundleFrames : 0;
   std::string snaps = "{\"frames\":[";
   bool first = true;
   for (std::size_t i = skip; i < frames.size(); ++i) {

@@ -41,15 +41,14 @@ struct CrashEntry {
 class FlightRecorder {
  public:
   struct Config {
-    std::string dir = "flight";        // parent for bundle directories
-    std::size_t snapshot_frames = 8;   // last K frames to include
+    std::string dir = "flight";  // parent for bundle directories
   };
 
   explicit FlightRecorder(Config config) : config_(std::move(config)) {}
 
   // Write one bundle under config.dir; returns the bundle directory path.
   // `rank_nodes` maps world rank to node name for the report; `frames` are
-  // oldest -> newest (only the newest snapshot_frames are written).
+  // oldest -> newest (only the newest 8 are written).
   Expected<std::string> dump(const std::vector<CrashEntry>& crashes,
                              const std::vector<RankHealth>& health,
                              const std::vector<std::string>& rank_nodes,

@@ -28,8 +28,6 @@ void LivePlane::begin_run(int ranks, std::vector<std::string> rank_names) {
   monitor_ = std::make_unique<HeartbeatMonitor>(*board_, mc);
   monitor_->start();
 
-  // The snapshot ring depth and the step histogram keep the scheduler's
-  // defaults, as the bundle's frame count keeps the recorder's.
   SnapshotScheduler::Config sc;
   sc.period = config_.snapshot_period;
   scheduler_ = std::make_unique<SnapshotScheduler>(registry_, sc);

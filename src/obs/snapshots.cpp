@@ -4,6 +4,14 @@
 #include "obs/trace.hpp"  // now_ns
 
 namespace mm::obs {
+namespace {
+
+// Frames the scheduler's ring keeps (8 s of history at the default period).
+constexpr std::size_t kRingFrames = 32;
+// Histogram whose per-period delta provides the step-latency quantiles.
+constexpr const char* kStepHistogram = "engine.strategy.step_ns";
+
+}  // namespace
 
 SnapshotRing::SnapshotRing(std::size_t capacity) : capacity_(capacity) {
   MM_ASSERT_MSG(capacity > 0, "snapshot ring needs a positive capacity");
@@ -36,7 +44,7 @@ std::vector<SnapshotFrame> SnapshotRing::last(std::size_t k) const {
 }
 
 SnapshotScheduler::SnapshotScheduler(const Registry& registry, Config config)
-    : registry_(registry), config_(config), ring_(config.ring_capacity) {
+    : registry_(registry), config_(config), ring_(kRingFrames) {
   MM_ASSERT_MSG(config_.period.count() > 0, "snapshot period must be positive");
 }
 
@@ -91,7 +99,7 @@ RateSample SnapshotScheduler::rates() const {
       static_cast<double>(delta.counter_total("mpmini.recv.bytes")) / dt_s;
   out.frames_per_s =
       static_cast<double>(delta.counter_suffix_total(".frames_in")) / dt_s;
-  if (const MetricValue* step = delta.find(config_.step_histogram);
+  if (const MetricValue* step = delta.find(kStepHistogram);
       step != nullptr && step->kind == MetricKind::histogram && step->count > 0) {
     out.p50_step_ns = step->quantile(0.50);
     out.p95_step_ns = step->quantile(0.95);

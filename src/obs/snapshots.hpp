@@ -16,7 +16,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -64,9 +63,6 @@ class SnapshotScheduler {
  public:
   struct Config {
     std::chrono::nanoseconds period{std::chrono::milliseconds{250}};
-    std::size_t ring_capacity = 32;
-    // Histogram whose per-period delta provides the step-latency quantiles.
-    std::string step_histogram = "engine.strategy.step_ns";
   };
 
   SnapshotScheduler(const Registry& registry, Config config);

@@ -246,15 +246,16 @@ TEST(StrategyNode, EmitsPairedEntryExitOrdersAndSummary) {
   for (const auto& bytes : captured) {
     mpi::Unpacker u(bytes);
     const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
-    if (type == RecordType::order) {
-      const auto order = Order::unpack(u);
-      EXPECT_EQ(order.strategy_id, 7);
-      if (order.is_entry) {
-        ++entries;
-        EXPECT_EQ(order.interval, 30);
-      } else {
-        ++exits;
-        // Exit shares cancel the entry exactly (flat after round trip).
+    if (type == RecordType::order_batch) {
+      for (const Order& order : OrderBatch::unpack(u).orders) {
+        EXPECT_EQ(order.strategy_id, 7);
+        if (order.is_entry) {
+          ++entries;
+          EXPECT_EQ(order.interval, 30);
+        } else {
+          ++exits;
+          // Exit shares cancel the entry exactly (flat after round trip).
+        }
       }
     } else if (type == RecordType::strategy_summary) {
       ++summaries;
@@ -264,6 +265,76 @@ TEST(StrategyNode, EmitsPairedEntryExitOrdersAndSummary) {
   EXPECT_EQ(entries, 1u);
   EXPECT_EQ(exits, 1u);
   EXPECT_EQ(summaries, 1u);
+}
+
+TEST(StrategyNode, EmitsOneBatchPerFrameInPairOrderThenFlattenBeforeSummary) {
+  // Three symbols, pairs 01 02 12. Pair 01's correlation dips at s=20 (entry,
+  // holding-period exit at s=26); pairs 02 and 12 dip together at s=30 and
+  // are still open when the day ends at s=33.
+  core::StrategyParams params = core::ParamGrid::base();
+  params.avg_window = 5;
+  params.divergence_window = 3;
+  params.spread_window = 4;
+  params.max_holding = 6;
+  params.divergence = 0.01;
+
+  std::vector<std::vector<std::uint8_t>> input;
+  for (int s = 0; s < 34; ++s) {
+    CorrFrame frame;
+    frame.interval = s;
+    frame.valid = true;
+    frame.prices = {100.0, 50.0 + 0.25 * s, 30.0 + 0.5 * s};
+    frame.pearson = {s == 20 ? 0.5 : 0.9, s == 30 ? 0.5 : 0.9, s == 30 ? 0.5 : 0.9};
+    input.push_back(frame.pack());
+  }
+  const auto captured =
+      drive(make_strategy_stage(params, stats::all_pairs(3), /*strategy_id=*/2,
+                                /*smax=*/780),
+            input);
+
+  // Each batch: one interval, its pairs in ascending pair order.
+  struct Batch {
+    std::int64_t interval;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    std::vector<bool> entries;
+  };
+  std::vector<Batch> batches;
+  ASSERT_FALSE(captured.empty());
+  for (std::size_t m = 0; m + 1 < captured.size(); ++m) {
+    mpi::Unpacker u(captured[m]);
+    ASSERT_EQ(static_cast<RecordType>(u.get<std::uint8_t>()), RecordType::order_batch)
+        << "message " << m;
+    const auto batch = OrderBatch::unpack(u);
+    ASSERT_FALSE(batch.orders.empty()) << "a frame without orders sends no batch";
+    Batch b{batch.orders.front().interval, {}, {}};
+    for (const Order& order : batch.orders) {
+      EXPECT_EQ(order.interval, b.interval) << "one frame per batch";
+      EXPECT_EQ(order.strategy_id, 2);
+      b.pairs.emplace_back(order.symbol_i, order.symbol_j);
+      b.entries.push_back(order.is_entry != 0);
+    }
+    batches.push_back(std::move(b));
+  }
+  mpi::Unpacker last(captured.back());
+  ASSERT_EQ(static_cast<RecordType>(last.get<std::uint8_t>()), RecordType::strategy_summary);
+  EXPECT_EQ(StrategySummary::unpack(last).trades, 3u);
+
+  using P = std::pair<std::uint32_t, std::uint32_t>;
+  ASSERT_EQ(batches.size(), 4u);
+  EXPECT_EQ(batches[0].interval, 20);
+  EXPECT_EQ(batches[0].pairs, (std::vector<P>{{0, 1}}));
+  EXPECT_EQ(batches[0].entries, (std::vector<bool>{true}));
+  EXPECT_EQ(batches[1].interval, 26);
+  EXPECT_EQ(batches[1].pairs, (std::vector<P>{{0, 1}}));
+  EXPECT_EQ(batches[1].entries, (std::vector<bool>{false}));
+  EXPECT_EQ(batches[2].interval, 30);
+  EXPECT_EQ(batches[2].pairs, (std::vector<P>{{0, 2}, {1, 2}}));
+  EXPECT_EQ(batches[2].entries, (std::vector<bool>{true, true}));
+  // The end-of-day flatten: one batch at the last interval, ahead of the
+  // summary.
+  EXPECT_EQ(batches[3].interval, 33);
+  EXPECT_EQ(batches[3].pairs, (std::vector<P>{{0, 2}, {1, 2}}));
+  EXPECT_EQ(batches[3].entries, (std::vector<bool>{false, false}));
 }
 
 TEST(StrategyNode, RejectsFrameNotCoveringUniverse) {
@@ -331,8 +402,9 @@ TEST(MasterNode, AggregatesAcrossInputs) {
   dag::Graph g;
   const auto emit_orders = [](int count, std::int32_t id) {
     return [count, id](dag::Context& ctx) {
+      OrderBatch batch;
       for (int k = 0; k < count; ++k) {
-        Order order;
+        Order& order = batch.orders.emplace_back();
         order.interval = k;
         order.strategy_id = id;
         order.symbol_i = 0;
@@ -342,8 +414,8 @@ TEST(MasterNode, AggregatesAcrossInputs) {
         order.price_i = 10.0;
         order.price_j = 5.0;
         order.is_entry = 1;
-        ctx.emit(0, order.pack());
       }
+      ctx.emit(0, batch.pack());
       StrategySummary summary;
       summary.strategy_id = id;
       summary.trades = static_cast<std::uint64_t>(count);
@@ -383,10 +455,12 @@ TEST(MasterNode, RejectsSymbolOutsideUniverse) {
     order.shares_j = -1.0;
     order.price_i = 10.0;
     order.price_j = 10.0;
-    ctx.emit(0, order.pack());
+    OrderBatch batch;
+    batch.orders.push_back(order);
     order.interval = 1;
     order.symbol_j = 7;
-    ctx.emit(0, order.pack());
+    batch.orders.push_back(order);
+    ctx.emit(0, batch.pack());
   });
   const int master = g.add_node("master", make_master(&report, /*symbols=*/4));
   g.connect(src, 0, master, 0);
@@ -397,6 +471,69 @@ TEST(MasterNode, RejectsSymbolOutsideUniverse) {
   EXPECT_TRUE(status.failed);
   EXPECT_NE(status.error.find("symbol 7"), std::string::npos) << status.error;
   EXPECT_EQ(report.orders, 1u);  // the bad order was not booked
+}
+
+// Runs a master over one scripted payload and returns its node status.
+dag::NodeStatus run_master_on(std::vector<std::uint8_t> payload, MasterReport& report) {
+  dag::Graph g;
+  const int src = g.add_node("src", [&payload](dag::Context& ctx) {
+    ctx.emit(0, std::move(payload));
+  });
+  const int master = g.add_node("master", make_master(&report, /*symbols=*/4));
+  g.connect(src, 0, master, 0);
+  const auto result = g.run();
+  EXPECT_FALSE(result.ok());
+  return result.nodes[static_cast<std::size_t>(master)];
+}
+
+OrderBatch two_orders() {
+  OrderBatch batch;
+  for (int k = 0; k < 2; ++k) {
+    Order& order = batch.orders.emplace_back();
+    order.interval = k;
+    order.symbol_i = 0;
+    order.symbol_j = 1;
+    order.shares_i = 1.0;
+    order.shares_j = -1.0;
+    order.price_i = 10.0;
+    order.price_j = 10.0;
+  }
+  return batch;
+}
+
+TEST(MasterNode, TruncatedOrderBatchFailsTheNode) {
+  // Batches can come from other processes: one cut short inside its second
+  // order fails the node instead of aborting the process in the decoder.
+  auto payload = two_orders().pack();
+  payload.resize(payload.size() - 10);
+  MasterReport report;
+  const auto status = run_master_on(std::move(payload), report);
+  EXPECT_TRUE(status.failed);
+  EXPECT_NE(status.error.find("order batch of 2 orders"), std::string::npos)
+      << status.error;
+  EXPECT_EQ(report.orders, 0u);
+}
+
+TEST(MasterNode, OversizedOrderBatchCountFailsTheNode) {
+  // A count whose byte size wraps 64 bits must not pass the check either.
+  for (const std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 60,
+                                    ~std::uint64_t{0}}) {
+    auto payload = two_orders().pack();
+    std::memcpy(payload.data() + 1, &count, sizeof count);  // after the type byte
+    MasterReport report;
+    const auto status = run_master_on(std::move(payload), report);
+    EXPECT_TRUE(status.failed) << count;
+    EXPECT_NE(status.error.find("does not fill"), std::string::npos) << status.error;
+    EXPECT_EQ(report.orders, 0u);
+  }
+}
+
+TEST(MasterNode, UnexpectedRecordTypeFailsTheNode) {
+  MasterReport report;
+  const auto status = run_master_on(CorrFrame{}.pack(), report);
+  EXPECT_TRUE(status.failed);
+  EXPECT_NE(status.error.find("unexpected record type 3"), std::string::npos)
+      << status.error;
 }
 
 }  // namespace

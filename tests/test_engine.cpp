@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <unistd.h>
 
@@ -293,6 +294,74 @@ TEST(Pipeline, RiskLimitsFlagBreaches) {
   EXPECT_GT(result.master.gross_limit_breaches, 0u);
   // Observational limits do not change the trading itself.
   EXPECT_GT(result.master.trades, 0u);
+}
+
+// FNV-1a over every field the master derives from its per-order sequence.
+struct ReportDigest {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
+
+  template <typename T>
+  void add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ULL;
+    }
+  }
+};
+
+std::uint64_t digest(const MasterReport& report) {
+  ReportDigest d;
+  for (const Order& o : report.order_log) {
+    d.add(o.interval);
+    d.add(o.strategy_id);
+    d.add(o.symbol_i);
+    d.add(o.symbol_j);
+    d.add(o.shares_i);
+    d.add(o.shares_j);
+    d.add(o.price_i);
+    d.add(o.price_j);
+    d.add(o.is_entry);
+  }
+  d.add(report.orders);
+  d.add(report.entries);
+  d.add(report.exits);
+  d.add(report.trades);
+  d.add(report.total_pnl);
+  d.add(report.raw_order_shares);
+  d.add(report.netted_order_shares);
+  d.add(report.basket_count);
+  d.add(report.peak_gross_notional);
+  d.add(report.symbol_limit_breaches);
+  d.add(report.gross_limit_breaches);
+  for (const auto& [symbol, net] : report.net_shares) {
+    d.add(symbol);
+    d.add(net);
+  }
+  return d.hash;
+}
+
+TEST(PipelineGolden, SingleStrategyMasterReportIsBitIdentical) {
+  // One strategy has no cross-strategy arrival race, so the master's whole
+  // report is a function of the day: the order log, the netting, the peak
+  // notional and the breach counts under limits that some orders cross.
+  auto scenario = make_scenario(8, 6);
+  PipelineConfig cfg;
+  cfg.symbols = 8;
+  cfg.strategies = {pipeline_params(stats::Ctype::pearson)};
+  cfg.risk.max_symbol_shares = 12.0;
+  cfg.risk.max_gross_notional = 1500.0;
+  const auto result = run_pipeline(cfg, scenario.universe, scenario.quotes);
+  const MasterReport& report = result.master;
+  ASSERT_FALSE(result.degraded);
+
+  EXPECT_EQ(report.orders, 472u);
+  EXPECT_EQ(report.basket_count, 305u);
+  EXPECT_EQ(report.symbol_limit_breaches, 26u);
+  EXPECT_EQ(report.gross_limit_breaches, 47u);
+  EXPECT_GT(report.peak_gross_notional, cfg.risk.max_gross_notional);
+  EXPECT_EQ(digest(report), 0xf5670baac497dbd5ull);
 }
 
 TEST(Pipeline, ClusteringBranchEmitsSnapshotsWithoutChangingTrades) {

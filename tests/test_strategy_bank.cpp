@@ -317,7 +317,8 @@ TEST(StrategyGoldenFineDay, SumRebuildKeepsBitIdentity) {
   EXPECT_EQ(averages, kFineDayAverages);
 }
 
-// The strategy stage's output for `frames`: every order, then the summary.
+// The strategy stage's output for `frames`: every order of every batch, in
+// arrival order, then the summary.
 struct StageOutput {
   std::vector<engine::Order> orders;
   std::vector<engine::StrategySummary> summaries;
@@ -336,10 +337,12 @@ StageOutput run_stage(const StrategyParams& params, std::int64_t smax,
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
       const auto type = static_cast<engine::RecordType>(u.get<std::uint8_t>());
-      if (type == engine::RecordType::order)
-        out.orders.push_back(engine::Order::unpack(u));
-      else
+      if (type == engine::RecordType::order_batch) {
+        const auto batch = engine::OrderBatch::unpack(u);
+        out.orders.insert(out.orders.end(), batch.orders.begin(), batch.orders.end());
+      } else {
         out.summaries.push_back(engine::StrategySummary::unpack(u));
+      }
     }
   });
   g.connect(src, 0, uut, 0);

@@ -214,6 +214,48 @@ TEST(RingTransport, WaitForDrainsRingAtDeadlineEdge) {
   EXPECT_EQ(got.payload.front(), 7);
 }
 
+TEST(SpscRing, DepthPeakIsTheDeepestRefreshSample) {
+  SpscRing<int> ring(8);
+  int out = 0;
+  for (int round = 0; round < 100; ++round) {  // one message in flight
+    ASSERT_TRUE(ring.try_push(int(round)));
+    ASSERT_TRUE(ring.try_pop(out));
+  }
+  EXPECT_EQ(ring.depth_peak(), 1u);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push(int(i)));
+  while (ring.try_pop(out)) {
+  }
+  EXPECT_EQ(ring.depth_peak(), 5u);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(ring.try_push(int(i)));
+  EXPECT_FALSE(ring.try_push(8));  // full
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(ring.depth_peak(), 8u);
+}
+
+TEST(RingTransport, PingPongReadsTheRealLaneDepth) {
+  // A ping-pong keeps at most one message in either lane, so the world's
+  // ring depth watermark must stay at that depth however many messages the
+  // lanes have carried in total (more than one lane's capacity here).
+  obs::Registry registry;
+  Environment::run(
+      2,
+      [](Comm& comm) {
+        constexpr int n = 1000;
+        for (int i = 0; i < n; ++i) {
+          if (comm.rank() == 0) {
+            comm.send_value<int>(1, 1, i);
+            ASSERT_EQ(comm.recv_value<int>(1, 2), i);
+          } else {
+            comm.send_value<int>(0, 2, comm.recv_value<int>(0, 1));
+          }
+        }
+      },
+      FaultPlan{}, &registry);
+  const std::int64_t peak = registry.gauge("mpmini.ring.depth_peak").value();
+  EXPECT_GE(peak, 1);
+  EXPECT_LE(peak, 2);
+}
+
 // --- concurrent wildcard receives (ring path) --------------------------------
 
 TEST(ProbeRaceRing, ExactAccountingUnderConcurrentWildcardReceives) {
@@ -265,7 +307,6 @@ TEST(ProbeRaceRing, ExactAccountingUnderConcurrentWildcardReceives) {
         m.sequence = static_cast<std::uint64_t>(j);
         m.payload = {static_cast<std::uint8_t>(j & 0xff)};
         if (lane.ring.try_push(std::move(m))) {
-          lane.note_depth();
           box.notify_ring_push();
         } else {
           box.deliver(std::move(m));  // ring full: locked fallback, FIFO-safe
