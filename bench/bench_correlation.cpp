@@ -152,54 +152,29 @@ void BM_MatrixStepMaronna(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixStepMaronna)->Arg(10)->Arg(20);
 
-// Cold vs warm full-matrix Maronna step at the paper's full scale
-// (n up to 61 symbols, M = 120): the warm-start headline numbers for
-// BENCH_corr.json. Both variants use the same MaronnaConfig so the only
-// difference is the fixed-point seeding; `accuracy` reports the maximum
-// absolute warm-vs-cold matrix entry difference seen while timing.
-void matrix_step_maronna_seeded(benchmark::State& state, bool warm_start) {
+// Full-matrix Maronna step at the paper's full scale (n up to 61 symbols,
+// M = 120): the headline Maronna numbers for BENCH_corr.json.
+void BM_MatrixStepMaronnaCold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 120;
-  cfg.warm_start = warm_start;
-  CorrEngineConfig other_cfg = cfg;
-  other_cfg.warm_start = !warm_start;
   CorrelationCalculator calc(cfg, n);
-  CorrelationCalculator other(other_cfg, n);
   const auto stream = factor_stream(n, 200, 5);
   for (const auto& r : stream) calc.push(r);
-  for (const auto& r : stream) other.push(r);
-  double max_diff = 0.0;
   std::size_t next = 0;
   for (auto _ : state) {
     calc.push(stream[next]);
-    const auto m = calc.matrix();
-    benchmark::DoNotOptimize(m);
-    state.PauseTiming();
-    other.push(stream[next]);
-    max_diff = std::max(max_diff, SymMatrix::max_abs_diff(m, other.matrix()));
     next = (next + 1) % stream.size();
-    state.ResumeTiming();
+    benchmark::DoNotOptimize(calc.matrix());
   }
-  state.counters["accuracy"] = max_diff;
   state.SetItemsProcessed(state.iterations() * (n * (n - 1) / 2));
-}
-
-void BM_MatrixStepMaronnaCold(benchmark::State& state) {
-  matrix_step_maronna_seeded(state, /*warm_start=*/false);
 }
 BENCHMARK(BM_MatrixStepMaronnaCold)->Arg(20)->Arg(61)->Unit(benchmark::kMillisecond);
 
-void BM_MatrixStepMaronnaWarm(benchmark::State& state) {
-  matrix_step_maronna_seeded(state, /*warm_start=*/true);
-}
-BENCHMARK(BM_MatrixStepMaronnaWarm)->Arg(20)->Arg(61)->Unit(benchmark::kMillisecond);
-
-// Fixed-iteration n = 20 variants for the CI smoke run (completion only; the
+// Fixed-iteration n = 20 variant for the CI smoke run (completion only; the
 // timed entries above are the numbers).
 BENCHMARK(BM_MatrixStepMaronnaCold)->Arg(20)->Iterations(5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatrixStepMaronnaWarm)->Arg(20)->Iterations(5)->Unit(benchmark::kMillisecond);
 
 // --- universe-scale scaling curve -------------------------------------------
 //
@@ -224,7 +199,6 @@ void matrix_step_scaling(benchmark::State& state, Ctype type,
   CorrEngineConfig cfg;
   cfg.type = type;
   cfg.window = 100;
-  cfg.warm_start = type != Ctype::pearson;
   CorrelationCalculator calc(cfg, n);
   std::vector<double> returns;
   for (std::size_t t = 0; t <= cfg.window; ++t) {
@@ -232,7 +206,7 @@ void matrix_step_scaling(benchmark::State& state, Ctype type,
     calc.push(returns);
   }
   SymMatrix out;
-  calc.matrix_into(out);  // size buffers + cold-start warm state off the clock
+  calc.matrix_into(out);  // size the buffers off the clock
 
   for (auto _ : state) {
     stream.next(returns);
@@ -257,23 +231,23 @@ void BM_MatrixScalingPearsonAvx2(benchmark::State& state) {
 BENCHMARK(BM_MatrixScalingPearsonAvx2)
     ->Arg(61)->Arg(250)->Arg(1000)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-// Warm Maronna is O(n²·M) per step; the big universes pin the iteration
+// Maronna is O(n²·M) per step; the big universes pin the iteration
 // count so one bench run stays in seconds, which is ample for a kernel whose
 // per-step cost dwarfs timer noise.
-void BM_MatrixScalingMaronnaWarmScalar(benchmark::State& state) {
+void BM_MatrixScalingMaronnaScalar(benchmark::State& state) {
   matrix_step_scaling(state, Ctype::maronna, mm::stats::simd::Level::scalar);
 }
-BENCHMARK(BM_MatrixScalingMaronnaWarmScalar)
+BENCHMARK(BM_MatrixScalingMaronnaScalar)
     ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatrixScalingMaronnaWarmScalar)
+BENCHMARK(BM_MatrixScalingMaronnaScalar)
     ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
 
-void BM_MatrixScalingMaronnaWarmAvx2(benchmark::State& state) {
+void BM_MatrixScalingMaronnaAvx2(benchmark::State& state) {
   matrix_step_scaling(state, Ctype::maronna, mm::stats::simd::Level::avx2);
 }
-BENCHMARK(BM_MatrixScalingMaronnaWarmAvx2)
+BENCHMARK(BM_MatrixScalingMaronnaAvx2)
     ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatrixScalingMaronnaWarmAvx2)
+BENCHMARK(BM_MatrixScalingMaronnaAvx2)
     ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
 
 void BM_PsdRepair(benchmark::State& state) {

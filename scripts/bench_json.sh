@@ -2,7 +2,7 @@
 # Build and run the correlation-kernel, mm::obs and mpmini-transport
 # benchmarks, writing google-benchmark JSON to BENCH_corr.json, BENCH_obs.json
 # and BENCH_mpmini.json at the repo root. BENCH_corr.json includes the
-# universe-scaling entries (BM_MatrixScaling*: full-matrix Pearson and warm
+# universe-scaling entries (BM_MatrixScaling*: full-matrix Pearson and
 # Maronna at n = 61/250/1000/2000, scalar vs AVX2 kernel level) — the big
 # universes run a fixed two iterations, so expect the correlation pass to
 # take a couple of minutes. BENCH_svc.json adds the backtest-service numbers:

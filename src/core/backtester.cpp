@@ -51,17 +51,15 @@ double MarketCorrSeries::at(stats::Ctype ctype, std::size_t pair_index,
 
 MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double>>& bam,
                                             std::int64_t corr_window, bool need_maronna,
-                                            const stats::MaronnaConfig& maronna_config,
-                                            bool warm_maronna) {
+                                            const stats::MaronnaConfig& maronna_config) {
   return compute_market_corr_series(bam, corr_window, need_maronna, maronna_config,
-                                    stats::all_pairs(bam.size()), warm_maronna);
+                                    stats::all_pairs(bam.size()));
 }
 
 MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double>>& bam,
                                             std::int64_t corr_window, bool need_maronna,
                                             const stats::MaronnaConfig& maronna_config,
-                                            const std::vector<stats::PairIndex>& pairs,
-                                            bool warm_maronna) {
+                                            const std::vector<stats::PairIndex>& pairs) {
   const std::size_t n = bam.size();
   MM_ASSERT_MSG(n >= 2, "need at least two symbols");
   const auto smax = static_cast<std::int64_t>(bam[0].size());
@@ -85,13 +83,11 @@ MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double
   }
 
   // One calculator serves both measures: Combined carries the incremental
-  // Pearson sums and the robust path's unwrap arena (and, warm, its
-  // per-pair fixed-point seeds and per-step MAD flags).
+  // Pearson sums and the robust path's unwrap arena and per-symbol scales.
   stats::CorrEngineConfig engine;
   engine.type = need_maronna ? stats::Ctype::combined : stats::Ctype::pearson;
   engine.window = static_cast<std::size_t>(corr_window);
   engine.maronna = maronna_config;
-  engine.warm_start = warm_maronna;
   stats::CorrelationCalculator calc(engine, n);
   std::vector<double> step_returns(n);
 

@@ -62,24 +62,17 @@ struct MarketCorrSeries {
   double at(stats::Ctype ctype, std::size_t pair_index, std::int64_t s) const;
 };
 
-// `warm_maronna` seeds each pair's Maronna fixed point from its previous
-// step's converged estimate (stats::WarmMaronna): typically 3×+ faster, and
-// accurate to the convergence tolerance rather than bit-for-bit — so it is
-// opt-in; the default reproduces the batch estimator exactly.
 MarketCorrSeries compute_market_corr_series(
     const std::vector<std::vector<double>>& bam, std::int64_t corr_window,
-    bool need_maronna, const stats::MaronnaConfig& maronna_config = {},
-    bool warm_maronna = false);
+    bool need_maronna, const stats::MaronnaConfig& maronna_config = {});
 
 // Shard variant: series only for `pairs` (any subset, output in that order).
 // The incremental window state is market-wide either way; only the per-pair
 // estimation loop is restricted — this is the unit the parallel ranks own.
-// Warm-start state is per pair, so shard outputs are independent of the
-// sharding.
 MarketCorrSeries compute_market_corr_series(
     const std::vector<std::vector<double>>& bam, std::int64_t corr_window,
     bool need_maronna, const stats::MaronnaConfig& maronna_config,
-    const std::vector<stats::PairIndex>& pairs, bool warm_maronna = false);
+    const std::vector<stats::PairIndex>& pairs);
 
 // Drive one pair's strategy across one day. `corr(s)` is looked up in the
 // series; intervals before first_valid step the machine with corr_valid =

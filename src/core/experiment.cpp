@@ -78,8 +78,7 @@ ShardOutput run_shard(const ExperimentConfig& config,
 
     for (const std::int64_t m : windows) {
       const auto series =
-          compute_market_corr_series(bam, m, /*need_maronna=*/true, config.maronna,
-                                     shard, config.warm_maronna);
+          compute_market_corr_series(bam, m, /*need_maronna=*/true, config.maronna, shard);
       for (std::size_t l = 0; l < n_levels; ++l) {
         if (levels[l].corr_window != m) continue;
         for (std::size_t c = 0; c < n_ctypes; ++c) {

@@ -40,11 +40,6 @@ struct ExperimentConfig {
   md::GeneratorConfig generator{};
   md::CleanerConfig cleaner{};
   stats::MaronnaConfig maronna{};
-  // Warm-start each pair's Maronna estimate from the previous interval's
-  // converged fixed point (stats::WarmMaronna): ~3×+ faster correlation
-  // series at convergence-tolerance accuracy. Deterministic and independent
-  // of the pair sharding, so serial and parallel runs still agree exactly.
-  bool warm_maronna = true;
   ParamGrid grid{};
 
   // Threads for the pair-sharded fan-out in run_experiment_parallel.

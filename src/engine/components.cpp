@@ -90,6 +90,15 @@ void emit_quotes(dag::Context& ctx, const std::vector<md::Quote>& quotes,
   if (!batch.quotes.empty()) flush();
 }
 
+// Records may come from another process: one of the wrong type fails the
+// node (the run comes back degraded) instead of aborting the process.
+void expect_record(mpi::Unpacker& u, RecordType want, const char* stage) {
+  const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
+  if (type != want)
+    throw std::runtime_error(
+        format("%s: unexpected record type %u", stage, static_cast<unsigned>(type)));
+}
+
 // Per-stage step histogram, registered on the run's registry (null when the
 // run records no metrics; ObsSpan treats a null histogram as "don't sample").
 obs::Histogram* step_histogram(dag::Context& ctx, const char* name) {
@@ -113,8 +122,7 @@ dag::NodeFn make_cleaner(std::size_t symbols, md::CleanerConfig config) {
     md::QuoteCleaner cleaner(symbols, config);
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
-                RecordType::quote_batch);
+      expect_record(u, RecordType::quote_batch, "cleaner");
       auto batch = QuoteBatch::unpack(u);
       count(items.in, batch.quotes.size());
 
@@ -166,8 +174,7 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
 
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
-                RecordType::quote_batch);
+      expect_record(u, RecordType::quote_batch, "snapshot");
       const auto batch = QuoteBatch::unpack(u);
       count(items.in, batch.quotes.size());
       for (const auto& q : batch.quotes) {
@@ -191,8 +198,7 @@ dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
     const auto pairs = stats::all_pairs(symbols);
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
-                RecordType::corr_frame);
+      expect_record(u, RecordType::corr_frame, "cluster");
       const auto frame = CorrFrame::unpack(u);
       count(items.in, 1);
       if (!frame.valid || frame.interval % cadence != 0) continue;
@@ -335,10 +341,14 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       const auto day = lease->data();  // keep alive across eviction
       std::size_t next = 0;
       while (auto msg = ctx->recv()) {
-        MM_ASSERT(peek_type(msg->bytes) == RecordType::snapshot);
+        mpi::Unpacker u(msg->bytes);
+        expect_record(u, RecordType::snapshot, "correlation");
         count(items.in, 1);
-        MM_ASSERT_MSG(next < day->frames.size(),
-                      "memoized day shorter than the snapshot stream");
+        if (next == day->frames.size())
+          throw std::runtime_error(format(
+              "correlation: memoized day (%zu frames) is shorter than the snapshot "
+              "stream",
+              day->frames.size()));
         const auto& packed = day->frames[next++];
         for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
         count(items.out, 1);
@@ -358,94 +368,106 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
     std::vector<double> shard;  // one replica's decoded block
     CorrFrame frame;
 
-    while (auto msg = ctx->recv()) {
-      mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
-                RecordType::snapshot);
-      auto snap = Snapshot::unpack(u);
-      count(items.in, 1);
-      obs::ObsSpan step(ctx->ring(), "corr-step", step_ns);
+    // A leader that fails mid-day still releases its replicas, so none
+    // waits out replica_deadline (or forever, when unbounded) for a round.
+    try {
+      while (auto msg = ctx->recv()) {
+        mpi::Unpacker u(msg->bytes);
+        expect_record(u, RecordType::snapshot, "correlation");
+        auto snap = Snapshot::unpack(u);
+        count(items.in, 1);
+        obs::ObsSpan step(ctx->ring(), "corr-step", step_ns);
 
-      // The assignment every party uses this round (alive may shrink below).
-      round_alive = alive;
-      const std::size_t members = round_alive.size();
-      if (members > 1) {
-        round.clear();
-        round.put<std::uint8_t>(round_step);
-        round.put<std::uint64_t>(round_no);
-        round.put_vector(round_alive);
-        round.put<std::int64_t>(snap.interval);
-        round.put_vector(snap.returns);
-        for (const auto m : round_alive)
-          if (m != 0) group.send(m, tag_round, round.bytes());
-      }
-      const bool valid = advance(snap.interval, snap.returns);
-
-      frame.interval = snap.interval;
-      frame.prices = std::move(snap.prices);
-      frame.valid = valid;
-      frame.pearson.clear();
-      frame.maronna.clear();
-      // The leader's own share runs while the replicas compute theirs:
-      // Pearson for every pair, then Maronna block 0.
-      {
-        obs::ObsSpan span(ctx->ring(), "corr-block");
-        if (valid) {
-          frame.pearson.resize(all.size());
-          for (std::size_t k = 0; k < all.size(); ++k)
-            frame.pearson[k] = calc.pearson(all[k].i, all[k].j);
-          if (need_maronna) {
-            frame.maronna.resize(all.size());
-            robust_block(members, 0, frame.maronna.data());
-          }
+        // The assignment every party uses this round (alive may shrink below).
+        round_alive = alive;
+        const std::size_t members = round_alive.size();
+        if (members > 1) {
+          round.clear();
+          round.put<std::uint8_t>(round_step);
+          round.put<std::uint64_t>(round_no);
+          round.put_vector(round_alive);
+          round.put<std::int64_t>(snap.interval);
+          round.put_vector(snap.returns);
+          for (const auto m : round_alive)
+            if (m != 0) group.send(m, tag_round, round.bytes());
         }
-      }
+        const bool valid = advance(snap.interval, snap.returns);
 
-      // Bounded gather: a replica that misses the deadline is resharded away
-      // for good (a missed round also desyncs its window mirror, so it must
-      // never contribute again) and the leader computes its block instead —
-      // it mirrors every window, so the frame matches the healthy run.
-      for (std::size_t b = 1; b < members; ++b) {
-        const auto m = round_alive[b];
-        const auto deadline = std::chrono::steady_clock::now() + replica_deadline;
-        bool received = false;
-        while (true) {
-          std::vector<std::uint8_t> bytes;
-          if (bounded) {
-            const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-            auto r = group.recv_for(std::max(budget, std::chrono::milliseconds{1}),
-                                    m, tag_shard);
-            if (!r) {
-              alive.erase(std::remove(alive.begin(), alive.end(), m), alive.end());
-              count(reshards, 1);
-              break;
+        frame.interval = snap.interval;
+        frame.prices = std::move(snap.prices);
+        frame.valid = valid;
+        frame.pearson.clear();
+        frame.maronna.clear();
+        // The leader's own share runs while the replicas compute theirs:
+        // Pearson for every pair, then Maronna block 0.
+        {
+          obs::ObsSpan span(ctx->ring(), "corr-block");
+          if (valid) {
+            frame.pearson.resize(all.size());
+            for (std::size_t k = 0; k < all.size(); ++k)
+              frame.pearson[k] = calc.pearson(all[k].i, all[k].j);
+            if (need_maronna) {
+              frame.maronna.resize(all.size());
+              robust_block(members, 0, frame.maronna.data());
             }
-            bytes = std::move(*r);
-          } else {
-            bytes = group.recv(m, tag_shard);
           }
-          mpi::Unpacker su(bytes);
-          if (su.get<std::uint64_t>() != round_no) continue;  // stale duplicate
-          su.get_vector_into(shard);
-          received = true;
-          break;
         }
-        if (!valid || !need_maronna) continue;
-        double* out = frame.maronna.data() + stats::block_begin(all.size(), members, b);
-        if (received) {
-          MM_ASSERT_MSG(shard.size() == block_size(members, b), "shard size mismatch");
-          std::copy(shard.begin(), shard.end(), out);
-        } else {
-          robust_block(members, b, out);
+
+        // Bounded gather: a replica that misses the deadline is resharded away
+        // for good (a missed round also desyncs its window mirror, so it must
+        // never contribute again) and the leader computes its block instead —
+        // it mirrors every window, so the frame matches the healthy run.
+        for (std::size_t b = 1; b < members; ++b) {
+          const auto m = round_alive[b];
+          const auto deadline = std::chrono::steady_clock::now() + replica_deadline;
+          bool received = false;
+          while (true) {
+            std::vector<std::uint8_t> bytes;
+            if (bounded) {
+              const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  deadline - std::chrono::steady_clock::now());
+              auto r = group.recv_for(std::max(budget, std::chrono::milliseconds{1}),
+                                      m, tag_shard);
+              if (!r) {
+                alive.erase(std::remove(alive.begin(), alive.end(), m), alive.end());
+                count(reshards, 1);
+                break;
+              }
+              bytes = std::move(*r);
+            } else {
+              bytes = group.recv(m, tag_shard);
+            }
+            mpi::Unpacker su(bytes);
+            if (su.get<std::uint64_t>() != round_no) continue;  // stale duplicate
+            su.get_vector_into(shard);
+            received = true;
+            break;
+          }
+          if (!valid || !need_maronna) continue;
+          double* out = frame.maronna.data() + stats::block_begin(all.size(), members, b);
+          if (received) {
+            if (shard.size() != block_size(members, b))
+              throw std::runtime_error(format(
+                  "correlation: replica %d sent %zu Maronna values for a %zu-pair block",
+                  m, shard.size(), block_size(members, b)));
+            std::copy(shard.begin(), shard.end(), out);
+          } else {
+            robust_block(members, b, out);
+          }
         }
+        step.close();
+        const auto packed = frame.pack();
+        for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
+        if (lease) recorded.frames.push_back(packed);
+        count(items.out, 1);
+        ++round_no;
       }
-      step.close();
-      const auto packed = frame.pack();
-      for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
-      if (lease) recorded.frames.push_back(packed);
-      count(items.out, 1);
-      ++round_no;
+    } catch (...) {
+      try {
+        release_replicas();
+      } catch (...) {
+      }
+      throw;
     }
 
     // End of stream: release the surviving replicas, then publish only a
@@ -504,8 +526,7 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
 
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
-                RecordType::corr_frame);
+      expect_record(u, RecordType::corr_frame, "strategy");
       const auto frame = CorrFrame::unpack(u);
       count(items.in, 1);
       last_interval = frame.interval;
@@ -513,7 +534,10 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       const std::size_t n = frame.prices.size();
       if (!bank) {
         for (const auto& pr : pairs) {
-          MM_ASSERT_MSG(pr.i < pr.j && pr.j < n, "pair not in universe");
+          if (pr.i >= pr.j || pr.j >= n)
+            throw std::runtime_error(
+                format("strategy: pair (%u, %u) is not in the %zu-symbol universe", pr.i,
+                       pr.j, n));
           frame_index.push_back(stats::pair_slot(n, pr.i, pr.j));
         }
         bank.emplace(params, smax, n, pairs);

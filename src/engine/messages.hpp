@@ -174,9 +174,4 @@ struct StrategySummary {
   }
 };
 
-inline RecordType peek_type(const std::vector<std::uint8_t>& bytes) {
-  mpi::Unpacker u(bytes);
-  return static_cast<RecordType>(u.get<std::uint8_t>());
-}
-
 }  // namespace mm::engine

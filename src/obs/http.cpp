@@ -9,12 +9,17 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/strings.hpp"
 
 namespace mm::obs {
 namespace {
+
+// One deadline for a whole request, headers and body: a stalled or trickling
+// client must not wedge the one-at-a-time listener for longer than this.
+constexpr std::chrono::seconds kRequestDeadline{2};
 
 const char* reason_phrase(int status) {
   switch (status) {
@@ -194,9 +199,23 @@ void MetricsServer::serve() {
 }
 
 void MetricsServer::handle(int client) const {
-  timeval timeout{};
-  timeout.tv_sec = 2;  // a stalled client must not wedge the listener
-  ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // Every read waits only for what is left of the request's deadline, so a
+  // client sending one byte at a time is cut off like a silent one. Returns
+  // recv's result, or -1 once the deadline has passed.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  const auto recv_some = [&](char* buf, std::size_t cap) -> ssize_t {
+    pollfd pfd{};
+    pfd.fd = client;
+    pfd.events = POLLIN;
+    while (true) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return -1;
+      const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+      if (ready > 0) return ::recv(client, buf, cap, 0);
+      if (ready == 0 || errno != EINTR) return -1;
+    }
+  };
 
   const auto reply = [&](HttpResponse resp, const std::string& allow = {}) {
     std::string head = format("HTTP/1.1 %d %s\r\nContent-Type: %s\r\n",
@@ -215,7 +234,7 @@ void MetricsServer::handle(int client) const {
   while (request.size() < kMaxHeaderBytes) {
     header_end = request.find("\r\n\r\n");
     if (header_end != std::string::npos) break;
-    const ssize_t got = ::recv(client, buf, sizeof(buf), 0);
+    const ssize_t got = recv_some(buf, sizeof(buf));
     if (got <= 0) break;
     request.append(buf, static_cast<std::size_t>(got));
   }
@@ -266,7 +285,7 @@ void MetricsServer::handle(int client) const {
   if (declared >= 0) {
     const std::size_t want = static_cast<std::size_t>(declared);
     while (req.body.size() < want) {
-      const ssize_t got = ::recv(client, buf, sizeof(buf), 0);
+      const ssize_t got = recv_some(buf, sizeof(buf));
       if (got <= 0) break;
       req.body.append(buf, static_cast<std::size_t>(got));
     }

@@ -5,24 +5,6 @@
 namespace mm::stats {
 namespace {
 
-// Warm-start state is only materialized for the robust measures.
-std::size_t warm_slots(const CorrEngineConfig& config, std::size_t symbols) {
-  if (!config.warm_start || config.type == Ctype::pearson) return 0;
-  return symbols * (symbols - 1) / 2;
-}
-
-// The unwrap arena serves the Maronna/Combined per-pair kernels; pure
-// Pearson engines never read it.
-std::size_t arena_size(const CorrEngineConfig& config, std::size_t symbols) {
-  return config.type == Ctype::pearson ? 0 : symbols * config.window;
-}
-
-// Per-symbol cold-start seeds are only kept by cold robust calculators (the
-// warm path seeds from its previous estimates instead).
-std::size_t scale_slots(const CorrEngineConfig& config, std::size_t symbols) {
-  return config.type == Ctype::pearson || config.warm_start ? 0 : symbols;
-}
-
 // Tile edge (symbols) of matrix_into's robust sweep: a tile reads at most
 // 2·kPairTile window rows of the unwrap arena.
 constexpr std::size_t kPairTile = 64;
@@ -34,31 +16,23 @@ CorrelationCalculator::CorrelationCalculator(const CorrEngineConfig& config,
     : config_(config),
       // Cross sums are only needed for Pearson (and Combined's Pearson half).
       windows_(symbols, config.window, config.type != Ctype::maronna),
-      unwrap_(arena_size(config, symbols)),
-      scale_(scale_slots(config, symbols)),
-      warm_(warm_slots(config, symbols), config.maronna) {}
+      // The unwrap arena and the per-symbol robust scales serve the
+      // Maronna/Combined per-pair kernels; pure Pearson engines never read them.
+      unwrap_(config.type == Ctype::pearson ? 0 : symbols * config.window),
+      scale_(config.type == Ctype::pearson ? 0 : symbols) {}
 
 void CorrelationCalculator::push(const std::vector<double>& returns) {
   windows_.push(returns);
-  warm_.advance();
 }
 
 void CorrelationCalculator::ensure_unwrapped() const {
   if (unwrap_step_ == windows_.steps() && unwrap_step_ > 0) return;
   windows_.unwrap_all(unwrap_.data());
-  if (config_.warm_start) {
-    // Per-symbol MAD-degeneracy flags, computed once per step so the warm
-    // estimator doesn't rescan the windows for every pair (n scans vs n²/2).
-    mad_zero_.resize(windows_.symbols());
-    for (std::size_t s = 0; s < windows_.symbols(); ++s)
-      mad_zero_[s] = mad_is_zero(window_view(s), windows_.window()) ? 1 : 0;
-  } else {
-    // Per-symbol medians/MADs, computed once per step: every cold pair
-    // starts from its two symbols' scales instead of re-selecting them
-    // (n selections per step instead of four per pair).
-    for (std::size_t s = 0; s < windows_.symbols(); ++s)
-      scale_[s] = robust_scale(window_view(s), windows_.window(), maronna_scratch_);
-  }
+  // Per-symbol medians/MADs, computed once per step: every pair starts from
+  // its two symbols' scales instead of re-selecting them (n selections per
+  // step instead of four per pair).
+  for (std::size_t s = 0; s < windows_.symbols(); ++s)
+    scale_[s] = robust_scale(window_view(s), windows_.window(), maronna_scratch_);
   unwrap_step_ = windows_.steps();
 }
 
@@ -83,10 +57,6 @@ double CorrelationCalculator::robust(std::size_t i, std::size_t j) const {
   const double* x = window_view(i);
   const double* y = window_view(j);
   const std::size_t m = windows_.window();
-  if (config_.warm_start) {
-    const bool degenerate = mad_zero_[i] != 0 || mad_zero_[j] != 0;
-    return warm_.estimate(pair_slot(symbols(), i, j), x, y, m, degenerate);
-  }
   return maronna_estimate(x, y, m, scale_[i], scale_[j], config_.maronna).correlation;
 }
 

@@ -5,9 +5,8 @@
 // in an online fashion. Pearson entries come from ReturnWindows' O(1)
 // incremental sums (full matrices via the blocked pearson_matrix kernel);
 // Maronna entries re-estimate each pair's 2×2 robust scatter over the window
-// (the expensive part the paper parallelizes [14]). Cold starts seed from
-// per-symbol medians/MADs computed once per step; with `warm_start` enabled
-// each pair seeds from its previous step's converged estimate instead.
+// (the expensive part the paper parallelizes [14]), each starting from the
+// two symbols' medians/MADs, computed once per step.
 //
 // The "Parallel Correlation Engine" box of Fig. 1 is the pipeline's
 // correlation group node (engine::make_correlation_stage): every member runs
@@ -27,11 +26,6 @@ struct CorrEngineConfig {
   Ctype type = Ctype::pearson;
   std::size_t window = 100;  // the paper's M
   MaronnaConfig maronna{};
-  // Warm-start Maronna from the previous step's converged estimate (see
-  // WarmMaronna). Results agree with the batch estimator to within the
-  // convergence tolerance instead of bit-for-bit, so this is opt-in. Each
-  // pair restarts cold every kWarmRestartInterval steps.
-  bool warm_start = false;
 };
 
 // Single-threaded engine: push one return per symbol per interval, then read
@@ -51,10 +45,9 @@ class CorrelationCalculator {
 
   // The two measures separately (both require ready()). pearson() is the
   // incremental estimate (Pearson and Combined calculators); robust() is
-  // Maronna over the unwrapped windows, cold or warm-started per the
-  // config (Maronna and Combined calculators). A cold robust() starts from
-  // the two symbols' step-scoped robust scales and equals the pairwise
-  // maronna_estimate bit for bit. Every per-pair estimate in the pipeline
+  // Maronna over the unwrapped windows (Maronna and Combined calculators).
+  // It starts from the two symbols' step-scoped robust scales and equals the
+  // pairwise maronna_estimate bit for bit. Every per-pair estimate in the pipeline
   // and the Approach-3 series goes through these.
   double pearson(std::size_t i, std::size_t j) const { return windows_.pearson(i, j); }
   double robust(std::size_t i, std::size_t j) const;
@@ -72,7 +65,7 @@ class CorrelationCalculator {
  private:
   // Unwrap every symbol's ring buffer into the contiguous arena, once per
   // step, shared by all pair estimates of the step; also refreshes the
-  // per-symbol robust scales (cold) or MAD-degeneracy flags (warm).
+  // per-symbol robust scales.
   void ensure_unwrapped() const;
   const double* window_view(std::size_t symbol) const {
     return unwrap_.data() + symbol * config_.window;
@@ -84,9 +77,7 @@ class CorrelationCalculator {
   // derived from the current window state.
   mutable std::vector<double> unwrap_;  // [symbol * window], oldest -> newest
   mutable std::size_t unwrap_step_ = 0;  // windows_.steps() the arena reflects
-  mutable std::vector<unsigned char> mad_zero_;  // per-symbol, warm path only
-  mutable std::vector<RobustScale> scale_;  // per-symbol, cold robust path only
-  mutable WarmMaronna warm_;
+  mutable std::vector<RobustScale> scale_;  // per-symbol, robust path only
   mutable MaronnaScratch maronna_scratch_;  // robust_scale's selection buffers
 };
 

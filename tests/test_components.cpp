@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <type_traits>
 
 #include "common/rng.hpp"
@@ -13,6 +14,7 @@
 #include "engine/messages.hpp"
 #include "marketdata/generator.hpp"
 #include "stats/corr_engine.hpp"
+#include "stats/corr_store.hpp"
 
 namespace mm::engine {
 namespace {
@@ -30,11 +32,12 @@ md::Quote quote_at(md::TimeMs ts, md::SymbolId sym, double mid) {
 
 // Runs `node` (a plain node, or a group node of `replicas` ranks) with a
 // source that emits `input` payloads and returns every payload the node
-// emits on its port 0.
+// emits on its port 0. `status`, when given, receives the node's status.
 template <typename Fn>
 std::vector<std::vector<std::uint8_t>> drive(Fn node,
                                              std::vector<std::vector<std::uint8_t>> input,
-                                             int replicas = 1) {
+                                             int replicas = 1,
+                                             dag::NodeStatus* status = nullptr) {
   std::vector<std::vector<std::uint8_t>> captured;
   dag::Graph g;
   const int src = g.add_node("src", [&](dag::Context& ctx) {
@@ -50,8 +53,37 @@ std::vector<std::vector<std::uint8_t>> drive(Fn node,
   });
   g.connect(src, 0, uut, 0);
   g.connect(uut, 0, sink, 0);
-  g.run();
+  const auto result = g.run();
+  if (status != nullptr) *status = result.nodes[static_cast<std::size_t>(uut)];
   return captured;
+}
+
+// Records can come from another process: a stage handed a record type it
+// does not consume fails its node (the run comes back degraded) instead of
+// aborting the process. `error` must appear in the node's error.
+template <typename Fn>
+void expect_node_fails(Fn node, std::vector<std::vector<std::uint8_t>> input,
+                       const std::string& error, int replicas = 1) {
+  dag::NodeStatus status;
+  drive(std::move(node), std::move(input), replicas, &status);
+  EXPECT_TRUE(status.failed);
+  EXPECT_NE(status.error.find(error), std::string::npos) << status.error;
+}
+
+// `count` snapshots of `symbols` symbols, intervals 0.., with returns from
+// interval 1 on.
+std::vector<std::vector<std::uint8_t>> snapshots(std::size_t symbols, int count) {
+  std::vector<std::vector<std::uint8_t>> out;
+  mm::Rng rng(3);
+  for (int s = 0; s < count; ++s) {
+    Snapshot snap;
+    snap.interval = s;
+    snap.prices.assign(symbols, 10.0);
+    if (s > 0)
+      for (std::size_t i = 0; i < symbols; ++i) snap.returns.push_back(rng.normal() * 1e-4);
+    out.push_back(snap.pack());
+  }
+  return out;
 }
 
 TEST(FileCollector, BatchesAndFlushesRemainder) {
@@ -91,6 +123,11 @@ TEST(CleanerNode, FiltersWithinBatches) {
   EXPECT_EQ(QuoteBatch::unpack(u).quotes.size(), 60u);
 }
 
+TEST(CleanerNode, UnexpectedRecordTypeFailsTheNode) {
+  expect_node_fails(make_cleaner(1, md::CleanerConfig{}), {Snapshot{}.pack()},
+                    "cleaner: unexpected record type 2");
+}
+
 TEST(SnapshotStage, EmitsEveryIntervalWithCarryForward) {
   const md::Session session;
   QuoteBatch batch;
@@ -119,6 +156,11 @@ TEST(SnapshotStage, EmitsEveryIntervalWithCarryForward) {
   // Intervals are sequential.
   for (std::size_t s = 0; s < 780; ++s)
     EXPECT_EQ(snap_at(s).interval, static_cast<std::int64_t>(s));
+}
+
+TEST(SnapshotStage, UnexpectedRecordTypeFailsTheNode) {
+  expect_node_fails(make_snapshot_stage(1, md::Session{}, 30, {10.0}), {CorrFrame{}.pack()},
+                    "snapshot: unexpected record type 3");
 }
 
 TEST(CorrelationStage, FramesInvalidUntilWindowFills) {
@@ -151,6 +193,59 @@ TEST(CorrelationStage, FramesInvalidUntilWindowFills) {
       EXPECT_LE(frame.pearson[0], 1.0);
     }
   }
+}
+
+TEST(CorrelationStage, UnexpectedRecordTypeFailsTheNode) {
+  // Two members with no replica deadline: the run only returns because the
+  // failing leader releases its replica.
+  auto input = snapshots(2, 3);
+  input.push_back(QuoteBatch{}.pack());
+  expect_node_fails(make_correlation_stage(2, /*corr_window=*/2, true, {}, /*fan_out=*/1),
+                    std::move(input), "correlation: unexpected record type 1",
+                    /*replicas=*/2);
+}
+
+TEST(CorrelationStage, ShortShardFromAReplicaFailsTheNode) {
+  // Rank 1 plays a replica that speaks the group protocol (rounds on tag 1,
+  // {round_no, block} answers on tag 2) but answers with a block of the
+  // wrong size; the leader is the real stage.
+  const dag::GroupNodeFn stage =
+      make_correlation_stage(3, /*corr_window=*/2, true, {}, /*fan_out=*/1);
+  const dag::GroupNodeFn node = [stage](dag::Context* ctx, mpi::Comm& group) {
+    if (group.rank() == 0) return stage(ctx, group);
+    while (true) {
+      const auto bytes = group.recv(0, /*tag_round=*/1);
+      mpi::Unpacker u(bytes);
+      if (u.get<std::uint8_t>() == 0) return;  // round_done
+      mpi::Packer shard;
+      shard.put<std::uint64_t>(u.get<std::uint64_t>());
+      shard.put_vector(std::vector<double>(7, 0.5));
+      group.send(0, /*tag_shard=*/2, shard.bytes());
+    }
+  };
+  expect_node_fails(node, snapshots(3, 4),
+                    "correlation: replica 1 sent 7 Maronna values for a 1-pair block",
+                    /*replicas=*/2);
+}
+
+TEST(CorrelationStage, MemoReplayFailsTheNodeOnForeignOrSurplusRecords) {
+  // A memoized day of one frame replays against the incoming snapshots.
+  stats::CorrStore store;
+  const stats::CorrKey key{"replay", 20080303, 30, 2, "pearson+maronna"};
+  {
+    auto lease = store.acquire(key);
+    ASSERT_TRUE(lease.owner());
+    stats::CorrDay day;
+    day.frames.push_back(CorrFrame{}.pack());
+    lease.publish(std::move(day));
+  }
+  const auto replay = [&] {
+    return make_correlation_stage(2, /*corr_window=*/2, true, {}, /*fan_out=*/1,
+                                  std::chrono::milliseconds{0}, &store, key);
+  };
+  expect_node_fails(replay(), {QuoteBatch{}.pack()}, "correlation: unexpected record type 1");
+  expect_node_fails(replay(), snapshots(2, 2),
+                    "memoized day (1 frames) is shorter than the snapshot stream");
 }
 
 // The correlation group's frames carry exactly what one cold Combined
@@ -368,6 +463,11 @@ TEST(StrategyNode, RejectsFrameNotCoveringUniverse) {
   EXPECT_NE(status.error.find("interval 1"), std::string::npos) << status.error;
 }
 
+TEST(StrategyNode, UnexpectedRecordTypeFailsTheNode) {
+  expect_node_fails(make_strategy_stage(core::ParamGrid::base(), {{0, 1}}, 0, 780),
+                    {Snapshot{}.pack()}, "strategy: unexpected record type 2");
+}
+
 TEST(ClusterStage, EmitsGroupingsAtCadence) {
   // 4 symbols, pairs (canonical): 01 02 03 12 13 23. Frames carry a
   // two-block structure: {0,1} and {2,3} tight, cross weak.
@@ -395,6 +495,11 @@ TEST(ClusterStage, EmitsGroupingsAtCadence) {
     EXPECT_EQ(snap.assignment[2], snap.assignment[3]);
     EXPECT_NE(snap.assignment[0], snap.assignment[2]);
   }
+}
+
+TEST(ClusterStage, UnexpectedRecordTypeFailsTheNode) {
+  expect_node_fails(make_cluster_stage(4, 2, 1), {Snapshot{}.pack()},
+                    "cluster: unexpected record type 2");
 }
 
 TEST(MasterNode, AggregatesAcrossInputs) {

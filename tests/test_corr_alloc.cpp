@@ -7,9 +7,8 @@
 // their own executable, same pattern as tests/test_transport.cpp) and assert:
 //
 //   CorrelationCalculator::push + matrix_into is allocation-free in steady
-//   state for Pearson, cold Maronna and cold Combined (per-symbol robust
-//   scales in a persistent buffer) and warm-started Maronna/Combined —
-//   including across a cold restart.
+//   state for Pearson, Maronna and Combined (per-symbol robust scales in a
+//   persistent buffer).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,7 +78,7 @@ std::uint64_t calculator_steady_state_allocs(const CorrEngineConfig& cfg,
   StepSource source(symbols, 42);
   SymMatrix out;
   for (std::size_t t = 0; t < cfg.window + 2; ++t) calc.push(source.next());
-  calc.matrix_into(out);  // sizes out, unwrap arena, scratch, warm state
+  calc.matrix_into(out);  // sizes out, unwrap arena and scratch
   calc.matrix_into(out);  // second call re-walks every memoized path
 
   const auto before = allocations();
@@ -100,7 +99,6 @@ TEST(CorrAlloc, ColdMaronnaSteadyStateIsAllocationFree) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 24;
-  cfg.warm_start = false;  // every pair cold-starts from per-symbol scales
   EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
 }
 
@@ -109,25 +107,6 @@ TEST(CorrAlloc, ColdCombinedSteadyStateIsAllocationFree) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::combined;
   cfg.window = 24;
-  cfg.warm_start = false;
-  EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
-}
-
-TEST(CorrAlloc, WarmMaronnaSteadyStateIsAllocationFreeAcrossColdRestart) {
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::maronna;
-  cfg.window = 24;
-  cfg.warm_start = true;
-  // Run past a whole restart interval so every pair restarts cold at least
-  // once inside the measured steps.
-  EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, kWarmRestartInterval + 8), 0u);
-}
-
-TEST(CorrAlloc, CombinedSteadyStateIsAllocationFree) {
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::combined;
-  cfg.window = 24;
-  cfg.warm_start = true;
   EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
 }
 

@@ -1,15 +1,19 @@
-// Golden tests for the stateful correlation kernels: warm-started Maronna
-// must track the batch (cold-start) estimator through outlier bursts and
-// degenerate stretches, and the blocked Pearson matrix kernel must equal the
-// element-wise incremental path bit-for-bit.
+// Golden tests for the stateful correlation kernels: the calculator's split
+// accessors and the blocked Pearson matrix kernel must equal the batch and
+// element-wise paths bit for bit, and digests recorded from a seeded day pin
+// every Maronna and Pearson value the engine produces.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/backtester.hpp"
+#include "marketdata/bars.hpp"
+#include "marketdata/cleaner.hpp"
+#include "marketdata/generator.hpp"
 #include "stats/corr_engine.hpp"
 #include "stats/maronna.hpp"
 #include "stats/windows.hpp"
@@ -38,134 +42,6 @@ std::vector<std::vector<double>> golden_stream(std::size_t symbols,
     if (s >= 250 && s < 310) out[s][1] = 2.5e-4;
   }
   return out;
-}
-
-TEST(WarmMaronna, GoldenStreamMatchesColdWithinTolerance) {
-  constexpr std::size_t symbols = 5;
-  constexpr std::size_t window = 40;
-  const auto stream = golden_stream(symbols, 500, 42);
-
-  // Tight tolerance so both paths run to the shared fixed point; the 1e-8
-  // agreement below is the contract documented in DESIGN.md. The iteration
-  // contracts slowly under heavy contamination, so the distance to the fixed
-  // point can exceed the step-size tolerance by ~100x — hence 1e-12 here.
-  CorrEngineConfig cold_cfg;
-  cold_cfg.type = Ctype::maronna;
-  cold_cfg.window = window;
-  cold_cfg.maronna.tolerance = 1e-12;
-  cold_cfg.maronna.max_iterations = 2000;
-  CorrEngineConfig warm_cfg = cold_cfg;
-  warm_cfg.warm_start = true;
-
-  CorrelationCalculator cold(cold_cfg, symbols);
-  CorrelationCalculator warm(warm_cfg, symbols);
-
-  std::size_t compared = 0;
-  for (const auto& r : stream) {
-    cold.push(r);
-    warm.push(r);
-    if (!cold.ready()) continue;
-    const auto mc = cold.matrix();
-    const auto mw = warm.matrix();
-    const double diff = SymMatrix::max_abs_diff(mc, mw);
-    ASSERT_LE(diff, 1e-8) << "at step " << compared;
-    ++compared;
-  }
-  EXPECT_GT(compared, 400u);
-}
-
-TEST(WarmMaronna, DegenerateStretchesMatchBatchExactly) {
-  // While a window is exactly constant the engine must fall back to the cold
-  // start, which reproduces the batch estimator bit-for-bit (including its
-  // "zero dispersion -> correlation 0" convention).
-  constexpr std::size_t symbols = 3;
-  constexpr std::size_t window = 20;
-  const auto stream = golden_stream(symbols, 400, 7);
-
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::maronna;
-  cfg.window = window;
-  cfg.warm_start = true;
-  cfg.maronna.tolerance = 1e-12;
-  cfg.maronna.max_iterations = 2000;
-  CorrelationCalculator warm(cfg, symbols);
-
-  std::vector<std::vector<double>> history(symbols);
-  std::vector<double> wx(window), wy(window);
-  for (const auto& r : stream) {
-    warm.push(r);
-    for (std::size_t i = 0; i < symbols; ++i) history[i].push_back(r[i]);
-    if (!warm.ready()) continue;
-    const std::size_t steps = history[0].size();
-    // Symbol 1 is frozen over steps 250..310: its windows pass through
-    // partially- and fully-degenerate states. Compare against batch.
-    if (steps >= 260 && steps <= 340) {
-      const std::size_t lo = steps - window;
-      for (std::size_t t = 0; t < window; ++t) {
-        wx[t] = history[0][lo + t];
-        wy[t] = history[1][lo + t];
-      }
-      const double batch = maronna(wx.data(), wy.data(), window, cfg.maronna);
-      EXPECT_NEAR(warm.pair(0, 1), batch, 1e-8) << "at step " << steps;
-    }
-  }
-}
-
-TEST(WarmMaronna, WarmPathActuallyRunsWarm) {
-  // Sanity check on the machinery itself: on a clean stream the warm path
-  // must dominate, with cold starts only at seeding/restart cadence.
-  constexpr std::size_t window = 30;
-  const auto stream = golden_stream(2, 300, 9);
-  WarmMaronna warm(1, MaronnaConfig{});
-  ReturnWindows windows(2, window, false);
-  std::vector<double> arena(2 * window);
-  for (const auto& r : stream) {
-    windows.push(r);
-    warm.advance();
-    if (!windows.ready()) continue;
-    windows.unwrap_all(arena.data());
-    warm.estimate(0, arena.data(), arena.data() + window, window);
-  }
-  EXPECT_GT(warm.warm_calls(), 4 * warm.cold_calls());
-  EXPECT_GE(warm.cold_calls(), 1u);  // at least the initial seed + cadence
-}
-
-TEST(WarmMaronna, ReestimateFallsBackOnBadSeed) {
-  const auto stream = golden_stream(2, 60, 11);
-  std::vector<double> x, y;
-  for (const auto& r : stream) {
-    x.push_back(r[0]);
-    y.push_back(r[1]);
-  }
-  const auto cold = maronna_estimate(x.data(), y.data(), x.size());
-
-  MaronnaResult bad;  // default: not converged, zero scatter
-  const auto fell_back = maronna_reestimate(x.data(), y.data(), x.size(), bad);
-  EXPECT_DOUBLE_EQ(fell_back.correlation, cold.correlation);
-
-  MaronnaResult poisoned = cold;
-  poisoned.scatter_xx = std::nan("");
-  const auto fell_back2 =
-      maronna_reestimate(x.data(), y.data(), x.size(), poisoned);
-  EXPECT_DOUBLE_EQ(fell_back2.correlation, cold.correlation);
-}
-
-TEST(MadIsZero, MatchesMedianDefinition) {
-  // mad_is_zero must agree with "a strict majority of values coincide", and
-  // with the cold start's own MAD (robust_scale) being exactly zero: the
-  // warm path's degeneracy flag and the cold path's floors follow one rule.
-  MaronnaScratch scratch;
-  const auto expect_mad_zero = [&](const std::vector<double>& v, bool zero) {
-    EXPECT_EQ(mad_is_zero(v.data(), v.size()), zero);
-    EXPECT_EQ(robust_scale(v.data(), v.size(), scratch).mad == 0.0, zero);
-  };
-  expect_mad_zero({1.0, 1.0, 1.0, 2.0, 3.0}, true);
-  expect_mad_zero({1.0, 1.0, 2.0, 2.0, 3.0}, false);
-  expect_mad_zero({4.0, 4.0, 4.0, 4.0}, true);
-  expect_mad_zero({1.0, 2.0}, false);
-  // Exactly half is not a majority (even n: the upper middle deviation is
-  // nonzero, so the MAD is nonzero).
-  expect_mad_zero({5.0, 5.0, 1.0, 2.0}, false);
 }
 
 TEST(PearsonMatrix, EqualsElementwisePearsonExactly) {
@@ -262,40 +138,87 @@ TEST(CorrelationCalculator, SplitAccessorsMatchBatchKernelsBitForBit) {
   expect_split_accessors_match_batch(41);
 }
 
-TEST(MarketCorrSeries, WarmMatchesColdWithinTolerance) {
-  // End-to-end through the backtester's Approach-3 series: warm and cold
-  // Maronna series agree within the tolerance contract, and Pearson series
-  // are identical.
-  constexpr std::size_t symbols = 4;
-  const auto stream = golden_stream(symbols, 260, 19);
-  // Convert the return stream into a fake BAM price matrix: prices with the
-  // given log-returns.
-  std::vector<std::vector<double>> bam(symbols,
-                                       std::vector<double>(stream.size() + 1, 0.0));
-  for (std::size_t i = 0; i < symbols; ++i) {
-    bam[i][0] = 100.0;
-    for (std::size_t s = 0; s < stream.size(); ++s)
-      bam[i][s + 1] = bam[i][s] * std::exp(stream[s][i]);
-  }
+// FNV-1a over the bytes of every value, in the order added.
+struct Digest {
+  std::uint64_t count = 0;
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
 
-  // Window 40 keeps the 15-step outlier burst at 37.5% contamination —
-  // below the bivariate M-estimator's breakdown point, where the fixed
-  // point is unique. (At >=50% contamination warm and cold starts can land
-  // in different, equally valid fixed points; see DESIGN.md.)
-  stats::MaronnaConfig tight;
-  tight.tolerance = 1e-12;
-  tight.max_iterations = 2000;
-  const auto cold = core::compute_market_corr_series(bam, 40, true, tight,
-                                                     /*warm_maronna=*/false);
-  const auto warm = core::compute_market_corr_series(bam, 40, true, tight,
-                                                     /*warm_maronna=*/true);
-  ASSERT_EQ(cold.maronna.size(), warm.maronna.size());
-  for (std::size_t k = 0; k < cold.maronna.size(); ++k) {
-    for (std::size_t s = 0; s < cold.maronna[k].size(); ++s) {
-      ASSERT_NEAR(warm.maronna[k][s], cold.maronna[k][s], 1e-8)
-          << "pair " << k << " step " << s;
-      ASSERT_DOUBLE_EQ(warm.pearson[k][s], cold.pearson[k][s]);
+  void add(double value) {
+    ++count;
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &value, sizeof(double));
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ULL;
     }
+  }
+  bool operator==(const Digest& o) const { return count == o.count && hash == o.hash; }
+};
+
+std::ostream& operator<<(std::ostream& os, const Digest& d) {
+  return os << "{" << d.count << ", 0x" << std::hex << d.hash << std::dec << "}";
+}
+
+// Seeded 8-symbol day sampled every 60 seconds (391 BAM prices per symbol).
+std::vector<std::vector<double>> golden_bam() {
+  constexpr std::size_t kSymbols = 8;
+  const auto universe = md::make_universe(kSymbols);
+  md::GeneratorConfig cfg;
+  cfg.quote_rate = 0.25;
+  const md::SyntheticDay day(universe, cfg, 5);
+  md::QuoteCleaner cleaner(kSymbols, md::CleanerConfig{});
+  return md::sample_bam_series(cleaner.clean(day.quotes()), kSymbols, cfg.session,
+                               60);
+}
+
+// The cold Maronna fixed point is pinned bit for bit: every Pearson and
+// Maronna value of the Approach-3 series over all pairs, at three windows.
+// The digests were recorded before the warm-start estimator was deleted, so
+// they also show that the cold iterates never read warm-only state.
+TEST(ColdMaronnaGolden, MarketSeriesIsBitIdentical) {
+  const auto bam = golden_bam();
+  const std::int64_t windows[3] = {50, 100, 200};
+  const Digest expected[3] = {{19040, 0xd75d3f0dcfaf303dULL},
+                              {16240, 0x4803682c13f7af0dULL},
+                              {10640, 0x6132d47a333ba4fdULL}};
+  for (int w = 0; w < 3; ++w) {
+    const auto series = core::compute_market_corr_series(bam, windows[w], true);
+    Digest d;
+    for (std::size_t k = 0; k < series.pearson.size(); ++k)
+      for (std::int64_t s = series.first_valid; s < series.smax; ++s) {
+        const auto si = static_cast<std::size_t>(s);
+        d.add(series.pearson[k][si]);
+        d.add(series.maronna[k][si]);
+      }
+    EXPECT_EQ(d, expected[w]) << "M = " << windows[w];
+  }
+}
+
+// Same for the calculator's full matrices (the tile-major robust sweep) of a
+// Maronna and a Combined calculator, every 40th step of the same day.
+TEST(ColdMaronnaGolden, CalculatorMatricesAreBitIdentical) {
+  const auto bam = golden_bam();
+  std::vector<std::vector<double>> returns;
+  for (const auto& prices : bam) returns.push_back(md::log_returns(prices));
+  const Ctype types[2] = {Ctype::maronna, Ctype::combined};
+  const Digest expected[2] = {{196, 0x6c97eec75842860bULL},
+                              {196, 0x13d29d73b0543544ULL}};
+  for (int t = 0; t < 2; ++t) {
+    CorrEngineConfig cfg;
+    cfg.type = types[t];
+    cfg.window = 100;
+    CorrelationCalculator calc(cfg, bam.size());
+    std::vector<double> step(bam.size());
+    Digest d;
+    for (std::size_t s = 0; s < returns[0].size(); ++s) {
+      for (std::size_t i = 0; i < bam.size(); ++i) step[i] = returns[i][s];
+      calc.push(step);
+      if (!calc.ready() || s % 40 != 0) continue;
+      const SymMatrix m = calc.matrix();
+      for (std::size_t i = 0; i < m.size(); ++i)
+        for (std::size_t j = i + 1; j < m.size(); ++j) d.add(m(i, j));
+    }
+    EXPECT_EQ(d, expected[t]) << "Ctype " << static_cast<int>(types[t]);
   }
 }
 

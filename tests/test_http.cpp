@@ -5,9 +5,11 @@
 // each test binds an ephemeral port and speaks raw HTTP/1.1.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -18,20 +20,23 @@
 namespace mm::obs {
 namespace {
 
-// One raw HTTP exchange against 127.0.0.1:port; returns the full response.
-std::string http_exchange(std::uint16_t port, const std::string& request) {
+// A socket connected to 127.0.0.1:port, or -1.
+int connect_to(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
-  ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
-  ::shutdown(fd, SHUT_WR);  // half-close: the server sees EOF after the bytes
+  return fd;
+}
+
+// Everything the server sends until it closes the connection; closes fd.
+std::string read_to_close(int fd) {
   std::string response;
   char buf[4096];
   ssize_t got;
@@ -39,6 +44,15 @@ std::string http_exchange(std::uint16_t port, const std::string& request) {
     response.append(buf, static_cast<std::size_t>(got));
   ::close(fd);
   return response;
+}
+
+// One raw HTTP exchange against 127.0.0.1:port; returns the full response.
+std::string http_exchange(std::uint16_t port, const std::string& request) {
+  const int fd = connect_to(port);
+  if (fd < 0) return {};
+  ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  ::shutdown(fd, SHUT_WR);  // half-close: the server sees EOF after the bytes
+  return read_to_close(fd);
 }
 
 std::string request_with_body(const std::string& method, const std::string& path,
@@ -218,6 +232,36 @@ TEST_F(HttpServerTest, ReRegisteringAPathReplacesTheRoute) {
   EXPECT_EQ(status_of(http_exchange(server.port(),
                                     request_with_body("POST", "/v", ""))),
             200);
+}
+
+TEST_F(HttpServerTest, TricklingClientIsCutOffAtTheRequestDeadline) {
+  server.route("/healthz", [] { return HttpResponse{200, "text/plain", "ok\n"}; });
+  ASSERT_TRUE(server.start(0).has_value());
+
+  // One header byte every 100 ms, well under the 8 KiB cap: every read the
+  // server makes returns quickly, so only a deadline on the whole request
+  // ends it. Stop sending once the server answers or closes (or after 6 s).
+  using Clock = std::chrono::steady_clock;
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string header = "GET /healthz HTTP/1.1\r\nX-Pad: " + std::string(8000, 'a');
+  const auto start = Clock::now();
+  for (const char c : header) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, /*timeout_ms=*/100) != 0) break;
+    if (::send(fd, &c, 1, MSG_NOSIGNAL) != 1) break;
+    if (Clock::now() - start > std::chrono::seconds{6}) break;
+  }
+  const auto cut_off = Clock::now() - start;
+  EXPECT_EQ(status_of(read_to_close(fd)), 400);
+  EXPECT_LT(cut_off, std::chrono::milliseconds{2500});
+
+  // The listener is free again.
+  const std::string health = http_exchange(server.port(), "GET /healthz HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(status_of(health), 200);
+  EXPECT_EQ(body_of(health), "ok\n");
 }
 
 }  // namespace

@@ -159,12 +159,6 @@ TEST(Maronna, ScratchOverloadMatchesConvenienceBitwise) {
     EXPECT_EQ(a.location_x, b.location_x);
     EXPECT_EQ(a.location_y, b.location_y);
     EXPECT_EQ(a.iterations, b.iterations);
-
-    const auto c = maronna_reestimate(p.x.data(), p.y.data(), p.x.size(), a, {});
-    const auto d =
-        maronna_reestimate(p.x.data(), p.y.data(), p.x.size(), a, {}, scratch);
-    EXPECT_EQ(c.correlation, d.correlation) << "seed " << seed;
-    EXPECT_EQ(c.iterations, d.iterations);
   }
 }
 
@@ -178,7 +172,6 @@ void expect_bitwise_equal(const MaronnaResult& a, const MaronnaResult& b,
   EXPECT_TRUE(same_bits(a.scatter_xx, b.scatter_xx)) << what;
   EXPECT_TRUE(same_bits(a.scatter_xy, b.scatter_xy)) << what;
   EXPECT_TRUE(same_bits(a.scatter_yy, b.scatter_yy)) << what;
-  EXPECT_TRUE(same_bits(a.contraction, b.contraction)) << what;
   EXPECT_EQ(a.iterations, b.iterations) << what;
   EXPECT_EQ(a.converged, b.converged) << what;
 }
