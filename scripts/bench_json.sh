@@ -1,22 +1,48 @@
 #!/usr/bin/env bash
-# Build and run the correlation-kernel, mm::obs and mpmini-transport
-# benchmarks, writing google-benchmark JSON to BENCH_corr.json, BENCH_obs.json
-# and BENCH_mpmini.json at the repo root. BENCH_corr.json includes the
-# universe-scaling entries (BM_MatrixScaling*: full-matrix Pearson and
-# Maronna at n = 61/250/1000/2000, scalar vs AVX2 kernel level) — the big
-# universes run a fixed two iterations, so expect the correlation pass to
-# take a couple of minutes. BENCH_svc.json adds the backtest-service numbers:
-# cold vs memoized 4-paramset sweeps (the multi-tenant amortization factor)
-# and the warm CorrStore/DayCache acquire costs. BENCH_wire.json adds the mmq
-# wire-format numbers: single-threaded quote parse throughput (budgeted at
-# > 10 M quotes/s), the carry-buffer straddle path, encode throughput, and
-# whole-session loopback TCP day fetches.
-# Usage: scripts/bench_json.sh [build-dir] (default: build).
+# Build and run the benchmarks behind the committed BENCH_*.json files at the
+# repo root (google-benchmark JSON), one file per name:
+#   corr   — correlation kernels, including the universe-scaling entries
+#            (BM_MatrixScaling*: full-matrix Pearson and Maronna at
+#            n = 61/250/1000/2000, scalar vs AVX2 kernel level); the big
+#            universes run a fixed two iterations, so expect this one to take
+#            a couple of minutes;
+#   obs    — mm::obs hot paths;
+#   mpmini — mpmini transport hot paths;
+#   svc    — backtest service: cold vs memoized 4-paramset sweeps (the
+#            multi-tenant amortization factor) and the warm CorrStore/DayCache
+#            acquire costs;
+#   wire   — mmq wire format: quote parse throughput (budgeted at > 10 M
+#            quotes/s), the carry-buffer straddle path, encode throughput and
+#            whole-session loopback TCP day fetches.
+# Usage: scripts/bench_json.sh [build-dir] [corr|obs|mpmini|svc|wire ...]
+# (default build dir: build; no names regenerates all five files).
 set -euo pipefail
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
-build_dir=${1:-"$repo_root/build"}
+names="corr obs mpmini svc wire"
+build_dir="$repo_root/build"
+# A first argument that is not a file name is the build dir; it must exist
+# or contain a '/', so a misspelt name is rejected below instead of
+# configuring a new tree.
+if [[ $# -gt 0 && " $names " != *" $1 "* && ( -d $1 || $1 == */* ) ]]; then
+  build_dir=$1
+  shift
+fi
+
+targets=(bench_json)
+if [[ $# -eq 0 ]]; then
+  set -- $names
+else
+  targets=()
+  for name; do
+    if [[ " $names " != *" $name "* ]]; then
+      echo "bench_json.sh: unknown benchmark file '$name' (want one of: $names)" >&2
+      exit 2
+    fi
+    targets+=("bench_json_$name")
+  done
+fi
 
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j --target bench_json
-echo "Wrote $repo_root/BENCH_corr.json, $repo_root/BENCH_obs.json, $repo_root/BENCH_mpmini.json, $repo_root/BENCH_svc.json and $repo_root/BENCH_wire.json"
+cmake --build "$build_dir" -j --target "${targets[@]}"
+for name; do echo "Wrote $repo_root/BENCH_$name.json"; done

@@ -202,6 +202,12 @@ dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
       const auto frame = CorrFrame::unpack(u);
       count(items.in, 1);
       if (!frame.valid || frame.interval % cadence != 0) continue;
+      // Frames may come from another process: one that does not cover the
+      // universe fails this node instead of being indexed out of bounds.
+      if (frame.pearson.size() != pairs.size())
+        throw std::runtime_error(format(
+            "cluster: corr frame at interval %lld does not cover the %zu-symbol universe",
+            static_cast<long long>(frame.interval), symbols));
 
       stats::SymMatrix matrix(symbols, 0.0);
       matrix.fill_diagonal(1.0);
@@ -225,16 +231,14 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
                                         stats::MaronnaConfig maronna_config,
                                         int fan_out,
                                         std::chrono::milliseconds replica_deadline,
-                                        stats::CorrStore* store, stats::CorrKey store_key,
-                                        std::int64_t expected_frames) {
+                                        stats::CorrDay* record) {
   MM_ASSERT(fan_out >= 1);
   stats::CorrEngineConfig engine;
   engine.type = need_maronna ? stats::Ctype::combined : stats::Ctype::pearson;
   engine.window = static_cast<std::size_t>(corr_window);
   engine.maronna = maronna_config;
   return [symbols, corr_window, need_maronna, engine, fan_out, replica_deadline,
-          store, store_key = std::move(store_key),
-          expected_frames](dag::Context* ctx, mpi::Comm& group) {
+          record](dag::Context* ctx, mpi::Comm& group) {
     const auto all = stats::all_pairs(symbols);
     const bool bounded = replica_deadline.count() > 0;
     // Every member mirrors the sliding windows in its own calculator, so a
@@ -327,40 +331,8 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
         if (m != 0) group.send(m, tag_round, done.bytes());
     };
 
-    // The lease is taken when the NODE runs (not at wiring time): concurrent
-    // pipelines over the same key serialize here — one computes, the rest
-    // block until the day is published, then replay.
-    std::optional<stats::CorrStore::Lease> lease;
-    if (store != nullptr) lease.emplace(store->acquire(store_key));
-
-    if (lease && lease->hit()) {
-      // Memoized day: replay the stored packed frames one-for-one against
-      // the incoming snapshots. The bytes are exactly what a cold run would
-      // emit, so every consumer downstream is bit-identical.
-      release_replicas();
-      const auto day = lease->data();  // keep alive across eviction
-      std::size_t next = 0;
-      while (auto msg = ctx->recv()) {
-        mpi::Unpacker u(msg->bytes);
-        expect_record(u, RecordType::snapshot, "correlation");
-        count(items.in, 1);
-        if (next == day->frames.size())
-          throw std::runtime_error(format(
-              "correlation: memoized day (%zu frames) is shorter than the snapshot "
-              "stream",
-              day->frames.size()));
-        const auto& packed = day->frames[next++];
-        for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
-        count(items.out, 1);
-      }
-      return;
-    }
-
     obs::Histogram* step_ns = step_histogram(*ctx, "engine.correlation.step_ns");
     obs::Counter* reshards = stage_counter(*ctx, "reshards");
-    stats::CorrDay recorded;
-    if (lease && expected_frames > 0)
-      recorded.frames.reserve(static_cast<std::size_t>(expected_frames));
 
     // Step buffers that live for the whole node.
     std::vector<std::int32_t> round_alive;  // this round's members
@@ -458,7 +430,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
         step.close();
         const auto packed = frame.pack();
         for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
-        if (lease) recorded.frames.push_back(packed);
+        if (record != nullptr) record->frames.push_back(packed);
         count(items.out, 1);
         ++round_no;
       }
@@ -469,15 +441,8 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
       }
       throw;
     }
-
-    // End of stream: release the surviving replicas, then publish only a
-    // complete day — a run cut short by a fault upstream produced fewer
-    // frames, and the lease destructor abandons it (handing ownership to any
-    // blocked waiter).
+    // End of stream: release the surviving replicas.
     release_replicas();
-    if (lease && expected_frames > 0 &&
-        recorded.frames.size() == static_cast<std::size_t>(expected_frames))
-      lease->publish(std::move(recorded));
   };
 }
 

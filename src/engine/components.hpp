@@ -148,25 +148,22 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
 // event bumps engine.<node>.reshards. With replica_deadline == 0 every wait
 // blocks forever.
 //
-// With a CorrStore attached the leader memoizes whole days of packed frames
-// under `store_key`: a hit releases the replicas and replays the stored
-// buffers verbatim (bit-identical output, no estimation work); a miss
-// computes normally while recording, and publishes only a COMPLETE day
-// (`expected_frames` received) so a fault-aborted run never poisons the
-// cache. Frames are bit-identical at every replica count, so a day computed
-// by one group size replays correctly under any other.
+// With `record` set, the leader appends every packed frame it emits to
+// `*record`, which the caller owns and reads after the run. The stage knows
+// no cache: run_pipeline memoizes a day that way, in-process only, and
+// decides whether to publish it (see pipeline.hpp).
 dag::GroupNodeFn make_correlation_stage(
     std::size_t symbols, std::int64_t corr_window, bool need_maronna,
     stats::MaronnaConfig maronna_config, int fan_out,
     std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0},
-    stats::CorrStore* store = nullptr, stats::CorrKey store_key = {},
-    std::int64_t expected_frames = 0);
+    stats::CorrDay* record = nullptr);
 
 // --- clustering --------------------------------------------------------------
 // The [12] companion workload: consume CorrFrames and, every
 // `cadence` intervals, emit a ClusterSnapshot of the market's co-movement
 // groups (single-linkage to `target_clusters`). Plugs in as an extra consumer
-// of the correlation engine's fan-out.
+// of the correlation engine's fan-out. A valid frame that does not cover the
+// `symbols`-wide universe fails the node.
 dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
                                std::int64_t cadence);
 dag::NodeFn make_strategy_stage(core::StrategyParams params,

@@ -7,7 +7,10 @@
 //
 // Each box runs on its own mpmini rank; edges are bounded dagflow channels.
 // run_pipeline() streams one trading day through the graph and returns the
-// master's report plus per-stage throughput.
+// master's report plus per-stage throughput. A day memoized in a CorrStore
+// runs the shorter replay graph instead:
+//
+//   replay (the stored CorrFrames) --> strategy worker x K --> master
 #pragma once
 
 #include <chrono>
@@ -54,13 +57,13 @@ struct PipelineConfig {
   std::shared_ptr<const std::vector<md::Quote>> day;
 
   // --- correlation memoization --------------------------------------------
-  // When set, the correlation stage memoizes whole days of packed CorrFrames
-  // in `corr_store` under stamped_corr_key(*this): the first run over a key
-  // computes and publishes, every later run replays bit-identical frames
-  // without re-estimating, at any correlation_replicas (frames are
-  // bit-identical across replica counts). The caller owns the rest of the
-  // key's correctness — `corr_key` must uniquely identify (data, ∆s, M,
-  // estimator); the run adds the cleaner and Maronna configs.
+  // When set, run_pipeline memoizes whole days of packed CorrFrames in
+  // `corr_store` under stamped_corr_key(*this): the first run over a key
+  // computes and publishes only if the whole run succeeded; every later run
+  // replays the bit-identical frames through the replay graph, reading no
+  // quote. The caller owns the rest of the key's correctness — `corr_key`
+  // must uniquely identify (data, ∆s, M, estimator); the run adds the
+  // cleaner and Maronna configs. In-process only: not with `rendezvous`.
   stats::CorrStore* corr_store = nullptr;
   stats::CorrKey corr_key{};
 
@@ -124,7 +127,10 @@ struct StageReport {
 
 struct PipelineResult {
   MasterReport master;
+  // The nodes this run built: collector .. correlation, or replay; then
+  // strategy-0.. and master.
   std::vector<StageReport> stages;
+  bool replayed = false;  // frames came from corr_store; quotes_in is then 0
   // Cluster snapshots (empty unless cluster_every > 0).
   std::vector<ClusterSnapshot> clusters;
   double wall_seconds = 0.0;
@@ -153,7 +159,8 @@ struct PipelineResult {
 // runs that differ in a config that shapes the frames never share a day.
 stats::CorrKey stamped_corr_key(const PipelineConfig& config);
 
-// Stream `quotes` (one day, time-sorted) through the Fig. 1 graph.
+// Stream `quotes` (one day, time-sorted) through the Fig. 1 graph, or replay
+// the day's memoized frames (see PipelineConfig::corr_store).
 PipelineResult run_pipeline(const PipelineConfig& config,
                             const md::Universe& universe,
                             std::vector<md::Quote> quotes);

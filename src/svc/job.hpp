@@ -95,7 +95,7 @@ struct JobResult {
   std::uint64_t trades = 0;
   double wall_seconds = 0.0;
   int units = 0;               // pipeline runs this job was split into
-  int units_from_cache = 0;    // units whose correlation day was resident
+  int units_from_cache = 0;    // units whose correlation day was replayed
   // Where the job's wall time went: queue-wait, day-cache loads, pipeline
   // compute, transport exchange (credit stalls), in that order.
   std::vector<StageLatency> latency;

@@ -339,12 +339,11 @@ void BacktestService::run_job(const std::shared_ptr<Job>& job) {
     config.metrics = &registry_;
     config.trace = sink;
     config.trace_context = obs::make_trace_context(job->trace_id);
-    if (corr_store_.peek(engine::stamped_corr_key(config)) != nullptr)
-      ++result.units_from_cache;
 
     const std::int64_t compute_t0 = steady_now_ns();
     const engine::PipelineResult run =
         engine::run_pipeline(config, *universe, {});
+    if (run.replayed) ++result.units_from_cache;
     compute_ns.push_back(steady_now_ns() - compute_t0);
     stage_hist("compute").record(compute_ns.back());
     // Exchange = time the unit's dag nodes spent stalled on transport

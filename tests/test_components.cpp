@@ -14,7 +14,6 @@
 #include "engine/messages.hpp"
 #include "marketdata/generator.hpp"
 #include "stats/corr_engine.hpp"
-#include "stats/corr_store.hpp"
 
 namespace mm::engine {
 namespace {
@@ -226,26 +225,6 @@ TEST(CorrelationStage, ShortShardFromAReplicaFailsTheNode) {
   expect_node_fails(node, snapshots(3, 4),
                     "correlation: replica 1 sent 7 Maronna values for a 1-pair block",
                     /*replicas=*/2);
-}
-
-TEST(CorrelationStage, MemoReplayFailsTheNodeOnForeignOrSurplusRecords) {
-  // A memoized day of one frame replays against the incoming snapshots.
-  stats::CorrStore store;
-  const stats::CorrKey key{"replay", 20080303, 30, 2, "pearson+maronna"};
-  {
-    auto lease = store.acquire(key);
-    ASSERT_TRUE(lease.owner());
-    stats::CorrDay day;
-    day.frames.push_back(CorrFrame{}.pack());
-    lease.publish(std::move(day));
-  }
-  const auto replay = [&] {
-    return make_correlation_stage(2, /*corr_window=*/2, true, {}, /*fan_out=*/1,
-                                  std::chrono::milliseconds{0}, &store, key);
-  };
-  expect_node_fails(replay(), {QuoteBatch{}.pack()}, "correlation: unexpected record type 1");
-  expect_node_fails(replay(), snapshots(2, 2),
-                    "memoized day (1 frames) is shorter than the snapshot stream");
 }
 
 // The correlation group's frames carry exactly what one cold Combined
@@ -500,6 +479,18 @@ TEST(ClusterStage, EmitsGroupingsAtCadence) {
 TEST(ClusterStage, UnexpectedRecordTypeFailsTheNode) {
   expect_node_fails(make_cluster_stage(4, 2, 1), {Snapshot{}.pack()},
                     "cluster: unexpected record type 2");
+}
+
+TEST(ClusterStage, FrameNotCoveringUniverseFailsTheNode) {
+  // A 4-symbol universe has 6 pairs; a valid frame of 3 (from another
+  // process) must fail the node, not be read past its end.
+  CorrFrame frame;
+  frame.interval = 0;
+  frame.valid = true;
+  frame.prices = {10, 11, 12, 13};
+  frame.pearson = {0.9, 0.1, 0.1};
+  expect_node_fails(make_cluster_stage(4, 2, 1), {frame.pack()},
+                    "cluster: corr frame at interval 0 does not cover the 4-symbol universe");
 }
 
 TEST(MasterNode, AggregatesAcrossInputs) {

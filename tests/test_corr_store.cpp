@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -307,6 +308,77 @@ TEST(CorrStorePipeline, ReplayIsBitIdenticalAcrossReplicaCounts) {
     expect_identical_reports(reference.master, computed.master);
     expect_identical_reports(reference.master, replayed.master);
   }
+}
+
+TEST(CorrStorePipeline, ReplayRunsOnlyReplayStrategiesAndMaster) {
+  // A hit builds the replay graph: no collector, cleaner, snapshot or
+  // correlation node runs, and the stored frames feed the strategies and the
+  // cluster branch alike.
+  const auto scenario = make_scenario(6, 2);
+  CorrStore store;
+  auto cfg = pipeline_config(6);
+  cfg.corr_store = &store;
+  cfg.corr_key = key_of("synthetic/6/2", 20080303);
+  cfg.cluster_every = 10;
+  const auto computed = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  const auto replayed = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  ASSERT_FALSE(computed.degraded);
+  ASSERT_FALSE(replayed.degraded);
+  EXPECT_FALSE(computed.replayed);
+  EXPECT_TRUE(replayed.replayed);
+  EXPECT_EQ(store.stats().hits, 1u);
+
+  std::vector<std::string> names;
+  for (const auto& stage : replayed.stages) names.push_back(stage.name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"replay", "strategy-0", "strategy-1", "master"}));
+  ASSERT_EQ(computed.stages.size(), 7u);
+  ASSERT_EQ(computed.stages[3].name, "correlation");
+  EXPECT_EQ(replayed.stages.front().records_out, computed.stages[3].records_out);
+  EXPECT_EQ(replayed.quotes_in, 0u);
+  for (const auto& metric : replayed.metrics.metrics)
+    EXPECT_NE(metric.name.rfind("dag.collector.", 0), 0u) << metric.name;
+
+  expect_identical_reports(computed.master, replayed.master);
+  ASSERT_FALSE(computed.clusters.empty());
+  ASSERT_EQ(replayed.clusters.size(), computed.clusters.size());
+  for (std::size_t i = 0; i < computed.clusters.size(); ++i) {
+    EXPECT_EQ(replayed.clusters[i].interval, computed.clusters[i].interval);
+    EXPECT_EQ(replayed.clusters[i].assignment, computed.clusters[i].assignment);
+  }
+}
+
+TEST(CorrStorePipeline, DegradedRunNeverPublishes) {
+  // A quote outside the universe a third of the way in fails the cleaner.
+  // The snapshot stage still pads the session out to its full interval
+  // count, so the correlation stage emits a whole day's worth of frames; the
+  // run is degraded all the same, and its truncated day must not be filed.
+  const auto scenario = make_scenario(6, 2);
+  auto bad = scenario.quotes;
+  bad[bad.size() / 3].symbol = 99;
+
+  CorrStore store;
+  engine::PipelineConfig cfg;
+  cfg.symbols = 6;
+  cfg.strategies = {core::ParamGrid::base()};
+  cfg.strategies.front().ctype = stats::Ctype::pearson;
+  cfg.corr_store = &store;
+  cfg.corr_key = key_of("synthetic/6/2", 20080303);
+  const auto degraded = engine::run_pipeline(cfg, scenario.universe, bad);
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_EQ(store.entries(), 0u);
+  EXPECT_EQ(store.stats().abandons, 1u);
+
+  // The clean day under the same key computes again, and matches a run
+  // without any store.
+  const auto clean = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  EXPECT_FALSE(clean.degraded);
+  EXPECT_FALSE(clean.replayed);
+  EXPECT_EQ(store.entries(), 1u);
+  cfg.corr_store = nullptr;
+  const auto reference = engine::run_pipeline(cfg, scenario.universe, scenario.quotes);
+  ASSERT_GT(reference.master.trades, 0u);
+  expect_identical_reports(reference.master, clean.master);
 }
 
 TEST(CorrStorePipeline, ConcurrentPipelinesShareOneCompute) {

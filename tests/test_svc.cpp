@@ -138,6 +138,9 @@ TEST(SvcEndToEnd, TwoTenantsShareCorrelationWorkAndMatchDirectRuns) {
   ASSERT_EQ(status_of(bob_result), 200);
   const auto ra = json_body(alice_result);
   const auto rb = json_body(bob_result);
+  // Every hit is a unit that replayed its day, waited-on computes included.
+  EXPECT_EQ(ra.get_int("units_from_cache", -1) + rb.get_int("units_from_cache", -1),
+            static_cast<std::int64_t>(store.hits));
   ASSERT_EQ(ra.find("paramsets")->size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     const auto& pa = ra.find("paramsets")->at(i);
