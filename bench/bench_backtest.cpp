@@ -129,6 +129,7 @@ void BM_TinyExperimentEndToEnd(benchmark::State& state) {
   cfg.symbols = 4;
   cfg.days = 1;
   cfg.generator.quote_rate = 0.1;
+  cfg.ranks = 1;  // the serial work, on the calling thread
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::run_experiment(cfg));
   }

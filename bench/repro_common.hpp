@@ -33,8 +33,7 @@ inline core::ExperimentResult run_with_banner(const core::ExperimentConfig& cfg,
   std::printf("experiment: %zu symbols (%zu pairs), %d days, "
               "14 levels x 3 correlation types = 42 strategies, %d ranks\n\n",
               cfg.symbols, cfg.symbols * (cfg.symbols - 1) / 2, cfg.days, cfg.ranks);
-  auto result = cfg.ranks > 1 ? core::run_experiment_parallel(cfg)
-                              : core::run_experiment(cfg);
+  auto result = core::run_experiment(cfg);
   std::printf("ran %llu trades over %zu quotes (%zu dropped by cleaning) "
               "in %.1f s\n\n",
               static_cast<unsigned long long>(result.total_trades),

@@ -11,8 +11,9 @@
 //
 //        ./pipeline_2proc
 //
-//   2. By hand, one terminal per process, using the same env route the
-//      Environment uses when MM_MPMINI_TRANSPORT=socket:
+//   2. By hand, one terminal per process: --rank reads the rank and the
+//      rendezvous address from the environment (mpi::rendezvous_from_env)
+//      and hands them to the pipeline as PipelineConfig::rendezvous:
 //
 //        MM_MPMINI_RANK=0 MM_MPMINI_RENDEZVOUS=127.0.0.1:7701 ./pipeline_2proc --rank
 //        MM_MPMINI_RANK=1 MM_MPMINI_RENDEZVOUS=127.0.0.1:7701 ./pipeline_2proc --rank

@@ -42,7 +42,7 @@ struct ExperimentConfig {
   stats::MaronnaConfig maronna{};
   ParamGrid grid{};
 
-  // Threads for the pair-sharded fan-out in run_experiment_parallel.
+  // Threads run_experiment splits each day's pair work over.
   int ranks = 4;
 
   // Retain the per-(Ctype, level, pair) measures in the result (used by the
@@ -77,13 +77,13 @@ struct ExperimentResult {
   double wall_seconds = 0.0;
 };
 
-// Serial runner (single rank).
+// Runs the experiment on `config.ranks` threads. Each day is generated,
+// cleaned and sampled once on the calling thread; the canonical pairs are
+// then cut into contiguous stats::block_begin blocks, one per thread, and
+// each thread computes the correlation series and runs the strategies of its
+// block. Every pair's arithmetic is the same at any rank count, so the result
+// is bit-identical for every `config.ranks`. A thread's exception is rethrown
+// on the calling thread.
 ExperimentResult run_experiment(const ExperimentConfig& config);
-
-// Pair-sharded parallel runner over `config.ranks` threads: each one
-// generates the (identical, deterministic) day, computes correlation series
-// only for its pair shard and runs the strategies; the shards are then
-// assembled in canonical pair order. Output is identical to run_experiment.
-ExperimentResult run_experiment_parallel(const ExperimentConfig& config);
 
 }  // namespace mm::core

@@ -446,10 +446,9 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
   };
 }
 
-dag::NodeFn make_strategy_stage(core::StrategyParams params,
-                                std::vector<stats::PairIndex> pairs,
-                                std::int32_t strategy_id, std::int64_t smax) {
-  return [params, pairs = std::move(pairs), strategy_id, smax](dag::Context& ctx) {
+dag::NodeFn make_strategy_stage(core::StrategyParams params, std::int32_t strategy_id,
+                                std::int64_t smax) {
+  return [params, strategy_id, smax](dag::Context& ctx) {
     const ItemCounters items(ctx);
     obs::Histogram* step_ns = step_histogram(ctx, "engine.strategy.step_ns");
 
@@ -476,8 +475,10 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       count(items.out, batch.orders.size());
       batch.orders.clear();
     };
-    // Built on the first frame, which fixes the universe: the bank, and each
-    // of my pairs' slot in the canonical all-pairs order of the frame vectors.
+    // Built on the first frame, which fixes the universe: the bank over every
+    // pair of it, in the canonical all-pairs order of the frame vectors, so
+    // pair k's coefficient is at slot k.
+    std::vector<stats::PairIndex> pairs;
     std::optional<core::PairBank> bank;
     const auto add_exit = [&](std::int64_t s, std::size_t k) {
       const auto& t = bank->trades(k).back();
@@ -485,8 +486,7 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
                 false);
     };
     std::size_t universe = 0;
-    std::vector<std::size_t> frame_index;
-    std::vector<double> corr(pairs.size());
+    std::vector<double> combined;  // Combined's coefficients, per frame
     std::int64_t last_interval = -1;
 
     while (auto msg = ctx.recv()) {
@@ -498,13 +498,7 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
 
       const std::size_t n = frame.prices.size();
       if (!bank) {
-        for (const auto& pr : pairs) {
-          if (pr.i >= pr.j || pr.j >= n)
-            throw std::runtime_error(
-                format("strategy: pair (%u, %u) is not in the %zu-symbol universe", pr.i,
-                       pr.j, n));
-          frame_index.push_back(stats::pair_slot(n, pr.i, pr.j));
-        }
+        pairs = stats::all_pairs(n);
         bank.emplace(params, smax, n, pairs);
         universe = n;
       }
@@ -519,26 +513,27 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
             format("strategy: corr frame at interval %lld does not cover the %zu-symbol "
                    "universe",
                    static_cast<long long>(frame.interval), universe));
+      const double* corr = nullptr;  // read by the bank only when the frame is valid
       if (frame.valid) {
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          const std::size_t slot = frame_index[k];
-          switch (params.ctype) {
-            case stats::Ctype::pearson:
-              corr[k] = frame.pearson[slot];
-              break;
-            case stats::Ctype::maronna:
-              corr[k] = frame.maronna[slot];
-              break;
-            case stats::Ctype::combined:
-              corr[k] = stats::combine(frame.pearson[slot], frame.maronna[slot]);
-              break;
-          }
+        switch (params.ctype) {
+          case stats::Ctype::pearson:
+            corr = frame.pearson.data();
+            break;
+          case stats::Ctype::maronna:
+            corr = frame.maronna.data();
+            break;
+          case stats::Ctype::combined:
+            combined.resize(slots);
+            for (std::size_t k = 0; k < slots; ++k)
+              combined[k] = stats::combine(frame.pearson[k], frame.maronna[k]);
+            corr = combined.data();
+            break;
         }
       }
 
       obs::ObsSpan step(ctx.ring(), "strategy-step", step_ns);
-      for (const auto& event : bank->step(frame.interval, frame.prices.data(), corr.data(),
-                                          frame.valid)) {
+      for (const auto& event :
+           bank->step(frame.interval, frame.prices.data(), corr, frame.valid)) {
         const std::size_t k = event.pair;
         if (event.entry)
           add_order(frame.interval, pairs[k], bank->position_shares_i(k),
@@ -634,13 +629,7 @@ dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig ri
             ++report->gross_limit_breaches;
         }
       } else if (type == RecordType::strategy_summary) {
-        auto summary = StrategySummary::unpack(u);
-        report->trades += summary.trades;
-        report->total_pnl += summary.total_pnl;
-        report->trade_returns.insert(report->trade_returns.end(),
-                                     summary.trade_returns.begin(),
-                                     summary.trade_returns.end());
-        report->strategy_summaries.push_back(std::move(summary));
+        report->strategy_summaries.push_back(StrategySummary::unpack(u));
       } else {
         throw std::runtime_error(
             format("master: unexpected record type %u", static_cast<unsigned>(type)));
@@ -648,11 +637,19 @@ dag::NodeFn make_master(MasterReport* report, std::size_t symbols, RiskConfig ri
     }
     for (std::uint32_t symbol = 0; symbol < symbols; ++symbol)
       if (seen[symbol] != 0) report->net_shares[symbol] = net[symbol];
-    // Arrival order across workers is a race; sort for deterministic reports.
+    // Arrival order across workers is a race; sort, then total in strategy-id
+    // order, for deterministic reports.
     std::sort(report->strategy_summaries.begin(), report->strategy_summaries.end(),
               [](const StrategySummary& a, const StrategySummary& b) {
                 return a.strategy_id < b.strategy_id;
               });
+    for (const auto& summary : report->strategy_summaries) {
+      report->trades += summary.trades;
+      report->total_pnl += summary.total_pnl;
+      report->trade_returns.insert(report->trade_returns.end(),
+                                   summary.trade_returns.begin(),
+                                   summary.trade_returns.end());
+    }
 
     // Basket netting: each (interval, symbol) basket sums its legs in arrival
     // order; the netted total adds the baskets by interval, then symbol.

@@ -14,7 +14,7 @@
 //                 ranks: every pair estimated by stats::CorrelationCalculator
 //                 (incremental Pearson plus optional cold Maronna over the
 //                 sliding M-window), fanned out to every strategy node;
-//   strategy    — one parameter set across a set of pairs, emitting one
+//   strategy    — one parameter set across every pair, emitting one
 //                 OrderBatch per frame that has orders (in pair order), a
 //                 flatten batch and an end-of-day StrategySummary;
 //   master      — order aggregation (netting into baskets), risk accounting,
@@ -166,9 +166,13 @@ dag::GroupNodeFn make_correlation_stage(
 // `symbols`-wide universe fails the node.
 dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
                                std::int64_t cadence);
-dag::NodeFn make_strategy_stage(core::StrategyParams params,
-                                std::vector<stats::PairIndex> pairs,
-                                std::int32_t strategy_id, std::int64_t smax);
+
+// --- strategy ----------------------------------------------------------------
+// One parameter set over every pair of the universe its first CorrFrame
+// fixes, in canonical pair order. A frame that does not cover that universe
+// fails the node.
+dag::NodeFn make_strategy_stage(core::StrategyParams params, std::int32_t strategy_id,
+                                std::int64_t smax);
 
 // --- master ------------------------------------------------------------------
 // Applies each batch's orders one by one and keeps its per-symbol books in

@@ -127,13 +127,12 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
     graph.connect(frames_source, k, cluster_node, 0, config.channel_capacity);
     graph.connect(cluster_node, 0, cluster_sink, 0, config.channel_capacity);
   }
-  const auto pairs = stats::all_pairs(config.symbols);
   std::vector<int> workers;
   for (int w = 0; w < k; ++w) {
     stage_names.push_back("strategy-" + std::to_string(w));
     workers.push_back(graph.add_node(
-        stage_names.back(), make_strategy_stage(config.strategies[static_cast<std::size_t>(w)],
-                                                pairs, w, smax)));
+        stage_names.back(),
+        make_strategy_stage(config.strategies[static_cast<std::size_t>(w)], w, smax)));
   }
   const int master_node =
       graph.add_node("master", make_master(&master, config.symbols, config.risk));

@@ -18,12 +18,7 @@ constexpr std::uint64_t kSubgroupBit = std::uint64_t{1} << 63;
 
 }  // namespace
 
-World::World(int size)
-    // When the env picks the socket transport, a bare in-process World still
-    // needs working local delivery (Environment builds the socket world
-    // explicitly); fall back to rings for everything the env didn't route.
-    : World(size, transport_mode() == TransportMode::socket ? TransportMode::ring
-                                                            : transport_mode()) {}
+World::World(int size) : World(size, transport_mode()) {}
 
 World::World(int size, TransportMode mode)
     : World(size, std::make_unique<InProcessTransport>(size, mode)) {}

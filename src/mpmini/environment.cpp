@@ -3,7 +3,6 @@
 #include <exception>
 #include <mutex>
 #include <numeric>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -26,18 +25,6 @@ void Environment::run(int world_size, const std::function<void(Comm&)>& rank_mai
                 "heartbeat board is smaller than the world");
   // Surface env-knob misconfigurations (warn-once) before traffic starts.
   validate_transport_env();
-
-  if (transport_mode() == TransportMode::socket) {
-    // Env route to the multi-process launcher: this process hosts exactly
-    // one rank and meets the others at the rendezvous address.
-    auto rz = rendezvous_from_env();
-    if (!rz)
-      throw std::runtime_error("MM_MPMINI_TRANSPORT=socket: " +
-                               rz.error().to_string());
-    run_rendezvous(*rz, world_size, rank_main, fault, metrics, heartbeat,
-                   heartbeat_interval);
-    return;
-  }
 
   World world(world_size);
   world.set_fault_plan(fault);

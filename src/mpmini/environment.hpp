@@ -5,11 +5,12 @@
 // joins. A rank that throws poisons the run; the first exception is rethrown
 // to the caller after all ranks have finished.
 //
-// With MM_MPMINI_TRANSPORT=socket the same run() call instead drives ONLY
-// the local rank (MM_MPMINI_RANK) over the TCP socket transport, meeting the
-// other rank processes at MM_MPMINI_RENDEZVOUS — mpirun's role moves to
-// whatever launched the processes (scripts/transport_smoke.sh shows the
-// pattern). run_rendezvous() is the programmatic route to the same thing.
+// Environment::run_rendezvous(rz, n, fn) instead drives ONLY the local rank
+// `rz.rank` over the TCP socket transport, meeting the other rank processes
+// at the rendezvous address — mpirun's role moves to whatever launched the
+// processes (scripts/transport_smoke.sh shows the pattern). It is the one
+// route into multi-process mode; Graph::run reaches it through
+// RunOptions::rendezvous.
 #pragma once
 
 #include <chrono>

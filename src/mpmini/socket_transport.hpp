@@ -50,8 +50,9 @@ struct Rendezvous {
   std::chrono::milliseconds connect_timeout{10000};
 };
 
-// Parse MM_MPMINI_RANK and MM_MPMINI_RENDEZVOUS ("host:port") — the env
-// route used when MM_MPMINI_TRANSPORT=socket selects this transport.
+// Parse MM_MPMINI_RANK and MM_MPMINI_RENDEZVOUS ("host:port") into the
+// Rendezvous a launcher passes to Environment::run_rendezvous (or to
+// RunOptions::rendezvous / PipelineConfig::rendezvous).
 Expected<Rendezvous> rendezvous_from_env();
 
 // Serialized envelope header after the kind byte: source, tag, comm id,

@@ -38,12 +38,9 @@ TransportEnv parse_transport_env(const char* transport, unsigned hardware_thread
       env.transport = TransportMode::ring;
     } else if (value == "locked") {
       env.transport = TransportMode::locked;
-    } else if (value == "socket") {
-      env.transport = TransportMode::socket;
     } else {
       env.warnings.push_back(
-          format("MM_MPMINI_TRANSPORT='%s' is not ring|locked|socket; using ring",
-                 transport));
+          format("MM_MPMINI_TRANSPORT='%s' is not ring|locked; using ring", transport));
     }
   }
 

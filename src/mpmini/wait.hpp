@@ -9,11 +9,13 @@
 // knob is an environment variable read once per process and validated at
 // Environment startup (a garbage value warns once and falls back to ring):
 //
-//   MM_MPMINI_TRANSPORT  "ring" (default) | "locked" | "socket" — lane rings,
-//                        the legacy mutex/condvar-only delivery path, or the
-//                        multi-process TCP transport (one process per rank,
-//                        see socket_transport.hpp; requires MM_MPMINI_RANK
-//                        and MM_MPMINI_RENDEZVOUS)
+//   MM_MPMINI_TRANSPORT  "ring" (default) | "locked" — lane rings, or the
+//                        legacy mutex/condvar-only delivery path
+//
+// The multi-process TCP transport is not selected here: a program hosts one
+// rank over it by calling Environment::run_rendezvous (or setting
+// RunOptions::rendezvous / PipelineConfig::rendezvous), and
+// rendezvous_from_env reads MM_MPMINI_RANK and MM_MPMINI_RENDEZVOUS for it.
 #pragma once
 
 #include <cstdint>

@@ -313,7 +313,7 @@ TEST(StrategyNode, EmitsPairedEntryExitOrdersAndSummary) {
   }
 
   const auto captured = drive(
-      make_strategy_stage(params, {{0, 1}}, /*strategy_id=*/7, /*smax=*/780), input);
+      make_strategy_stage(params, /*strategy_id=*/7, /*smax=*/780), input);
 
   // Expect: entry order at s=30, an exit order (HP at s=36), and a summary.
   std::size_t entries = 0, exits = 0, summaries = 0;
@@ -362,9 +362,7 @@ TEST(StrategyNode, EmitsOneBatchPerFrameInPairOrderThenFlattenBeforeSummary) {
     input.push_back(frame.pack());
   }
   const auto captured =
-      drive(make_strategy_stage(params, stats::all_pairs(3), /*strategy_id=*/2,
-                                /*smax=*/780),
-            input);
+      drive(make_strategy_stage(params, /*strategy_id=*/2, /*smax=*/780), input);
 
   // Each batch: one interval, its pairs in ascending pair order.
   struct Batch {
@@ -428,7 +426,7 @@ TEST(StrategyNode, RejectsFrameNotCoveringUniverse) {
   const int src = g.add_node("src", [&input](dag::Context& ctx) {
     for (auto& payload : input) ctx.emit(0, std::move(payload));
   });
-  const int uut = g.add_node("uut", make_strategy_stage(params, {{0, 1}}, 0, 780));
+  const int uut = g.add_node("uut", make_strategy_stage(params, 0, 780));
   const int sink = g.add_node("sink", [](dag::Context& ctx) {
     while (ctx.recv()) {
     }
@@ -443,7 +441,7 @@ TEST(StrategyNode, RejectsFrameNotCoveringUniverse) {
 }
 
 TEST(StrategyNode, UnexpectedRecordTypeFailsTheNode) {
-  expect_node_fails(make_strategy_stage(core::ParamGrid::base(), {{0, 1}}, 0, 780),
+  expect_node_fails(make_strategy_stage(core::ParamGrid::base(), 0, 780),
                     {Snapshot{}.pack()}, "strategy: unexpected record type 2");
 }
 
@@ -536,6 +534,32 @@ TEST(MasterNode, AggregatesAcrossInputs) {
   // Netting: intervals 0 and 1 carry orders from both strategies, same side,
   // so raw == netted there; no reduction anywhere (all same-signed).
   EXPECT_DOUBLE_EQ(report.raw_order_shares, report.netted_order_shares);
+}
+
+TEST(MasterNode, TotalsFollowStrategyIdNotArrival) {
+  // Summaries arrive in id order 2, 1, 0. Added in arrival order the P&Ls
+  // sum to 1.0; in id order the 1.0 is absorbed by 1e16 first and the total
+  // is 0.0. The totals must not depend on which strategy reports first.
+  MasterReport report;
+  dag::Graph g;
+  const int src = g.add_node("src", [](dag::Context& ctx) {
+    const double pnl[] = {1.0, 1e16, -1e16};  // by strategy id
+    for (std::int32_t id = 2; id >= 0; --id) {
+      StrategySummary summary;
+      summary.strategy_id = id;
+      summary.trades = 1;
+      summary.total_pnl = pnl[id];
+      summary.trade_returns = {0.1 * id};
+      ctx.emit(0, summary.pack());
+    }
+  });
+  const int master = g.add_node("master", make_master(&report, /*symbols=*/2));
+  g.connect(src, 0, master, 0);
+  ASSERT_TRUE(g.run().ok());
+
+  EXPECT_EQ(report.trades, 3u);
+  EXPECT_EQ(report.total_pnl, 0.0);
+  EXPECT_EQ(report.trade_returns, (std::vector<double>{0.0, 0.1, 0.2}));
 }
 
 TEST(MasterNode, RejectsSymbolOutsideUniverse) {

@@ -1,8 +1,10 @@
 // Tests for the §V experiment framework: structure, determinism, and
-// serial/parallel equivalence.
+// bit-identical results at any rank count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "core/experiment.hpp"
@@ -67,16 +69,17 @@ TEST(Experiment, DeterministicAcrossRuns) {
 
 TEST(Experiment, ParallelMatchesSerialExactly) {
   auto cfg = tiny_config();
+  cfg.ranks = 1;
   const auto serial = run_experiment(cfg);
   for (int ranks : {2, 3}) {
     cfg.ranks = ranks;
-    const auto parallel = run_experiment_parallel(cfg);
+    const auto parallel = run_experiment(cfg);
     EXPECT_EQ(parallel.total_trades, serial.total_trades) << ranks << " ranks";
     for (int c = 0; c < 3; ++c) {
       const auto ci = static_cast<std::size_t>(c);
       for (std::size_t p = 0; p < serial.pair_count; ++p) {
         // Bit-identical, not merely within ULPs: each pair's arithmetic is
-        // the same whichever shard runs it.
+        // the same whichever thread's block holds it.
         ASSERT_EQ(parallel.monthly_return_plus1[ci][p],
                   serial.monthly_return_plus1[ci][p])
             << ranks << " ranks, pair " << p;
@@ -84,6 +87,56 @@ TEST(Experiment, ParallelMatchesSerialExactly) {
         ASSERT_EQ(parallel.win_loss[ci][p], serial.win_loss[ci][p]);
       }
     }
+  }
+}
+
+// FNV-1a over the bytes of every value, in the order added.
+struct Digest {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
+
+  template <typename T>
+  void add(T value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ULL;
+    }
+  }
+  void add(const std::vector<double>& values) {
+    for (const double v : values) add(v);
+  }
+};
+
+std::uint64_t digest(const ExperimentResult& r) {
+  Digest d;
+  for (std::size_t c = 0; c < 3; ++c) {
+    d.add(r.monthly_return_plus1[c]);
+    d.add(r.max_daily_drawdown[c]);
+    d.add(r.win_loss[c]);
+    for (const auto& level : r.level_monthly_return_plus1[c]) d.add(level);
+    for (const auto& level : r.level_max_daily_drawdown[c]) d.add(level);
+    for (const auto& level : r.level_win_loss[c]) d.add(level);
+  }
+  d.add(r.total_trades);
+  d.add(static_cast<std::uint64_t>(r.quotes_processed));
+  d.add(static_cast<std::uint64_t>(r.quotes_dropped));
+  return d.hash;
+}
+
+// Every averaged and per-level measure plus the trade and quote counts of the
+// tiny experiment are pinned bit for bit, at rank counts that leave some
+// threads with one pair and (12 > 10 pairs) some with none.
+TEST(ExperimentGolden, MeasuresAreBitIdentical) {
+  constexpr std::uint64_t kGolden = 0x12e8191a486f888aULL;
+  auto cfg = tiny_config();
+  cfg.keep_level_detail = true;
+  for (int ranks : {1, 2, 3, 4, 12}) {
+    cfg.ranks = ranks;
+    const auto result = run_experiment(cfg);
+    ASSERT_EQ(result.level_win_loss[0].size(), 14u);
+    const std::uint64_t d = digest(result);
+    EXPECT_EQ(d, kGolden) << ranks << " ranks, digest 0x" << std::hex << d;
   }
 }
 

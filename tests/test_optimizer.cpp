@@ -56,9 +56,10 @@ TEST(Experiment, LevelAverageMatchesAggregatedMeasure) {
 
 TEST(Experiment, ParallelKeepsLevelDetailIdentical) {
   auto cfg = detail_config();
+  cfg.ranks = 1;
   const auto serial = run_experiment(cfg);
   cfg.ranks = 3;
-  const auto parallel = run_experiment_parallel(cfg);
+  const auto parallel = run_experiment(cfg);
   for (std::size_t c = 0; c < 3; ++c)
     for (std::size_t l = 0; l < 14; ++l)
       for (std::size_t p = 0; p < serial.pair_count; ++p)

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/pipeline.hpp"
@@ -403,9 +404,17 @@ TEST(TransportEnv, DefaultsWhenUnset) {
 }
 
 TEST(TransportEnv, ValidValuesParse) {
+  for (const auto& [value, mode] : {std::pair{"ring", TransportMode::ring},
+                                    std::pair{"locked", TransportMode::locked}}) {
+    const TransportEnv env = parse_transport_env(value, 8);
+    EXPECT_EQ(env.transport, mode) << value;
+    EXPECT_TRUE(env.warnings.empty()) << value;
+  }
+  // The socket transport is reached through a rendezvous, not this knob.
   const TransportEnv env = parse_transport_env("socket", 8);
-  EXPECT_EQ(env.transport, TransportMode::socket);
-  EXPECT_TRUE(env.warnings.empty());
+  EXPECT_EQ(env.transport, TransportMode::ring);
+  ASSERT_EQ(env.warnings.size(), 1u);
+  EXPECT_NE(env.warnings[0].find("MM_MPMINI_TRANSPORT"), std::string::npos);
 }
 
 TEST(TransportEnv, GarbageTransportWarnsAndFallsBackToRing) {

@@ -331,8 +331,8 @@ StageOutput run_stage(const StrategyParams& params, std::int64_t smax,
   const int src = g.add_node("src", [&frames](dag::Context& ctx) {
     for (auto& payload : frames) ctx.emit(0, std::move(payload));
   });
-  const int uut = g.add_node("strategy", engine::make_strategy_stage(
-                                             params, stats::all_pairs(kSymbols), 3, smax));
+  const int uut =
+      g.add_node("strategy", engine::make_strategy_stage(params, 3, smax));
   const int sink = g.add_node("sink", [&out](dag::Context& ctx) {
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
