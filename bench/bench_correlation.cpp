@@ -179,10 +179,10 @@ BENCHMARK(BM_MatrixStepMaronnaCold)->Arg(20)->Iterations(5)->Unit(benchmark::kMi
 // --- universe-scale scaling curve -------------------------------------------
 //
 // Full-matrix step cost from the paper's n = 61 to the exchange-wide
-// n = 2000, under the scalar and AVX2 kernel levels (the BENCH_corr.json
-// scaling chart). Returns come from the deterministic interval-resolution
-// ReturnStream over make_universe(n) — the same data any scaled experiment
-// consumes — and the loop is the engines' steady state: one push plus one
+// n = 2000, under the scalar and AVX2 kernel levels, plus AVX-512 for
+// Maronna (the BENCH_corr.json scaling chart). Returns come from the
+// deterministic interval-resolution ReturnStream over make_universe(n) — the
+// same data any scaled experiment consumes — and the loop is the engines' steady state: one push plus one
 // matrix_into per iteration, allocation-free buffers reused throughout.
 void matrix_step_scaling(benchmark::State& state, Ctype type,
                          mm::stats::simd::Level level) {
@@ -249,6 +249,18 @@ BENCHMARK(BM_MatrixScalingMaronnaAvx2)
     ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatrixScalingMaronnaAvx2)
     ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
+
+// The AVX-512 level: two pairs' reweighting passes per 512-bit pass.
+void BM_MatrixScalingMaronnaAvx512(benchmark::State& state) {
+  matrix_step_scaling(state, Ctype::maronna, mm::stats::simd::Level::avx512);
+}
+BENCHMARK(BM_MatrixScalingMaronnaAvx512)
+    ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatrixScalingMaronnaAvx512)
+    ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
+// Fixed-iteration n = 61 variant for the CI smoke run (completion only).
+BENCHMARK(BM_MatrixScalingMaronnaAvx512)
+    ->Arg(61)->Iterations(5)->Unit(benchmark::kMillisecond);
 
 void BM_PsdRepair(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -3,7 +3,8 @@
 # repo root (google-benchmark JSON), one file per name:
 #   corr   — correlation kernels, including the universe-scaling entries
 #            (BM_MatrixScaling*: full-matrix Pearson and Maronna at
-#            n = 61/250/1000/2000, scalar vs AVX2 kernel level); the big
+#            n = 61/250/1000/2000, scalar vs AVX2 kernel level, and AVX-512
+#            for Maronna); the big
 #            universes run a fixed two iterations, so expect this one to take
 #            a couple of minutes;
 #   obs    — mm::obs hot paths;

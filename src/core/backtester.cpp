@@ -90,6 +90,7 @@ MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double
   engine.maronna = maronna_config;
   stats::CorrelationCalculator calc(engine, n);
   std::vector<double> step_returns(n);
+  std::vector<double> step_maronna(need_maronna ? pairs.size() : 0);
 
   for (std::int64_t s = 1; s < smax; ++s) {
     for (std::size_t i = 0; i < n; ++i)
@@ -98,10 +99,11 @@ MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double
     if (!calc.ready()) continue;
 
     const auto si = static_cast<std::size_t>(s);
+    if (need_maronna) calc.robust_into(pairs.data(), pairs.size(), step_maronna.data());
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       const auto [i, j] = pairs[k];
       out.pearson[k][si] = calc.pearson(i, j);
-      if (need_maronna) out.maronna[k][si] = calc.robust(i, j);
+      if (need_maronna) out.maronna[k][si] = step_maronna[k];
     }
   }
   return out;

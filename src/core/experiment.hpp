@@ -31,7 +31,6 @@ struct ExperimentConfig {
   // here is laptop-sized and `--full` benches override it.
   std::size_t symbols = 20;
   int days = 5;
-  md::Date first_day{2008, 3, 3};
   // Offset into the deterministic day stream (day d of this experiment uses
   // generator stream first_day_index + d) — lets walk-forward studies slice
   // the same month a single run would produce.

@@ -257,9 +257,7 @@ dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_w
     // Maronna over block b, written to out[0, block_size(members, b)).
     const auto robust_block = [&](std::size_t members, std::size_t b, double* out) {
       const std::size_t begin = stats::block_begin(all.size(), members, b);
-      const std::size_t end = stats::block_begin(all.size(), members, b + 1);
-      for (std::size_t k = begin; k < end; ++k)
-        out[k - begin] = calc.robust(all[k].i, all[k].j);
+      calc.robust_into(all.data() + begin, block_size(members, b), out);
     };
 
     // Group protocol, one round per snapshot. The leader sends each live

@@ -60,6 +60,16 @@ double CorrelationCalculator::robust(std::size_t i, std::size_t j) const {
   return maronna_estimate(x, y, m, scale_[i], scale_[j], config_.maronna).correlation;
 }
 
+void CorrelationCalculator::robust_into(const PairIndex* pairs, std::size_t count,
+                                        double* out) const {
+  MM_ASSERT_MSG(ready(), "correlation requested before window is full");
+  MM_ASSERT_MSG(config_.type != Ctype::pearson,
+                "robust_into() needs a Maronna or Combined calculator");
+  ensure_unwrapped();
+  maronna_correlations(unwrap_.data(), scale_.data(), windows_.window(), pairs, count,
+                       config_.maronna, out);
+}
+
 void CorrelationCalculator::matrix_into(SymMatrix& out) const {
   const std::size_t n = symbols();
   if (out.size() != n) out = SymMatrix(n, 0.0);
@@ -73,9 +83,18 @@ void CorrelationCalculator::matrix_into(SymMatrix& out) const {
       const std::size_t iend = std::min(bi + kPairTile, n);
       for (std::size_t bj = bi; bj < n; bj += kPairTile) {
         const std::size_t jend = std::min(bj + kPairTile, n);
+        tile_pairs_.clear();
         for (std::size_t i = bi; i < iend; ++i)
           for (std::size_t j = std::max(i + 1, bj); j < jend; ++j)
-            out.set(i, j, pair(i, j));
+            tile_pairs_.push_back({static_cast<std::uint32_t>(i),
+                                   static_cast<std::uint32_t>(j)});
+        tile_values_.resize(tile_pairs_.size());
+        robust_into(tile_pairs_.data(), tile_pairs_.size(), tile_values_.data());
+        for (std::size_t k = 0; k < tile_pairs_.size(); ++k) {
+          const auto [i, j] = tile_pairs_[k];
+          const double r = tile_values_[k];
+          out.set(i, j, config_.type == Ctype::combined ? combine(pearson(i, j), r) : r);
+        }
       }
     }
   }

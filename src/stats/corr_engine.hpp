@@ -47,17 +47,21 @@ class CorrelationCalculator {
   // incremental estimate (Pearson and Combined calculators); robust() is
   // Maronna over the unwrapped windows (Maronna and Combined calculators).
   // It starts from the two symbols' step-scoped robust scales and equals the
-  // pairwise maronna_estimate bit for bit. Every per-pair estimate in the pipeline
-  // and the Approach-3 series goes through these.
+  // pairwise maronna_estimate bit for bit. robust_into is the batch form:
+  // out[k] = robust(pairs[k].i, pairs[k].j) for k in [0, count), computed
+  // two pairs per pass by maronna_correlations. The pipeline's correlation
+  // stage, the Approach-3 series and matrix_into go through it.
   double pearson(std::size_t i, std::size_t j) const { return windows_.pearson(i, j); }
   double robust(std::size_t i, std::size_t j) const;
+  void robust_into(const PairIndex* pairs, std::size_t count, double* out) const;
 
   // Full matrix at the current step, unit diagonal. matrix_into reuses the
   // caller's storage (resizing only when the symbol count changed), so a
   // steady-state loop is allocation-free; matrix() is the allocating
-  // convenience form. Robust entries are swept tile-major (64-symbol tiles)
-  // so the window rows a tile reads stay cache-resident at thousands of
-  // symbols; every entry equals pair(i, j). The matrix is not PSD-repaired:
+  // convenience form. Robust entries are swept tile-major (64-symbol tiles,
+  // one robust_into batch per tile) so the window rows a tile reads stay
+  // cache-resident at thousands of symbols; every entry equals pair(i, j).
+  // The matrix is not PSD-repaired:
   // a caller that needs that calls nearest_psd_correlation.
   void matrix_into(SymMatrix& out) const;
   SymMatrix matrix() const;
@@ -79,6 +83,9 @@ class CorrelationCalculator {
   mutable std::size_t unwrap_step_ = 0;  // windows_.steps() the arena reflects
   mutable std::vector<RobustScale> scale_;  // per-symbol, robust path only
   mutable MaronnaScratch maronna_scratch_;  // robust_scale's selection buffers
+  // matrix_into's per-tile robust batch: the tile's pairs and their values.
+  mutable std::vector<PairIndex> tile_pairs_;
+  mutable std::vector<double> tile_values_;
 };
 
 }  // namespace mm::stats

@@ -31,69 +31,108 @@ double mad(const double* v, std::size_t n, double center,
   return 1.4826 * median_inplace(dev.data(), n);
 }
 
-// The reweighting fixed point. `out` arrives with location/scatter seeded;
-// the floors are carried through every iteration (they are 0 except for
-// MAD-degenerate starts).
-void iterate_fixed_point(const double* x, const double* y, std::size_t n,
-                         double floor_x, double floor_y,
-                         const MaronnaConfig& config, MaronnaResult& out) {
-  double mx = out.location_x;
-  double my = out.location_y;
-  double vxx = out.scatter_xx;
-  double vxy = out.scatter_xy;
-  double vyy = out.scatter_yy;
+// One pair's reweighting fixed point between passes. `state` carries the
+// location, scatter and pass count; `pass` holds the next pass's inputs. The
+// floors are carried through every pass (they are 0 except for
+// MAD-degenerate starts). The iteration is three steps per pass — invert the
+// scatter, run the pass, apply its sums — and finish() once the pair exits;
+// maronna_estimate runs one pair through them, maronna_correlations two at a
+// time, so both compute the same bits.
+struct FixedPoint {
+  double floor_x = 0.0;
+  double floor_y = 0.0;
+  MaronnaResult state;
+  simd::MaronnaPass pass;
+};
 
+// Step 1: invert the 2x2 scatter into the next pass's inputs. False when the
+// iteration ends before that pass: the pass budget is spent or the scatter
+// is singular or not finite.
+bool invert(FixedPoint& fp, const MaronnaConfig& config) {
+  const MaronnaResult& s = fp.state;
+  if (s.iterations >= config.max_iterations) return false;
+  const double det = s.scatter_xx * s.scatter_yy - s.scatter_xy * s.scatter_xy;
+  if (det <= 0.0 || !std::isfinite(det)) return false;
+  fp.pass.mx = s.location_x;
+  fp.pass.my = s.location_y;
+  fp.pass.ixx = s.scatter_yy / det;
+  fp.pass.iyy = s.scatter_xx / det;
+  fp.pass.ixy = -s.scatter_xy / det;
+  return true;
+}
+
+// Cold start from coordinatewise medians and MADs, zero covariance, then
+// step 1 for the first pass. False when the pair takes no pass; finish()
+// then gives its result (correlation 0 when both sides are flat).
+bool start(FixedPoint& fp, const double* x, const double* y, const RobustScale& sx,
+           const RobustScale& sy, const MaronnaConfig& config) {
+  fp = {};
+  fp.pass.x = x;
+  fp.pass.y = y;
+  fp.state.location_x = sx.median;
+  fp.state.location_y = sy.median;
+  // Degenerate dispersion (e.g. a constant return window): fall back to a
+  // tiny floor so the iteration is defined; if both are flat, report 0.
+  if (sx.mad <= 0.0 && sy.mad <= 0.0) return false;
+  fp.floor_x = sx.mad > 0.0 ? 0.0 : 1e-12;
+  fp.floor_y = sy.mad > 0.0 ? 0.0 : 1e-12;
+  fp.state.scatter_xx = sx.mad * sx.mad + fp.floor_x;
+  fp.state.scatter_yy = sy.mad * sy.mad + fp.floor_y;
+  return invert(fp, config);
+}
+
+// Step 3: apply one pass's sums (the kernel computes the Huber weight on the
+// Mahalanobis distance and the six weighted sums in a single sweep). False
+// when the iteration ends here: no weight left (the pass is dropped) or the
+// scatter converged.
+bool apply(FixedPoint& fp, const simd::WeightedSums& s, std::size_t n,
+           const MaronnaConfig& config) {
+  if (s.sw <= 0.0) return false;
+  MaronnaResult& out = fp.state;
   const auto nd = static_cast<double>(n);
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    // Invert the 2x2 scatter.
-    const double det = vxx * vyy - vxy * vxy;
-    if (det <= 0.0 || !std::isfinite(det)) break;
-    const double ixx = vyy / det;
-    const double iyy = vxx / det;
-    const double ixy = -vxy / det;
+  const double new_mx = s.swx / s.sw;
+  const double new_my = s.swy / s.sw;
+  // Scatter normalized by n (Maronna's fixed-point with Huber rho keeps the
+  // estimate consistent up to a scale factor that cancels in correlation).
+  const double new_vxx = s.sxx / nd + fp.floor_x;
+  const double new_vyy = s.syy / nd + fp.floor_y;
+  const double new_vxy = s.sxy / nd;
 
-    // One reweighting pass over the window — the kernel computes the Huber
-    // weight on the Mahalanobis distance and the six weighted sums in a
-    // single sweep (SIMD-dispatched; scalar and AVX2 agree bitwise).
-    const auto s = simd::kernels().maronna_weighted_sums(
-        x, y, n, mx, my, ixx, ixy, iyy, config.huber_k2);
-    if (s.sw <= 0.0) break;
+  const double scale =
+      std::max({std::abs(out.scatter_xx), std::abs(out.scatter_yy), 1e-300});
+  const double delta = std::max({std::abs(new_vxx - out.scatter_xx),
+                                 std::abs(new_vyy - out.scatter_yy),
+                                 std::abs(new_vxy - out.scatter_xy)}) /
+                       scale;
+  out.location_x = new_mx;
+  out.location_y = new_my;
+  out.scatter_xx = new_vxx;
+  out.scatter_yy = new_vyy;
+  out.scatter_xy = new_vxy;
+  ++out.iterations;
+  out.converged = delta < config.tolerance;
+  return !out.converged;
+}
 
-    const double new_mx = s.swx / s.sw;
-    const double new_my = s.swy / s.sw;
-    // Scatter normalized by n (Maronna's fixed-point with Huber rho keeps the
-    // estimate consistent up to a scale factor that cancels in correlation).
-    const double new_vxx = s.sxx / nd + floor_x;
-    const double new_vyy = s.syy / nd + floor_y;
-    const double new_vxy = s.sxy / nd;
-
-    const double scale = std::max({std::abs(vxx), std::abs(vyy), 1e-300});
-    const double delta = std::max({std::abs(new_vxx - vxx), std::abs(new_vyy - vyy),
-                                   std::abs(new_vxy - vxy)}) /
-                         scale;
-    mx = new_mx;
-    my = new_my;
-    vxx = new_vxx;
-    vyy = new_vyy;
-    vxy = new_vxy;
-    out.iterations = iter + 1;
-    if (delta < config.tolerance) {
-      out.converged = true;
-      break;
-    }
-  }
-
-  out.location_x = mx;
-  out.location_y = my;
-  out.scatter_xx = vxx;
-  out.scatter_xy = vxy;
-  out.scatter_yy = vyy;
-
-  const double denom = std::sqrt(vxx * vyy);
+// The correlation of the final scatter, stored and returned.
+double finish(MaronnaResult& out) {
+  const double denom = std::sqrt(out.scatter_xx * out.scatter_yy);
   if (denom <= 0.0 || !std::isfinite(denom)) {
     out.correlation = 0.0;
   } else {
-    out.correlation = std::clamp(vxy / denom, -1.0, 1.0);
+    out.correlation = std::clamp(out.scatter_xy / denom, -1.0, 1.0);
+  }
+  return out.correlation;
+}
+
+// Runs a started pair's remaining passes one at a time.
+void run_alone(FixedPoint& fp, std::size_t n, const MaronnaConfig& config) {
+  const auto one_pass = simd::kernels().maronna_weighted_sums;
+  for (;;) {
+    const simd::MaronnaPass& p = fp.pass;
+    const auto sums =
+        one_pass(p.x, p.y, n, p.mx, p.my, p.ixx, p.ixy, p.iyy, config.huber_k2);
+    if (!apply(fp, sums, n, config) || !invert(fp, config)) return;
   }
 }
 
@@ -113,22 +152,54 @@ MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                const RobustScale& sx, const RobustScale& sy,
                                const MaronnaConfig& config) {
   MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
-  MaronnaResult out;
-  // Robust initialization: coordinatewise medians and MADs, zero covariance.
-  out.location_x = sx.median;
-  out.location_y = sy.median;
+  FixedPoint fp;
+  if (start(fp, x, y, sx, sy, config)) run_alone(fp, n, config);
+  finish(fp.state);
+  return fp.state;
+}
 
-  // Degenerate dispersion (e.g. a constant return window): fall back to a
-  // tiny floor so the iteration is defined; if both are flat, report 0.
-  if (sx.mad <= 0.0 && sy.mad <= 0.0) return out;
-  const double floor_x = sx.mad > 0.0 ? 0.0 : 1e-12;
-  const double floor_y = sy.mad > 0.0 ? 0.0 : 1e-12;
+void maronna_correlations(const double* windows, const RobustScale* scales,
+                          std::size_t n, const PairIndex* pairs, std::size_t count,
+                          const MaronnaConfig& config, double* out) {
+  MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
+  const auto two_passes = simd::kernels().maronna_weighted_sums_pair;
+  FixedPoint slot[2];
+  std::size_t owner[2] = {0, 0};  // the pair index each slot computes
+  std::size_t next = 0;
+  // Starts the next pair that takes a pass in slot s; pairs that take none
+  // are finished on the spot. False when the batch has no pair left.
+  const auto refill = [&](int s) {
+    while (next < count) {
+      const std::size_t k = next++;
+      const auto [i, j] = pairs[k];
+      if (start(slot[s], windows + i * n, windows + j * n, scales[i], scales[j],
+                config)) {
+        owner[s] = k;
+        return true;
+      }
+      out[k] = finish(slot[s].state);
+    }
+    return false;
+  };
 
-  out.scatter_xx = sx.mad * sx.mad + floor_x;
-  out.scatter_yy = sy.mad * sy.mad + floor_y;
-  out.scatter_xy = 0.0;
-  iterate_fixed_point(x, y, n, floor_x, floor_y, config, out);
-  return out;
+  bool live[2] = {refill(0), false};
+  live[1] = live[0] && refill(1);
+  // Two pairs in flight: one paired pass per step; a slot whose pair exits
+  // is refilled at once.
+  while (live[0] && live[1]) {
+    const auto sums = two_passes(slot[0].pass, slot[1].pass, n, config.huber_k2);
+    for (int s = 0; s < 2; ++s) {
+      if (apply(slot[s], sums[s], n, config) && invert(slot[s], config)) continue;
+      out[owner[s]] = finish(slot[s].state);
+      live[s] = refill(s);
+    }
+  }
+  // At most one pair is left: the one-pair kernel finishes it.
+  for (int s = 0; s < 2; ++s) {
+    if (!live[s]) continue;
+    run_alone(slot[s], n, config);
+    out[owner[s]] = finish(slot[s].state);
+  }
 }
 
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,

@@ -20,6 +20,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "stats/sym_matrix.hpp"
+
 namespace mm::stats {
 
 struct MaronnaConfig {
@@ -78,6 +80,18 @@ MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                MaronnaScratch& scratch);
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                const MaronnaConfig& config = {});
+
+// Cold Maronna correlations of a batch of pairs over one window arena: the
+// n-sample window of symbol s starts at windows + s * n and its seed is
+// scales[s] (robust_scale of that window). out[k] is the correlation of
+// symbols pairs[k].i and pairs[k].j, equal bit for bit to the scale-seeded
+// maronna_estimate's. It keeps two pairs in flight, runs their
+// passes through the kernel table's paired entry and starts the next pair
+// in a slot as soon as its pair exits; a lone last pair runs on the one-pair
+// kernel. n must be >= 2. Never allocates.
+void maronna_correlations(const double* windows, const RobustScale* scales,
+                          std::size_t n, const PairIndex* pairs, std::size_t count,
+                          const MaronnaConfig& config, double* out);
 
 // Correlation-only conveniences.
 double maronna(const double* x, const double* y, std::size_t n,

@@ -4,19 +4,27 @@
 // of dense double-precision loops: the two-pass Pearson accumulator, the
 // packed cross-sum triangle update in ReturnWindows::push, the
 // pearson_matrix row kernel, and the Maronna reweighting pass. Each kernel
-// here exists in two variants:
+// here exists at up to three levels:
 //
-//   * a scalar variant, compiled unconditionally — the canonical definition
-//     of the arithmetic. It is written in "lane form": reductions keep four
+//   * scalar, compiled unconditionally — the canonical definition of the
+//     arithmetic. It is written in "lane form": reductions keep four
 //     independent accumulators that are combined as (l0 + l2) + (l1 + l3)
 //     with any remainder added sequentially afterwards, exactly mirroring
 //     the AVX2 horizontal-sum order.
-//   * an AVX2 variant, compiled only when MM_SIMD is ON and the compiler
-//     supports -mavx2, selected at runtime via CPU detection.
+//   * avx2, compiled only when MM_SIMD is ON and the compiler supports
+//     -mavx2, selected at runtime via CPU detection.
+//   * avx512, compiled when the compiler also supports -mavx512f and
+//     selected when the CPU reports AVX-512F. Its table is the AVX2 table
+//     except for the paired Maronna pass, which runs two pairs' passes in
+//     one 512-bit pass: pair a in the low 256 bits, pair b in the high 256
+//     bits. Each half is reduced (l0 + l2) + (l1 + l3) and gets its own
+//     scalar tail, so every half does exactly the AVX2 one-pair arithmetic.
+//     The scalar and AVX2 tables implement the paired entry as two calls of
+//     their one-pair kernel.
 //
-// Because the scalar variant is lane-matched and both translation units are
-// built with -ffp-contract=off (no fused multiply-add anywhere), the two
-// variants produce BIT-IDENTICAL results for every kernel: additions happen
+// Because the scalar variant is lane-matched and every kernel translation
+// unit is built with -ffp-contract=off (no fused multiply-add anywhere), all
+// levels produce BIT-IDENTICAL results for every kernel: additions happen
 // in the same order, and the remaining operations (mul, div, sqrt, compare,
 // blend) are IEEE-754 exact per element. The golden tests in
 // tests/test_simd_kernels.cpp assert this across aligned, unaligned and
@@ -26,16 +34,18 @@
 // Layout contract: every kernel reads plain contiguous double arrays — the
 // SoA layouts the window store already uses (ReturnWindows::data_ rows, the
 // packed SymMatrix triangle, the unwrap arena). No alignment is required;
-// the AVX2 variants use unaligned loads.
+// the vector variants use unaligned loads.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 namespace mm::stats::simd {
 
-enum class Level { scalar = 0, avx2 = 1 };
+enum class Level { scalar = 0, avx2 = 1, avx512 = 2 };
 
-// Human-readable level name ("scalar" / "avx2"), for bench labels and logs.
+// Human-readable level name ("scalar" / "avx2" / "avx512"), for bench labels
+// and logs.
 const char* level_name(Level level);
 
 // True when the AVX2 variants were compiled in (MM_SIMD=ON on an x86-64
@@ -45,9 +55,13 @@ bool avx2_compiled();
 // True when the AVX2 variants are both compiled in and runnable on this CPU.
 bool avx2_supported();
 
+// The same pair for the AVX-512 level (which also needs AVX2).
+bool avx512_compiled();
+bool avx512_supported();
+
 // The level the dispatched kernels currently use: the best supported level,
-// unless overridden. The MM_SIMD_LEVEL environment variable ("scalar" or
-// "avx2") pins the initial choice; ScopedLevel overrides it temporarily.
+// unless overridden. MM_SIMD_LEVEL=scalar in the environment pins the
+// initial choice to the scalar table; ScopedLevel overrides it temporarily.
 Level active_level();
 
 // Force a specific level (bench/tests). Returns false — and changes nothing
@@ -91,6 +105,18 @@ struct WeightedSums {
   double sxx = 0.0;
   double sxy = 0.0;
   double syy = 0.0;
+};
+
+// One Maronna reweighting pass's inputs: the pair's samples, its location
+// and its inverse scatter.
+struct MaronnaPass {
+  const double* x = nullptr;
+  const double* y = nullptr;
+  double mx = 0.0;
+  double my = 0.0;
+  double ixx = 0.0;
+  double ixy = 0.0;
+  double iyy = 0.0;
 };
 
 // --- dispatch table --------------------------------------------------------
@@ -137,13 +163,22 @@ struct KernelTable {
                                         std::size_t n, double mx, double my,
                                         double ixx, double ixy, double iyy,
                                         double k2);
+
+  // Two independent pairs' passes over n points each, same k2: element 0 is
+  // a's sums, element 1 is b's, each bit-identical to maronna_weighted_sums
+  // on that pair.
+  std::array<WeightedSums, 2> (*maronna_weighted_sums_pair)(const MaronnaPass& a,
+                                                            const MaronnaPass& b,
+                                                            std::size_t n,
+                                                            double k2);
 };
 
 // The active table (dispatched entry point used by the stats kernels).
 const KernelTable& kernels();
 
 // Explicit variants, for the golden equivalence tests and the scaling
-// benchmarks. `table_for` returns scalar when AVX2 is unavailable.
+// benchmarks. `table_for` falls back to the best supported lower level:
+// avx512 to avx2, avx2 to scalar.
 const KernelTable& scalar_kernels();
 const KernelTable& table_for(Level level);
 

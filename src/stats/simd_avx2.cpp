@@ -225,9 +225,24 @@ const KernelTable& avx2_table() {
       dot_avx2,            cross_insert_avx2,
       cross_evict_insert_avx2, pearson_row_avx2,
       maronna_weighted_sums_avx2,
+      two_maronna_passes<maronna_weighted_sums_avx2>,
   };
   return table;
 }
+
+#if MM_SIMD_AVX512
+// The AVX2 table with the 512-bit paired Maronna pass.
+const KernelTable& avx512_table() {
+  static const KernelTable table = {
+      pair_sums_avx2,      centered_sums_avx2,
+      dot_avx2,            cross_insert_avx2,
+      cross_evict_insert_avx2, pearson_row_avx2,
+      maronna_weighted_sums_avx2,
+      maronna_weighted_sums_pair_avx512,
+  };
+  return table;
+}
+#endif
 
 }  // namespace detail
 }  // namespace mm::stats::simd

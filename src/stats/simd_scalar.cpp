@@ -156,6 +156,7 @@ const KernelTable& scalar_table() {
       dot_scalar,            cross_insert_scalar,
       cross_evict_insert_scalar, pearson_row_scalar,
       maronna_weighted_sums_scalar,
+      two_maronna_passes<maronna_weighted_sums_scalar>,
   };
   return table;
 }

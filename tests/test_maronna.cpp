@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "stats/maronna.hpp"
 #include "stats/pearson.hpp"
+#include "stats/simd.hpp"
 
 namespace mm::stats {
 namespace {
@@ -216,6 +217,102 @@ TEST(Maronna, ScaleSeededStartMatchesPairwiseBitwise) {
         EXPECT_EQ(seeded.correlation, 0.0);
         EXPECT_EQ(seeded.iterations, 0);
       }
+    }
+  }
+}
+
+TEST(Maronna, BatchMatchesPairwiseBitwise) {
+  // maronna_correlations runs two pairs per pass and refills a slot as soon
+  // as its pair exits; every value must still equal the one-pair estimate.
+  // The arena mixes pairs that leave by each exit, and the configs below
+  // move the exits around: convergence, both MADs zero (no pass), one MAD
+  // zero (floored scatter), a singular scatter (identical samples),
+  // max_iterations (3, and 0 for no pass at all) and no weight left
+  // (k² = 0 at even n, where no point sits on both medians).
+  constexpr std::size_t kSymbols = 9;
+  std::vector<simd::Level> levels = {simd::Level::scalar};
+  if (simd::avx2_supported()) levels.push_back(simd::Level::avx2);
+  if (simd::avx512_supported()) levels.push_back(simd::Level::avx512);
+  MaronnaConfig three_passes;
+  three_passes.max_iterations = 3;
+  MaronnaConfig no_passes;
+  no_passes.max_iterations = 0;
+  MaronnaConfig no_weight;
+  no_weight.huber_k2 = 0.0;
+  const std::pair<const char*, MaronnaConfig> configs[] = {
+      {"default", {}}, {"3 passes", three_passes}, {"0 passes", no_passes},
+      {"k2 = 0", no_weight}};
+
+  for (std::size_t n : {100u, 101u}) {
+    const auto a = make_correlated(n, 1.2, 81);
+    const auto b = make_correlated(n, 0.4, 82);
+    auto burst = make_correlated(n, 1.2, 83);
+    for (std::size_t i = 10; i < 16; ++i) burst.x[i] = (i % 2 == 0 ? 40.0 : -40.0);
+    auto majority = a.y;
+    for (std::size_t i = 0; i <= n / 2; ++i) majority[i] = 0.25;
+    const std::vector<std::vector<double>> windows = {
+        a.x, a.y, b.x, b.y, burst.x,
+        majority,                      // 5: MAD zero, not constant
+        std::vector<double>(n, 1e-4),  // 6: flat
+        std::vector<double>(n, -3e-4),  // 7: flat
+        a.x};                          // 8: a copy of symbol 0
+    std::vector<double> arena;
+    std::vector<RobustScale> scales;
+    MaronnaScratch scratch;
+    for (const auto& w : windows) {
+      arena.insert(arena.end(), w.begin(), w.end());
+      scales.push_back(robust_scale(w.data(), n, scratch));
+    }
+    const auto window = [&](std::size_t s) { return arena.data() + s * n; };
+
+    // Batches: every prefix length 0..4 of the canonical order, an odd
+    // middle slice, the whole list and the whole list reversed.
+    const auto all = all_pairs(kSymbols);
+    const std::vector<PairIndex> reversed(all.rbegin(), all.rend());
+    std::vector<std::pair<const PairIndex*, std::size_t>> batches;
+    for (std::size_t c = 0; c <= 4; ++c) batches.push_back({all.data(), c});
+    batches.push_back({all.data() + 5, 17});
+    batches.push_back({all.data(), all.size()});
+    batches.push_back({reversed.data(), reversed.size()});
+
+    for (const auto level : levels) {
+      const simd::ScopedLevel scoped(level);
+      ASSERT_TRUE(scoped.engaged());
+      for (const auto& [config_name, config] : configs) {
+        for (const auto& [pairs, count] : batches) {
+          std::vector<double> out(count + 1, -7.0);
+          maronna_correlations(arena.data(), scales.data(), n, pairs, count, config,
+                               out.data());
+          for (std::size_t k = 0; k < count; ++k) {
+            const auto [i, j] = pairs[k];
+            const auto ref = maronna_estimate(window(i), window(j), n, scales[i],
+                                              scales[j], config);
+            EXPECT_TRUE(same_bits(out[k], ref.correlation))
+                << simd::level_name(level) << " " << config_name << " n=" << n
+                << " count=" << count << " pair (" << i << "," << j << "): "
+                << out[k] << " vs " << ref.correlation;
+          }
+          EXPECT_EQ(out[count], -7.0) << "wrote past the batch";
+        }
+      }
+    }
+
+    // The arena does reach each exit.
+    const auto estimate = [&](std::size_t i, std::size_t j, const MaronnaConfig& c) {
+      return maronna_estimate(window(i), window(j), n, scales[i], scales[j], c);
+    };
+    EXPECT_TRUE(estimate(0, 1, {}).converged);
+    EXPECT_EQ(estimate(6, 7, {}).iterations, 0);        // both MADs zero
+    EXPECT_EQ(scales[5].mad, 0.0);                      // one MAD zero
+    EXPECT_GT(estimate(0, 5, {}).iterations, 0);
+    const auto singular = estimate(0, 8, {});           // det <= 0 after a pass
+    EXPECT_EQ(singular.iterations, 1);
+    EXPECT_FALSE(singular.converged);
+    EXPECT_EQ(estimate(0, 1, three_passes).iterations, 3);
+    EXPECT_FALSE(estimate(0, 1, three_passes).converged);
+    EXPECT_EQ(estimate(0, 1, no_passes).iterations, 0);
+    if (n % 2 == 0) {
+      EXPECT_EQ(estimate(0, 1, no_weight).iterations, 0);  // sw <= 0
     }
   }
 }

@@ -1,18 +1,23 @@
 // Golden equivalence tests for the runtime-dispatched SIMD kernels.
 //
-// The contract (see stats/simd.hpp) is that the scalar and AVX2 variants of
-// every kernel are BIT-IDENTICAL: the scalar variants are written in lane
-// form (four independent accumulators combined in the AVX2 horizontal-sum
-// order), both translation units are built with -ffp-contract=off, and the
-// remaining per-element operations are IEEE-exact. These tests assert that
-// across aligned, unaligned and remainder lengths, and cross-check the
-// full-matrix Pearson path against the per-pair reference at n = 512. On a
-// host without AVX2 the comparisons skip (the scalar table is still
-// exercised against itself through the dispatched entry points).
+// The contract (see stats/simd.hpp) is that the scalar, AVX2 and AVX-512
+// variants of every kernel are BIT-IDENTICAL: the scalar variants are
+// written in lane form (four independent accumulators combined in the AVX2
+// horizontal-sum order), every kernel translation unit is built with
+// -ffp-contract=off, and the remaining per-element operations are
+// IEEE-exact. These tests assert that across aligned, unaligned and
+// remainder lengths, check that each half of the paired Maronna pass equals
+// the one-pair pass, and cross-check the full-matrix Pearson path against
+// the per-pair reference at n = 512. On a host without AVX2 the comparisons
+// skip (the scalar table is still exercised against itself through the
+// dispatched entry points); without AVX-512 only the AVX-512 comparisons
+// skip.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -173,6 +178,75 @@ TEST_F(SimdKernelsTest, MaronnaWeightedSumsBitwise) {
   }
 }
 
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_sums(const WeightedSums& a, const WeightedSums& b,
+                      const std::string& what) {
+  EXPECT_TRUE(same_bits(a.sw, b.sw)) << what;
+  EXPECT_TRUE(same_bits(a.swx, b.swx)) << what;
+  EXPECT_TRUE(same_bits(a.swy, b.swy)) << what;
+  EXPECT_TRUE(same_bits(a.sxx, b.sxx)) << what;
+  EXPECT_TRUE(same_bits(a.sxy, b.sxy)) << what;
+  EXPECT_TRUE(same_bits(a.syy, b.syy)) << what;
+}
+
+// The paired Maronna entry carries two independent pairs through one pass;
+// at every level each half must equal the scalar one-pair pass bit for bit
+// (the AVX-512 level only where the host supports it).
+// Cases: different locations and inverse scatters per half, a half with
+// every point outside k² (only the divide arm), a half whose zero inverse
+// scatter puts d² = 0 at every point, and a point exactly at the location.
+TEST_F(SimdKernelsTest, MaronnaPairedSumsBitwise) {
+  std::vector<Level> levels = {Level::scalar, Level::avx2};
+  if (avx512_supported()) levels.push_back(Level::avx512);
+  const std::size_t kMax = 101 + 3;
+  const auto xa = make_series(kMax, 171, true);
+  const auto ya = make_series(kMax, 172, true);
+  const auto xb = make_series(kMax, 173, false);
+  const auto yb = make_series(kMax, 174, true);
+  const double k2 = 2.0;
+  const auto one_pass = scalar_.maronna_weighted_sums;
+  const auto reference = [&](const MaronnaPass& p, std::size_t n) {
+    return one_pass(p.x, p.y, n, p.mx, p.my, p.ixx, p.ixy, p.iyy, k2);
+  };
+
+  std::vector<std::size_t> lengths = {60, 100, 101};
+  for (std::size_t n = 1; n <= 13; ++n) lengths.push_back(n);
+  for (const auto n : lengths) {
+    for (std::size_t off = 0; off <= 3; ++off) {
+      const MaronnaPass a{xa.data() + off, ya.data() + off, 1e-5, -2e-5,
+                          4e7, 1e7, 5e7};
+      const MaronnaPass b{xb.data() + (3 - off), yb.data() + (3 - off), -3e-5,
+                          1e-5, 9e7, -2e7, 3e7};
+      // Every d² far above k²: the Huber weight is k²/d² at every point.
+      const MaronnaPass outside{b.x, b.y, 1.0, -1.0, 4e7, 1e7, 5e7};
+      // A zero inverse scatter: d² = 0 everywhere, every weight 1.
+      const MaronnaPass flat{a.x, a.y, 1e-5, -2e-5, 0.0, 0.0, 0.0};
+      // The location sits on the pass's first point: d² = 0 there.
+      const MaronnaPass on_point{a.x, a.y, a.x[0], a.y[0], 4e7, 1e7, 5e7};
+      const std::pair<MaronnaPass, MaronnaPass> cases[] = {
+          {a, b}, {b, a}, {a, outside}, {outside, b}, {flat, b}, {on_point, outside}};
+      for (const auto level : levels) {
+        const auto paired = table_for(level).maronna_weighted_sums_pair;
+        for (std::size_t c = 0; c < std::size(cases); ++c) {
+          const auto& [pa, pb] = cases[c];
+          const auto got = paired(pa, pb, n, k2);
+          const std::string what = std::string(level_name(level)) +
+                                   " n=" + std::to_string(n) + " off=" +
+                                   std::to_string(off) + " case=" + std::to_string(c);
+          expect_same_sums(got[0], reference(pa, n), what + " half a");
+          expect_same_sums(got[1], reference(pb, n), what + " half b");
+        }
+      }
+      if (n == 100) {
+        const auto s = reference(outside, n);
+        EXPECT_LT(s.sw, 1e-3);  // every point was down-weighted
+        EXPECT_EQ(reference(flat, n).sw, static_cast<double>(n));
+      }
+    }
+  }
+}
+
 // Level plumbing: the dispatched table must follow set_level / ScopedLevel.
 TEST(SimdDispatch, ScopedLevelSwitchesTables) {
   const Level initial = active_level();
@@ -201,6 +275,38 @@ TEST(SimdDispatch, TableForFallsBackToScalar) {
   EXPECT_EQ(&table_for(Level::scalar), &scalar_kernels());
   EXPECT_STREQ(level_name(Level::scalar), "scalar");
   EXPECT_STREQ(level_name(Level::avx2), "avx2");
+}
+
+TEST(SimdDispatch, Avx512LevelFollowsSupport) {
+  EXPECT_STREQ(level_name(Level::avx512), "avx512");
+  if (!avx512_compiled()) {
+    EXPECT_FALSE(avx512_supported());
+  }
+  if (avx512_supported()) {
+    ASSERT_TRUE(avx2_supported());
+    ScopedLevel forced(Level::avx512);
+    ASSERT_TRUE(forced.engaged());
+    EXPECT_EQ(active_level(), Level::avx512);
+    EXPECT_EQ(&kernels(), &table_for(Level::avx512));
+    // The AVX2 table except for the paired Maronna pass.
+    const KernelTable& t512 = table_for(Level::avx512);
+    const KernelTable& t2 = table_for(Level::avx2);
+    EXPECT_NE(&t512, &t2);
+    EXPECT_EQ(t512.maronna_weighted_sums, t2.maronna_weighted_sums);
+    EXPECT_EQ(t512.pearson_row, t2.pearson_row);
+    EXPECT_NE(t512.maronna_weighted_sums_pair, t2.maronna_weighted_sums_pair);
+  } else {
+    const Level before = active_level();
+    EXPECT_FALSE(set_level(Level::avx512));
+    EXPECT_EQ(active_level(), before);
+    {
+      ScopedLevel refused(Level::avx512);
+      EXPECT_FALSE(refused.engaged());
+    }
+    EXPECT_EQ(active_level(), before);
+    // table_for falls back to the best supported lower level.
+    EXPECT_EQ(&table_for(Level::avx512), &table_for(Level::avx2));
+  }
 }
 
 // End-to-end: the full-matrix Pearson at n = 512 must match the per-pair
