@@ -1,20 +1,14 @@
-// Wire-format feed demo: one synthetic trading day, served both ways.
+// Wire-format feed demo: one synthetic trading day served over TCP.
 //
-// TCP (reliable): a TcpFeedServer resolves day keys to quotes; a
-// WireQuoteSource connects, subscribes with a hello, and drains the framed
-// stream through the zero-copy parser. The demo asserts the received day is
-// quote-for-quote identical to the served one.
+// A TcpFeedServer resolves day keys to quotes; a WireQuoteSource connects,
+// subscribes with a hello, and drains the framed stream through the
+// zero-copy parser. The demo asserts the received day is quote-for-quote
+// identical to the served one.
 //
-// UDP (lossy): a UdpPublisher blasts the same day as sequenced datagrams to a
-// UdpReceiver on loopback, which dedups/reorders and reports damage. On
-// loopback nothing is lost, so the demo asserts a byte-perfect day here too.
-//
-// Prints FEED_DEMO_OK and exits 0 when both paths delivered the day intact;
-// exits 1 otherwise. CI runs this as part of the transport-smoke job.
+// Prints FEED_DEMO_OK and exits 0 when the day arrived intact; exits 1
+// otherwise. CI runs this as part of the transport-smoke job.
 #include <cstdio>
-#include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "marketdata/generator.hpp"
@@ -52,7 +46,7 @@ int main() {
   std::printf("serving %zu quotes across %zu symbols\n", day.size(),
               universe.sector.size());
 
-  // --- TCP: subscribe by key, stream, end_of_day ---------------------------
+  // Subscribe by key, stream, end_of_day.
   wire::TcpFeedServer server(
       [&](const std::string& key) -> Expected<std::vector<md::Quote>> {
         if (key != "demo/day0")
@@ -85,42 +79,6 @@ int main() {
               static_cast<unsigned long long>(tcp_stats.heartbeats),
               static_cast<unsigned long long>(source.value()->session()));
   server.stop();
-
-  // --- UDP: sequenced datagrams on loopback --------------------------------
-  // UDP is the lossy path: a full day blasted at memory speed overflows the
-  // kernel socket buffer and the gaps are counted, not repaired. The demo
-  // publishes a slice that fits the default buffer so loopback delivery is
-  // complete and the intactness assertion is meaningful.
-  const std::vector<md::Quote> slice(day.begin(),
-                                     day.begin() + std::min<std::size_t>(
-                                                       day.size(), 2048));
-  wire::UdpReceiver receiver;
-  if (auto bound = receiver.bind(); !bound.has_value()) {
-    std::fprintf(stderr, "udp bind failed: %s\n", bound.error().message.c_str());
-    return 1;
-  }
-  wire::UdpPublisher publisher("127.0.0.1", receiver.port());
-  // Publish from a second thread so the receiver drains while datagrams are
-  // still in flight.
-  std::thread sender([&] { (void)publisher.publish_day(1, slice); });
-  auto via_udp = receiver.receive_day();
-  sender.join();
-  if (!via_udp.has_value()) {
-    std::fprintf(stderr, "udp receive failed: %s\n",
-                 via_udp.error().message.c_str());
-    return 1;
-  }
-  const auto& udp_stats = receiver.stats();
-  std::printf("udp: %llu datagrams, %llu quotes, %llu gaps\n",
-              static_cast<unsigned long long>(udp_stats.datagrams),
-              static_cast<unsigned long long>(udp_stats.quotes),
-              static_cast<unsigned long long>(udp_stats.gaps));
-  if (!same_day(slice, via_udp.value())) {
-    std::fprintf(stderr, "udp day mismatch (%zu of %zu quotes, %llu gaps)\n",
-                 via_udp.value().size(), slice.size(),
-                 static_cast<unsigned long long>(udp_stats.gaps));
-    return 1;
-  }
 
   std::printf("FEED_DEMO_OK\n");
   return 0;

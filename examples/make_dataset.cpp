@@ -4,9 +4,9 @@
 //
 //   $ ./make_dataset --out /tmp/mm_march2008 --symbols 10 --days 5
 //
-// Writes per business day: quotes.bin and its time index quotes.idx; plus
-// symbols.txt, and a sample day exported as Table-II-style CSV. Then reads
-// everything back and prints an inventory with integrity checks.
+// Writes one quotes.bin per business day, plus symbols.txt and (with --csv) a
+// sample day exported as Table-II-style CSV. Then reads everything back and
+// prints an inventory with integrity checks.
 #include <cstdio>
 
 #include "common/cli.hpp"

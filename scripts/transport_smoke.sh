@@ -4,9 +4,9 @@
 #   pipeline_2proc — the full pair-trading graph with one OS process per rank
 #                    over the TCP socket transport; asserts the master report
 #                    is bit-identical to the in-process run.
-#   feed_demo      — a synthetic day streamed over the mmq wire format, TCP
-#                    (subscribe/stream/end_of_day) and UDP (sequenced
-#                    datagrams, loopback-intact) both verified quote-for-quote.
+#   feed_demo      — a synthetic day streamed over the mmq wire format on a
+#                    TCP session (subscribe/stream/end_of_day), verified
+#                    quote-for-quote.
 #
 # Usage: scripts/transport_smoke.sh [build-dir] (default: build).
 set -euo pipefail

@@ -146,7 +146,6 @@ std::optional<InMessage> Context::recv() {
 
   InMessage msg = std::move(ready_.front());
   ready_.pop_front();
-  ++messages_in_;
   if (frames_in_ != nullptr) frames_in_->add(1);
   // Node code inherits the causality of the frame that woke it: from here
   // until the next recv(), every send this thread makes carries this frame's
@@ -188,7 +187,6 @@ void Context::emit(int port, std::vector<std::uint8_t> bytes) {
   bytes.insert(bytes.begin(), kind_data);
   comm_.send(target->peer_node, data_tag(target->edge_id), std::move(bytes));
   --target->credits;
-  ++messages_out_;
   if (frames_out_ != nullptr) frames_out_->add(1);
 }
 

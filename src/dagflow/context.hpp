@@ -81,10 +81,6 @@ class Context {
   // True if any pump deadline expired (inputs silenced or an output wedged).
   bool timed_out() const { return timed_out_; }
 
-  // Totals for throughput reporting.
-  std::uint64_t messages_in() const { return messages_in_; }
-  std::uint64_t messages_out() const { return messages_out_; }
-
   // Telemetry hooks for component code (either may be null).
   obs::Registry* metrics() const { return metrics_; }
   obs::TraceRing* ring() const { return ring_; }
@@ -130,8 +126,6 @@ class Context {
   std::deque<InMessage> ready_;  // data already pumped but not yet recv()ed
   bool upstream_failed_ = false;
   bool timed_out_ = false;
-  std::uint64_t messages_in_ = 0;
-  std::uint64_t messages_out_ = 0;
 };
 
 }  // namespace mm::dag

@@ -146,6 +146,17 @@ Expected<std::vector<Quote>> read_quotes_binary(const std::string& path) {
     return Error(Errc::parse_error, "not a quote file: " + path);
   if (header.version != 1)
     return Error(Errc::parse_error, format("unsupported version %u", header.version));
+  // Bound the header's count by the bytes that follow it before allocating:
+  // a corrupt count must fail here, not size the vector.
+  const std::streamoff body_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff body_bytes = in.tellg() - body_at;
+  in.seekg(body_at);
+  if (!in || body_bytes < 0 ||
+      header.count > static_cast<std::uint64_t>(body_bytes) / sizeof(Quote))
+    return Error(Errc::parse_error,
+                 format("quote count %llu exceeds the file: %s",
+                        static_cast<unsigned long long>(header.count), path.c_str()));
   std::vector<Quote> quotes(header.count);
   in.read(reinterpret_cast<char*>(quotes.data()),
           static_cast<std::streamsize>(header.count * sizeof(Quote)));

@@ -6,13 +6,11 @@
 //   <root>/symbols.txt            one ticker per line, line number = SymbolId
 //   <root>/<DATE>/quotes.bin      all quotes of that trading day, time-sorted,
 //                                 in the binary block format from taq.hpp
-//   <root>/<DATE>/quotes.idx      time index into quotes.bin (read_range seeks)
 //
-// The store supports whole-day writes and filtered range reads (by symbol set
-// and time window), which is all the backtesting collectors need.
+// The store reads and writes whole days, which is all the backtesting
+// collectors need: md::DayCache::from_tickdb loads a day through read_day.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,19 +37,8 @@ class TickDb {
   // Read a full day.
   Expected<std::vector<Quote>> read_day(const Date& date) const;
 
-  // Read a day filtered to a symbol subset and/or a [from, to) time window.
-  // Empty `symbols` means all symbols.
-  Expected<std::vector<Quote>> read_range(const Date& date,
-                                          const std::vector<SymbolId>& symbols,
-                                          std::optional<TimeMs> from,
-                                          std::optional<TimeMs> to) const;
-
   // Days present in the store, sorted ascending.
   std::vector<Date> days() const;
-
-  // True if the day has a time index (written alongside quotes.bin; lets
-  // read_range seek instead of scanning from the start of the day).
-  bool has_index(const Date& date) const;
 
   bool has_day(const Date& date) const;
 

@@ -101,106 +101,4 @@ void TcpFeedServer::serve(Socket conn) {
   sessions_.fetch_add(1);
 }
 
-UdpPublisher::UdpPublisher(std::string host, std::uint16_t port,
-                           UdpPublisherConfig config)
-    : host_(std::move(host)), port_(port), config_(config) {
-  MM_ASSERT_MSG(config_.quotes_per_datagram > 0, "need at least one quote per datagram");
-}
-
-Status UdpPublisher::publish_day(std::uint64_t session,
-                                 const std::vector<md::Quote>& day) {
-  auto sock = udp_connect(host_, port_);
-  if (!sock) return sock.error();
-
-  std::vector<std::uint8_t> datagram;
-  FrameWriter writer;
-  std::uint64_t seq = 0;
-  std::size_t at = 0;
-  while (at < day.size()) {
-    const std::size_t n = std::min(config_.quotes_per_datagram, day.size() - at);
-    start_datagram(datagram, session, seq);
-    writer.clear();
-    for (std::size_t i = 0; i < n; ++i) writer.quote(day[at + i]);
-    datagram.insert(datagram.end(), writer.bytes().begin(), writer.bytes().end());
-    finish_datagram(datagram, static_cast<std::uint16_t>(n));
-    if (auto sent = udp_send(*sock, datagram.data(), datagram.size()); !sent)
-      return sent.error();
-    ++datagrams_sent_;
-    seq += n;
-    at += n;
-  }
-  // Final datagram: the end_of_day marker, in the same sequence space so the
-  // receiver knows whether it arrived in order.
-  start_datagram(datagram, session, seq);
-  writer.clear();
-  writer.end_of_day(day.size());
-  datagram.insert(datagram.end(), writer.bytes().begin(), writer.bytes().end());
-  finish_datagram(datagram, 1);
-  if (auto sent = udp_send(*sock, datagram.data(), datagram.size()); !sent)
-    return sent.error();
-  ++datagrams_sent_;
-  return {};
-}
-
-Status UdpReceiver::bind(const std::string& host, std::uint16_t port) {
-  auto sock = udp_bind(host, port, &port_);
-  if (!sock) return sock.error();
-  sock_ = std::move(*sock);
-  return {};
-}
-
-Expected<std::vector<md::Quote>> UdpReceiver::receive_day(
-    std::chrono::milliseconds idle_timeout) {
-  MM_ASSERT_MSG(sock_.valid(), "UdpReceiver: bind() first");
-  std::vector<md::Quote> quotes;
-  SequenceTracker tracker;
-  std::uint8_t buf[2048];
-  for (;;) {
-    auto n = udp_recv(sock_, buf, sizeof(buf), idle_timeout);
-    if (!n) return n.error();  // timeout or socket failure
-    auto header = parse_datagram_header(buf, *n);
-    if (!header) {
-      ++stats_.parse_errors;
-      continue;  // garbage datagram: drop, keep listening
-    }
-    ++stats_.datagrams;
-    const std::uint64_t fresh = tracker.accept(header->first_seq, header->msg_count);
-    if (fresh == 0) {
-      ++stats_.stale_datagrams;
-      continue;
-    }
-    // Parse the payload; deliver only the last `fresh` messages (the head of
-    // an overlapping retransmit was already seen).
-    FrameParser parser;
-    parser.feed(buf + datagram_header_bytes, *n - datagram_header_bytes);
-    FrameView v;
-    std::uint64_t index = 0;
-    const std::uint64_t skip = header->msg_count - fresh;
-    bool done = false;
-    while (parser.next(&v)) {
-      ++stats_.frames;
-      if (index++ < skip) continue;
-      if (v.type == MsgType::quote) {
-        md::Quote q;
-        if (decode_quote(v, &q)) {
-          quotes.push_back(q);
-          ++stats_.quotes;
-        } else {
-          ++stats_.parse_errors;
-        }
-      } else if (v.type == MsgType::heartbeat) {
-        ++stats_.heartbeats;
-      } else if (v.type == MsgType::end_of_day) {
-        std::uint64_t expected = 0;
-        (void)decode_end_of_day(v, &expected);
-        done = true;
-      }
-    }
-    if (parser.failed()) ++stats_.parse_errors;
-    stats_.gaps = tracker.gaps();
-    stats_.gap_messages = tracker.gap_messages();
-    if (done) return quotes;
-  }
-}
-
 }  // namespace mm::wire

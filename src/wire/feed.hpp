@@ -1,16 +1,12 @@
-// Feed publishers and receivers for the mmq wire format.
+// The mmq feed server: one day per TCP session.
 //
-// TcpFeedServer is the reliable path: a client connects, sends a hello whose
-// key names a day (a md::DayCache key), and the server streams that day's
-// quotes back as frames, closing with end_of_day. One connection is served at
-// a time — like the repo's MetricsServer this is loopback/LAN operator
-// plumbing, not an internet-facing daemon.
-//
-// UdpPublisher / UdpReceiver are the lossy path: a day is blasted as
-// sequence-numbered datagrams (several quote frames each); the receiver
-// dedups and detects loss at datagram granularity with a SequenceTracker and
-// reports the damage in FeedStats. Delivery semantics are UDP's: duplicates
-// and reorderings are repaired, gaps are counted, not re-fetched.
+// A client connects, sends a hello whose key names a day (a md::DayCache
+// key), and the server streams that day's quotes back as frames, closing with
+// end_of_day. One connection is served at a time — like the repo's
+// MetricsServer this is loopback/LAN operator plumbing, not an
+// internet-facing daemon. TCP is the only transport: a day either arrives
+// whole and in order, or the client reports the truncation (WireQuoteSource
+// and fetch_day in quote_source.hpp).
 #pragma once
 
 #include <atomic>
@@ -27,14 +23,11 @@
 
 namespace mm::wire {
 
+// What a client received over one session (WireQuoteSource::stats()).
 struct FeedStats {
-  std::uint64_t datagrams = 0;
   std::uint64_t frames = 0;
   std::uint64_t quotes = 0;
   std::uint64_t heartbeats = 0;
-  std::uint64_t stale_datagrams = 0;  // duplicates + late reordered arrivals
-  std::uint64_t gaps = 0;
-  std::uint64_t gap_messages = 0;
   std::uint64_t parse_errors = 0;
 };
 
@@ -76,50 +69,6 @@ class TcpFeedServer {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> sessions_{0};
-};
-
-struct UdpPublisherConfig {
-  // Frames per datagram: 32 quotes ≈ 1.3 KB, comfortably under loopback and
-  // LAN MTUs once the 24-byte header is added.
-  std::size_t quotes_per_datagram = 32;
-};
-
-class UdpPublisher {
- public:
-  UdpPublisher(std::string host, std::uint16_t port, UdpPublisherConfig config = {});
-
-  // Send one day as sequenced datagrams; the final datagram carries the
-  // end_of_day frame (counted in the same sequence space).
-  Status publish_day(std::uint64_t session, const std::vector<md::Quote>& day);
-
-  std::uint64_t datagrams_sent() const { return datagrams_sent_; }
-
- private:
-  std::string host_;
-  std::uint16_t port_ = 0;
-  UdpPublisherConfig config_;
-  std::uint64_t datagrams_sent_ = 0;
-};
-
-class UdpReceiver {
- public:
-  // Bind the receive socket (port 0 picks an ephemeral port).
-  Status bind(const std::string& host = "127.0.0.1", std::uint16_t port = 0);
-  std::uint16_t port() const { return port_; }
-
-  // Collect one day: blocks until an in-sequence end_of_day frame arrives or
-  // `idle_timeout` passes with no datagram. Duplicated and reordered
-  // datagrams are absorbed; gap damage is reported in stats(), and quotes
-  // lost to gaps are simply missing from the result.
-  Expected<std::vector<md::Quote>> receive_day(
-      std::chrono::milliseconds idle_timeout = std::chrono::milliseconds{2000});
-
-  const FeedStats& stats() const { return stats_; }
-
- private:
-  Socket sock_;
-  std::uint16_t port_ = 0;
-  FeedStats stats_{};
 };
 
 }  // namespace mm::wire

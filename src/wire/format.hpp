@@ -19,18 +19,7 @@
 //                        bitwise image of md::Quote's fields.
 //   heartbeat  (type 3): u64 counter                      — keep-alive.
 //   end_of_day (type 4): u64 quote_count                  — closes the day;
-//                        the count lets receivers detect loss on UDP.
-//
-// UDP transport prepends a 24-byte datagram header so receivers can dedup
-// and reorder at datagram granularity:
-//
-//   datagram := u32 magic | u16 version | u16 msg_count | u64 session
-//               | u64 first_seq | msg_count frames
-//
-// `first_seq` is the stream-wide sequence number of the first message in the
-// datagram; consecutive datagrams cover consecutive sequence ranges, so a
-// receiver tracks one expected-next counter (see SequenceTracker in
-// parser.hpp).
+//                        the count lets receivers detect a truncated stream.
 #pragma once
 
 #include <bit>
@@ -57,7 +46,6 @@ enum class MsgType : std::uint8_t {
 
 inline constexpr std::size_t frame_header_bytes = 3;  // u16 length + u8 type
 inline constexpr std::size_t quote_body_bytes = 36;
-inline constexpr std::size_t datagram_header_bytes = 24;
 // Largest body a conforming sender may emit (hello keys are the only
 // variable-length payload); parsers reject anything bigger as corruption.
 inline constexpr std::size_t max_body_bytes = 1024;
@@ -160,30 +148,6 @@ class FrameWriter {
   }
 
   std::vector<std::uint8_t> buf_;
-};
-
-// UDP datagram header helpers. `start_datagram` writes a header with a
-// placeholder count; `finish_datagram` patches the real frame count in.
-inline void start_datagram(std::vector<std::uint8_t>& buf, std::uint64_t session,
-                           std::uint64_t first_seq) {
-  buf.resize(datagram_header_bytes);
-  std::uint8_t* p = buf.data();
-  store_u32(p, magic);
-  store_u16(p + 4, version);
-  store_u16(p + 6, 0);  // msg_count, patched by finish_datagram
-  store_u64(p + 8, session);
-  store_u64(p + 16, first_seq);
-}
-
-inline void finish_datagram(std::vector<std::uint8_t>& buf, std::uint16_t msg_count) {
-  MM_ASSERT(buf.size() >= datagram_header_bytes);
-  store_u16(buf.data() + 6, msg_count);
-}
-
-struct DatagramHeader {
-  std::uint16_t msg_count = 0;
-  std::uint64_t session = 0;
-  std::uint64_t first_seq = 0;
 };
 
 }  // namespace mm::wire

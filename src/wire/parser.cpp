@@ -165,21 +165,4 @@ Expected<Hello> decode_hello(const FrameView& v) {
   return h;
 }
 
-Expected<DatagramHeader> parse_datagram_header(const std::uint8_t* data,
-                                               std::size_t size) {
-  if (size < datagram_header_bytes)
-    return Error(Errc::parse_error, "wire: datagram shorter than its header");
-  if (load_u32(data) != magic)
-    return Error(Errc::parse_error, "wire: bad datagram magic");
-  const std::uint16_t ver = load_u16(data + 4);
-  if (ver != version)
-    return Error(Errc::parse_error,
-                 format("wire: unsupported datagram version %u", unsigned{ver}));
-  DatagramHeader h;
-  h.msg_count = load_u16(data + 6);
-  h.session = load_u64(data + 8);
-  h.first_seq = load_u64(data + 16);
-  return h;
-}
-
 }  // namespace mm::wire

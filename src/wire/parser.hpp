@@ -88,53 +88,4 @@ struct Hello {
 // session, never per quote).
 Expected<Hello> decode_hello(const FrameView& v);
 
-// Parse and validate a UDP datagram header (magic, version, size bounds).
-Expected<DatagramHeader> parse_datagram_header(const std::uint8_t* data,
-                                               std::size_t size);
-
-// Per-message sequence dedup for UDP streams. The publisher numbers messages
-// contiguously from 0; each datagram carries [first_seq, first_seq + count).
-// accept() returns how many messages at the TAIL of the datagram are new —
-// 0 for a pure duplicate or late reordered datagram, `count` for in-order
-// delivery (and for a jump forward, which records a gap).
-class SequenceTracker {
- public:
-  std::uint64_t accept(std::uint64_t first_seq, std::uint64_t count) {
-    const std::uint64_t end = first_seq + count;
-    if (end <= next_) {
-      // Entirely behind the cursor: a duplicate, or a reordered straggler
-      // whose slot was already skipped (that pairing shows up as one gap
-      // plus one stale datagram in the stats).
-      stale_ += 1;
-      return 0;
-    }
-    if (first_seq < next_) {
-      // Overlaps the cursor (partial retransmit): only the tail is new.
-      overlaps_ += 1;
-      const std::uint64_t fresh = end - next_;
-      next_ = end;
-      return fresh;
-    }
-    if (first_seq > next_) {
-      gaps_ += 1;
-      gap_messages_ += first_seq - next_;
-    }
-    next_ = end;
-    return count;
-  }
-
-  std::uint64_t expected_next() const { return next_; }
-  std::uint64_t stale() const { return stale_; }
-  std::uint64_t overlaps() const { return overlaps_; }
-  std::uint64_t gaps() const { return gaps_; }
-  std::uint64_t gap_messages() const { return gap_messages_; }
-
- private:
-  std::uint64_t next_ = 0;
-  std::uint64_t stale_ = 0;
-  std::uint64_t overlaps_ = 0;
-  std::uint64_t gaps_ = 0;
-  std::uint64_t gap_messages_ = 0;
-};
-
 }  // namespace mm::wire

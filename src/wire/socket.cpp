@@ -153,57 +153,4 @@ Expected<std::size_t> recv_some(const Socket& sock, void* data, std::size_t cap)
   }
 }
 
-Expected<Socket> udp_bind(const std::string& host, std::uint16_t port,
-                          std::uint16_t* bound_port) {
-  auto addr = resolve(host, port);
-  if (!addr) return addr.error();
-  Socket sock(::socket(AF_INET, SOCK_DGRAM, 0));
-  if (!sock.valid()) return sys_error("socket");
-  if (::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&*addr), sizeof(*addr)) != 0)
-    return sys_error("bind");
-  if (bound_port != nullptr) {
-    sockaddr_in actual{};
-    socklen_t len = sizeof(actual);
-    if (::getsockname(sock.fd(), reinterpret_cast<sockaddr*>(&actual), &len) != 0)
-      return sys_error("getsockname");
-    *bound_port = ntohs(actual.sin_port);
-  }
-  return sock;
-}
-
-Expected<Socket> udp_connect(const std::string& host, std::uint16_t port) {
-  auto addr = resolve(host, port);
-  if (!addr) return addr.error();
-  Socket sock(::socket(AF_INET, SOCK_DGRAM, 0));
-  if (!sock.valid()) return sys_error("socket");
-  if (::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&*addr),
-                sizeof(*addr)) != 0)
-    return sys_error("connect");
-  return sock;
-}
-
-Status udp_send(const Socket& sock, const void* data, std::size_t size) {
-  for (;;) {
-    const ssize_t n = ::send(sock.fd(), data, size, 0);
-    if (n >= 0) return {};
-    if (errno == EINTR) continue;
-    return sys_error("send");
-  }
-}
-
-Expected<std::size_t> udp_recv(const Socket& sock, void* data, std::size_t cap,
-                               std::chrono::milliseconds timeout) {
-  if (timeout.count() > 0) {
-    auto ready = wait_readable(sock.fd(), timeout);
-    if (!ready) return ready.error();
-    if (!*ready) return Error(Errc::timeout, "udp_recv: no datagram within deadline");
-  }
-  for (;;) {
-    const ssize_t n = ::recv(sock.fd(), data, cap, 0);
-    if (n >= 0) return static_cast<std::size_t>(n);
-    if (errno == EINTR) continue;
-    return sys_error("recv");
-  }
-}
-
 }  // namespace mm::wire

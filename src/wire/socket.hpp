@@ -1,4 +1,4 @@
-// Thin RAII wrappers over POSIX TCP/UDP sockets for the wire layer and the
+// Thin RAII wrappers over POSIX TCP sockets for the wire layer and the
 // mpmini socket transport. Loopback/LAN plumbing, not a general networking
 // library: blocking I/O, IPv4, explicit Expected<> errors instead of errno
 // spelunking at every call site.
@@ -74,21 +74,5 @@ Status recv_exact(const Socket& sock, void* data, std::size_t size);
 
 // Read whatever is available, up to `cap`. 0 means orderly EOF.
 Expected<std::size_t> recv_some(const Socket& sock, void* data, std::size_t cap);
-
-// --- UDP -----------------------------------------------------------------
-
-Expected<Socket> udp_bind(const std::string& host, std::uint16_t port,
-                          std::uint16_t* bound_port = nullptr);
-
-// Connected UDP socket for sends to a fixed destination.
-Expected<Socket> udp_connect(const std::string& host, std::uint16_t port);
-
-Status udp_send(const Socket& sock, const void* data, std::size_t size);
-
-// Receive one datagram (up to `cap` bytes). A zero timeout blocks; otherwise
-// Errc::timeout when no datagram arrived in time.
-Expected<std::size_t> udp_recv(const Socket& sock, void* data, std::size_t cap,
-                               std::chrono::milliseconds timeout =
-                                   std::chrono::milliseconds{0});
 
 }  // namespace mm::wire

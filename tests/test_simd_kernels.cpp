@@ -8,10 +8,11 @@
 // IEEE-exact. These tests assert that across aligned, unaligned and
 // remainder lengths, check that each half of the paired Maronna pass equals
 // the one-pair pass, and cross-check the full-matrix Pearson path against
-// the per-pair reference at n = 512. On a host without AVX2 the comparisons
-// skip (the scalar table is still exercised against itself through the
-// dispatched entry points); without AVX-512 only the AVX-512 comparisons
-// skip.
+// the per-pair reference at n = 512. On a host or build without AVX2 the
+// scalar-versus-AVX2 comparisons skip (the scalar table is still exercised
+// against itself through the dispatched entry points); without AVX-512 only
+// the AVX-512 comparisons skip. The paired Maronna check loops over every
+// supported level, scalar included, so it runs in every build.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -44,15 +45,16 @@ std::vector<double> make_series(std::size_t n, std::uint64_t seed,
 
 class SimdKernelsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!avx2_supported())
-      GTEST_SKIP() << "AVX2 not available in this build/host";
-  }
   const KernelTable& scalar_ = table_for(Level::scalar);
   const KernelTable& avx2_ = table_for(Level::avx2);
 };
 
+// Scalar-versus-AVX2 comparisons have nothing to compare without AVX2.
+#define MM_SKIP_WITHOUT_AVX2() \
+  if (!avx2_supported()) GTEST_SKIP() << "AVX2 not available in this build/host"
+
 TEST_F(SimdKernelsTest, PairSumsBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto x = make_series(n, 11 + n, false);
     const auto y = make_series(n, 23 + n, true);
@@ -64,6 +66,7 @@ TEST_F(SimdKernelsTest, PairSumsBitwise) {
 }
 
 TEST_F(SimdKernelsTest, PairSumsBitwiseUnaligned) {
+  MM_SKIP_WITHOUT_AVX2();
   // Offset the start pointer so AVX2 loads straddle cache lines.
   const auto x = make_series(515, 7, false);
   const auto y = make_series(515, 9, true);
@@ -77,6 +80,7 @@ TEST_F(SimdKernelsTest, PairSumsBitwiseUnaligned) {
 }
 
 TEST_F(SimdKernelsTest, CenteredSumsBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto x = make_series(n, 31 + n, true);
     const auto y = make_series(n, 41 + n, false);
@@ -92,6 +96,7 @@ TEST_F(SimdKernelsTest, CenteredSumsBitwise) {
 }
 
 TEST_F(SimdKernelsTest, DotBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto x = make_series(n, 51 + n, false);
     const auto y = make_series(n, 61 + n, true);
@@ -102,6 +107,7 @@ TEST_F(SimdKernelsTest, DotBitwise) {
 }
 
 TEST_F(SimdKernelsTest, CrossInsertBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto r = make_series(n, 71 + n, true);
     auto row_a = make_series(n, 81 + n, false);
@@ -113,6 +119,7 @@ TEST_F(SimdKernelsTest, CrossInsertBitwise) {
 }
 
 TEST_F(SimdKernelsTest, CrossEvictInsertBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto r = make_series(n, 91 + n, false);
     const auto old_col = make_series(n, 101 + n, true);
@@ -127,6 +134,7 @@ TEST_F(SimdKernelsTest, CrossEvictInsertBitwise) {
 }
 
 TEST_F(SimdKernelsTest, PearsonRowBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto crow = make_series(n, 121 + n, false);
     const auto sums_j = make_series(n, 131 + n, false);
@@ -157,6 +165,7 @@ TEST_F(SimdKernelsTest, PearsonRowBitwise) {
 }
 
 TEST_F(SimdKernelsTest, MaronnaWeightedSumsBitwise) {
+  MM_SKIP_WITHOUT_AVX2();
   for (const auto n : kLengths) {
     const auto x = make_series(n, 151 + n, true);
     const auto y = make_series(n, 161 + n, true);
@@ -191,13 +200,15 @@ void expect_same_sums(const WeightedSums& a, const WeightedSums& b,
 }
 
 // The paired Maronna entry carries two independent pairs through one pass;
-// at every level each half must equal the scalar one-pair pass bit for bit
-// (the AVX-512 level only where the host supports it).
+// at every supported level each half must equal the scalar one-pair pass bit
+// for bit (scalar always; AVX2 and AVX-512 where the build and host have
+// them).
 // Cases: different locations and inverse scatters per half, a half with
 // every point outside k² (only the divide arm), a half whose zero inverse
 // scatter puts d² = 0 at every point, and a point exactly at the location.
 TEST_F(SimdKernelsTest, MaronnaPairedSumsBitwise) {
-  std::vector<Level> levels = {Level::scalar, Level::avx2};
+  std::vector<Level> levels = {Level::scalar};
+  if (avx2_supported()) levels.push_back(Level::avx2);
   if (avx512_supported()) levels.push_back(Level::avx512);
   const std::size_t kMax = 101 + 3;
   const auto xa = make_series(kMax, 171, true);

@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -156,6 +157,27 @@ TEST_F(TaqFiles, BinaryRejectsTruncation) {
   // Truncate the file.
   std::filesystem::resize_file(path("t.bin"), 64);
   EXPECT_FALSE(read_quotes_binary(path("t.bin")).has_value());
+}
+
+TEST_F(TaqFiles, BinaryRejectsCountBeyondFileSize) {
+  const auto universe = make_universe(2);
+  GeneratorConfig cfg;
+  cfg.quote_rate = 0.01;
+  const SyntheticDay day(universe, cfg, 0);
+  ASSERT_TRUE(write_quotes_binary(path("c.bin"), day.quotes()).has_value());
+  // Patch the header's u64 count (after the 8-byte magic, u32 version and
+  // u32 reserved) to the largest value: the reader must reject it before it
+  // sizes anything by it.
+  {
+    std::fstream f(path("c.bin"), std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t count = UINT64_MAX;
+    f.seekp(16);
+    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    ASSERT_TRUE(f.good());
+  }
+  const auto read = read_quotes_binary(path("c.bin"));
+  ASSERT_FALSE(read.has_value());
+  EXPECT_EQ(read.error().code, Errc::parse_error);
 }
 
 TEST_F(TaqFiles, GarbageLinesNeverCrashOnlyError) {

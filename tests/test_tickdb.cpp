@@ -70,100 +70,6 @@ TEST_F(TickDbTest, ReadMissingDayFails) {
   EXPECT_FALSE(db->read_day(Date{2008, 3, 4}).has_value());
 }
 
-TEST_F(TickDbTest, RangeReadFiltersSymbolsAndTime) {
-  auto db = TickDb::open(root_);
-  ASSERT_TRUE(db.has_value());
-  const auto universe = make_universe(4);
-  GeneratorConfig cfg;
-  cfg.quote_rate = 0.05;
-  const SyntheticDay day(universe, cfg, 0);
-  const Date date{2008, 3, 3};
-  ASSERT_TRUE(db->write_day(date, day.quotes()).has_value());
-
-  const Session session;
-  const TimeMs from = session.open_ms() + ms_per_hour;
-  const TimeMs to = from + ms_per_hour;
-  auto range = db->read_range(date, {1, 2}, from, to);
-  ASSERT_TRUE(range.has_value());
-  ASSERT_FALSE(range->empty());
-  for (const auto& q : *range) {
-    EXPECT_TRUE(q.symbol == 1 || q.symbol == 2);
-    EXPECT_GE(q.ts_ms, from);
-    EXPECT_LT(q.ts_ms, to);
-  }
-
-  // Cross-check the count against a manual scan.
-  std::size_t expected = 0;
-  for (const auto& q : day.quotes())
-    if ((q.symbol == 1 || q.symbol == 2) && q.ts_ms >= from && q.ts_ms < to) ++expected;
-  EXPECT_EQ(range->size(), expected);
-}
-
-TEST_F(TickDbTest, RangeReadAllSymbols) {
-  auto db = TickDb::open(root_);
-  ASSERT_TRUE(db.has_value());
-  const auto universe = make_universe(2);
-  GeneratorConfig cfg;
-  cfg.quote_rate = 0.02;
-  const SyntheticDay day(universe, cfg, 0);
-  const Date date{2008, 3, 5};
-  ASSERT_TRUE(db->write_day(date, day.quotes()).has_value());
-  auto all = db->read_range(date, {}, std::nullopt, std::nullopt);
-  ASSERT_TRUE(all.has_value());
-  EXPECT_EQ(all->size(), day.quotes().size());
-}
-
-TEST_F(TickDbTest, TimeIndexWrittenAndSeekMatchesScan) {
-  auto db = TickDb::open(root_);
-  ASSERT_TRUE(db.has_value());
-  const auto universe = make_universe(4);
-  GeneratorConfig cfg;
-  cfg.quote_rate = 0.1;
-  const SyntheticDay day(universe, cfg, 0);
-  const Date date{2008, 3, 6};
-  ASSERT_TRUE(db->write_day(date, day.quotes()).has_value());
-  EXPECT_TRUE(db->has_index(date));
-
-  // Indexed range reads must exactly match a manual scan for a spread of
-  // windows, including bucket-unaligned bounds and out-of-session bounds.
-  const Session session;
-  const TimeMs probes[] = {
-      session.open_ms(), session.open_ms() + 1234,
-      session.open_ms() + 2 * ms_per_hour + 17, session.close_ms() - 5000,
-      session.close_ms() + ms_per_hour};
-  for (const TimeMs from : probes) {
-    for (const TimeMs span : {TimeMs{60'000}, TimeMs{3'600'000}}) {
-      auto indexed = db->read_range(date, {}, from, from + span);
-      ASSERT_TRUE(indexed.has_value());
-      std::vector<Quote> expected;
-      for (const auto& q : day.quotes())
-        if (q.ts_ms >= from && q.ts_ms < from + span) expected.push_back(q);
-      ASSERT_EQ(indexed->size(), expected.size()) << "from=" << from;
-      for (std::size_t k = 0; k < expected.size(); ++k)
-        EXPECT_EQ((*indexed)[k].ts_ms, expected[k].ts_ms);
-    }
-  }
-}
-
-TEST_F(TickDbTest, RangeReadSurvivesMissingIndex) {
-  auto db = TickDb::open(root_);
-  ASSERT_TRUE(db.has_value());
-  const auto universe = make_universe(2);
-  GeneratorConfig cfg;
-  cfg.quote_rate = 0.05;
-  const SyntheticDay day(universe, cfg, 0);
-  const Date date{2008, 3, 7};
-  ASSERT_TRUE(db->write_day(date, day.quotes()).has_value());
-  // Delete the sidecar: reads must fall back to scanning.
-  std::filesystem::remove(root_ + "/" + date.iso() + "/quotes.idx");
-  EXPECT_FALSE(db->has_index(date));
-  const Session session;
-  auto range = db->read_range(date, {}, session.open_ms() + ms_per_hour,
-                              session.open_ms() + 2 * ms_per_hour);
-  ASSERT_TRUE(range.has_value());
-  EXPECT_FALSE(range->empty());
-}
-
 TEST_F(TickDbTest, DaysEnumeratesSorted) {
   auto db = TickDb::open(root_);
   ASSERT_TRUE(db.has_value());

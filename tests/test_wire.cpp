@@ -1,13 +1,12 @@
 // The mmq wire format's contracts: byte-stable encoding, zero-copy
 // incremental parsing at every chunk boundary, robustness against truncated /
-// corrupt / duplicated / reordered input, socket round trips (TCP session and
-// UDP datagram loopback), and allocation-freedom of the steady-state parse
-// path (global operator-new counting — which is why this suite lives in its
-// own executable, same pattern as tests/test_corr_alloc.cpp).
+// corrupt input, the TCP session round trip, and allocation-freedom of the
+// steady-state parse path (global operator-new counting — which is why this
+// suite lives in its own executable, same pattern as
+// tests/test_corr_alloc.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -18,7 +17,6 @@
 #include "wire/format.hpp"
 #include "wire/parser.hpp"
 #include "wire/quote_source.hpp"
-#include "wire/socket.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -310,105 +308,6 @@ TEST(WireParser, DecodersRejectWrongTypeAndSize) {
   FrameView short_view = v;
   short_view.size = 4;  // right type, truncated body
   EXPECT_FALSE(decode_heartbeat(short_view, &count));
-}
-
-TEST(WireFormat, DatagramHeaderRoundTripAndRejection) {
-  std::vector<std::uint8_t> buf;
-  start_datagram(buf, 42, 1000);
-  finish_datagram(buf, 3);
-  const auto header = parse_datagram_header(buf.data(), buf.size());
-  ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(header.value().session, 42u);
-  EXPECT_EQ(header.value().first_seq, 1000u);
-  EXPECT_EQ(header.value().msg_count, 3u);
-
-  EXPECT_FALSE(parse_datagram_header(buf.data(), 10).has_value());  // short
-  buf[0] ^= 0xFF;
-  EXPECT_FALSE(parse_datagram_header(buf.data(), buf.size()).has_value());
-}
-
-// --- UDP sequencing -------------------------------------------------------
-
-TEST(SequenceTracker, DuplicateReorderOverlapAndGap) {
-  SequenceTracker t;
-  EXPECT_EQ(t.accept(0, 4), 4u);   // in order
-  EXPECT_EQ(t.accept(0, 4), 0u);   // exact duplicate
-  EXPECT_EQ(t.stale(), 1u);
-  EXPECT_EQ(t.accept(2, 4), 2u);   // partial retransmit: tail is new
-  EXPECT_EQ(t.overlaps(), 1u);
-  EXPECT_EQ(t.accept(10, 2), 2u);  // jump forward: gap of 4 messages
-  EXPECT_EQ(t.gaps(), 1u);
-  EXPECT_EQ(t.gap_messages(), 4u);
-  EXPECT_EQ(t.accept(6, 4), 0u);   // the straggler arrives late: stale
-  EXPECT_EQ(t.stale(), 2u);
-  EXPECT_EQ(t.expected_next(), 12u);
-}
-
-// Craft datagrams by hand and deliver them duplicated and out of order; the
-// receiver must absorb both and report the damage.
-TEST(WireUdp, ReceiverAbsorbsDuplicatesAndReordering) {
-  UdpReceiver receiver;
-  ASSERT_TRUE(receiver.bind().has_value());
-  const auto day = make_day(6);
-
-  const auto datagram = [&](std::uint64_t first_seq,
-                            std::vector<int> quote_indices, bool eod) {
-    std::vector<std::uint8_t> buf;
-    start_datagram(buf, 1, first_seq);
-    FrameWriter w;
-    for (const int i : quote_indices) w.quote(day[static_cast<std::size_t>(i)]);
-    if (eod) w.end_of_day(day.size());
-    buf.insert(buf.end(), w.bytes().begin(), w.bytes().end());
-    finish_datagram(buf, static_cast<std::uint16_t>(quote_indices.size() +
-                                                    (eod ? 1 : 0)));
-    return buf;
-  };
-
-  auto sender = udp_connect("127.0.0.1", receiver.port());
-  ASSERT_TRUE(sender.has_value());
-  const auto send = [&](const std::vector<std::uint8_t>& buf) {
-    ASSERT_TRUE(udp_send(sender.value(), buf.data(), buf.size()).has_value());
-  };
-
-  const auto d0 = datagram(0, {0, 1}, false);
-  const auto d1 = datagram(2, {2, 3}, false);
-  const auto d2 = datagram(4, {4, 5}, false);
-  const auto d3 = datagram(6, {}, true);
-  send(d0);
-  send(d2);  // reordered ahead of d1
-  send(d1);  // arrives late -> stale (its slot was skipped)
-  send(d0);  // pure duplicate
-  send(d3);
-
-  const auto got = receiver.receive_day();
-  ASSERT_TRUE(got.has_value()) << got.error().to_string();
-  // d1's quotes were lost to the reorder-gap; everything else in order once.
-  ASSERT_EQ(got.value().size(), 4u);
-  EXPECT_TRUE(same_quote(got.value()[0], day[0]));
-  EXPECT_TRUE(same_quote(got.value()[1], day[1]));
-  EXPECT_TRUE(same_quote(got.value()[2], day[4]));
-  EXPECT_TRUE(same_quote(got.value()[3], day[5]));
-  EXPECT_EQ(receiver.stats().stale_datagrams, 2u);
-  EXPECT_EQ(receiver.stats().gaps, 1u);
-  EXPECT_EQ(receiver.stats().gap_messages, 2u);
-}
-
-TEST(WireUdp, PublisherToReceiverLoopbackDeliversTheDay) {
-  UdpReceiver receiver;
-  ASSERT_TRUE(receiver.bind().has_value());
-  const auto day = make_day(100);
-
-  UdpPublisher publisher("127.0.0.1", receiver.port());
-  ASSERT_TRUE(publisher.publish_day(7, day).has_value());
-  EXPECT_GT(publisher.datagrams_sent(), 1u);
-
-  const auto got = receiver.receive_day();
-  ASSERT_TRUE(got.has_value()) << got.error().to_string();
-  ASSERT_EQ(got.value().size(), day.size());
-  for (std::size_t i = 0; i < day.size(); ++i)
-    EXPECT_TRUE(same_quote(got.value()[i], day[i]));
-  EXPECT_EQ(receiver.stats().gaps, 0u);
-  EXPECT_EQ(receiver.stats().quotes, day.size());
 }
 
 // --- TCP session ----------------------------------------------------------
